@@ -17,7 +17,7 @@ from .errors import (ConfigurationError, DomainMismatchError, GeometryError,
                      HypothesisViolationError, NumericalFailureError,
                      ParameterError, SymcritError,
                      SymmetryCompatibilityError, UnsupportedDomainError)
-from .functional import EnergyModel, energy, residual
+from .functional import EnergyModel, energy
 from .grid import Domain, GridFunction, build_domain
 from .group import SymmetryGroup, average, build_group
 from .integrand import Integrand, builtin, check_conditions
@@ -64,7 +64,6 @@ __all__ = [
     "integrand",
     "palais_check",
     "polarize",
-    "residual",
     "run",
     "schwarz",
     "solver",

@@ -1,10 +1,11 @@
 """The variational energy f(u) = int j(u, |Du|) + |u|^p/p - |u|^q/q.
 
-Everything is assembled from the domain's cells: the density sees the
+Everything is assembled from the domain's cell map: the density sees the
 cell average of u and the per-cell first-difference gradient magnitude,
 so the discrete energy is an exactly differentiable function of the
-nodal values and the residual below is its literal gradient.  Where a
-cell has |Du| = 0 the convention j_t * Du/|Du| = 0 applies.
+nodal values and the residual below, the transposed map applied to the
+per-cell partial derivatives, is its literal gradient.  Where a cell has
+|Du| = 0 the convention j_t * Du/|Du| = 0 applies.
 
 The optional positivity flag replaces |u|^q/q by (u^+)^q/q, which is the
 standard device for steering the search toward nonnegative solutions.
@@ -12,7 +13,7 @@ standard device for steering the search toward nonnegative solutions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,14 +47,6 @@ class EnergyModel:
         return self.integrand.p
 
 
-@dataclass
-class Residual:
-    """Gradient of the energy as a nodal covector, zero on the boundary."""
-
-    domain: Domain
-    values: np.ndarray
-
-
 def _check_domain(model, u):
     if u.domain is not model.domain:
         raise DomainMismatchError("function was built on a different domain")
@@ -78,8 +71,7 @@ def _q_slope(model, s):
 
 def energy_of_values(model: EnergyModel, values: np.ndarray) -> float:
     dom, J, p = model.domain, model.integrand, model.integrand.p
-    avg, grads = cell_values(dom, values)
-    t = np.sqrt(sum(g * g for g in grads)) if len(grads) > 1 else np.abs(grads[0])
+    avg, t, _ = cell_values(dom, values)
     density = J.j(avg, t) + np.abs(avg) ** p / p - _q_value(model, avg)
     return float(np.sum(dom.cells.weights * density))
 
@@ -91,32 +83,19 @@ def energy(model: EnergyModel, u: GridFunction) -> float:
 
 
 def residual_of_values(model: EnergyModel, values: np.ndarray) -> np.ndarray:
+    """All partial derivatives f'(u) e_i in one sweep, zero on the boundary."""
     dom, J, p = model.domain, model.integrand, model.integrand.p
     cs = dom.cells
-    avg, grads = cell_values(dom, values)
-    t = np.sqrt(sum(g * g for g in grads)) if len(grads) > 1 else np.abs(grads[0])
+    avg, t, grads = cell_values(dom, values)
 
     s_part = cs.weights * (J.j_s(avg, t) + _power_slope(avg, p)
                            - _q_slope(model, avg))
     t_part = cs.weights * J.j_t(avg, t)
     ratio = np.divide(t_part, t, out=np.zeros_like(t), where=t > 0)
 
-    contrib = cs.avg * s_part[:, None]
-    for g, coef in zip(grads, cs.grad):
-        contrib = contrib + coef * (ratio * g)[:, None]
-
-    ext_size = dom.n_nodes + dom.virtual_rows.shape[0]
-    r_ext = np.zeros(ext_size)
-    np.add.at(r_ext, cs.nodes, contrib)
-    r = dom.fold(r_ext)
+    r = cs.op_t @ np.concatenate([s_part, (ratio * grads).reshape(-1)])
     r[dom.boundary] = 0.0
     return r
-
-
-def residual(model: EnergyModel, u: GridFunction) -> Residual:
-    """Assemble all partial derivatives f'(u) e_i in one sweep."""
-    _check_domain(model, u)
-    return Residual(domain=model.domain, values=residual_of_values(model, u.values))
 
 
 def directional_derivative(model: EnergyModel, u: GridFunction,
@@ -125,15 +104,13 @@ def directional_derivative(model: EnergyModel, u: GridFunction,
     _check_domain(model, u)
     _check_domain(model, v)
     dom, J, p = model.domain, model.integrand, model.integrand.p
-    cs = dom.cells
-    avg, grads = cell_values(dom, u.values)
-    vavg, vgrads = cell_values(dom, v.values)
-    t = np.sqrt(sum(g * g for g in grads)) if len(grads) > 1 else np.abs(grads[0])
+    avg, t, grads = cell_values(dom, u.values)
+    vavg, _, vgrads = cell_values(dom, v.values)
 
     s_term = (J.j_s(avg, t) + _power_slope(avg, p) - _q_slope(model, avg)) * vavg
-    dot = sum(g * vg for g, vg in zip(grads, vgrads))
+    dot = (grads * vgrads).sum(axis=0)
     t_term = np.divide(J.j_t(avg, t) * dot, t, out=np.zeros_like(t), where=t > 0)
-    return float(np.sum(cs.weights * (s_term + t_term)))
+    return float(np.sum(dom.cells.weights * (s_term + t_term)))
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +169,7 @@ def positivity_certificate(model: EnergyModel, u: GridFunction,
 
     p = J.p
     norm_neg = float(np.sum(model.domain.weights * neg ** p) ** (1.0 / p))
-    avg, _ = cell_values(model.domain, u.values)
+    avg = cell_values(model.domain, u.values)[0]
     cell_bound = float(np.sum(model.domain.cells.weights
                               * np.maximum(-avg, 0.0) ** p))
     return PositivityCertificate(value=value, negative_part_norm=norm_neg,

@@ -2,22 +2,25 @@
 
 A Domain carries nodes with positive quadrature weights that sum to the
 volume of the continuum region, a homogeneous-Dirichlet boundary mask,
-and a set of integration cells.  Each cell knows how to form the average
-and the first-difference gradient of the nodal values it touches, so the
-energy density j(u, |Du|) is evaluated per cell and the discrete energy
-is exactly differentiable with respect to the nodal values.
+and a set of integration cells.  The cells own one sparse linear map from
+nodal values to per-cell averages and first-difference gradients.  Every
+term of the energy reads that same map, so the discrete energy is exactly
+differentiable with respect to the nodal values and its gradient is the
+transposed map applied to the per-cell partial derivatives.
 
 Polar grids exclude the r = 0 node; the disk closes the core with cells
-whose inner value is the angular average of the first ring (a virtual
-node in the extended value vector).
+whose inner corner value is the angular average of the first ring, and
+that reconstruction is folded into the columns of the map.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sparse
 
 from .errors import (
     ConfigurationError,
@@ -34,22 +37,27 @@ DEFAULT_MAX_ROTATION_ORDER = 8
 
 @dataclass(frozen=True)
 class CellSet:
-    """Quadrature cells with sparse linear maps for averages and gradients.
+    """Quadrature cells and their stacked linear map.
 
-    ``nodes[c, k]`` indexes the *extended* value vector (real nodes first,
-    then virtual nodes such as the reconstructed polar center).  The cell
-    average is ``sum_k avg[c, k] * u_ext[nodes[c, k]]`` and each gradient
-    component is the analogous sum with ``grad[i]``.
+    ``op`` is a CSR matrix with one column per node and ``(1 + d) * count``
+    rows: the first ``count`` rows form the cell averages, each following
+    block of ``count`` rows one gradient component.  ``op @ u`` therefore
+    yields every cell quantity of ``u`` at once, and ``op_t``, its
+    transpose, scatters per-cell coefficients back onto the nodes.
     """
 
-    nodes: np.ndarray
-    avg: np.ndarray
-    grad: tuple
+    op: sparse.csr_matrix
     weights: np.ndarray
 
     @property
     def count(self) -> int:
         return self.weights.shape[0]
+
+    @functools.cached_property
+    def op_t(self) -> sparse.csr_matrix:
+        # scipy rebuilds ``op.T`` on every access; the residual needs it
+        # once per call
+        return self.op.T.tocsr()
 
 
 @dataclass
@@ -57,6 +65,8 @@ class Domain:
     """A discretized symmetric domain.
 
     Treat instances as immutable; all arrays are set once by build_domain.
+    Geometry derived from them is built on first use and kept per instance
+    (see ``cached``), so ``dataclasses.replace`` starts a fresh cache.
     """
 
     kind: str
@@ -69,10 +79,9 @@ class Domain:
     boundary: np.ndarray        # (n_nodes,) bool Dirichlet mask
     cells: CellSet
     edges: np.ndarray           # (n_edges, 2) grid-neighbor node pairs
-    virtual_rows: np.ndarray    # (n_virtual, n_nodes) reconstruction rows
     volume: float
     meta: dict = field(default_factory=dict)
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -82,18 +91,11 @@ class Domain:
     def interior(self) -> np.ndarray:
         return ~self.boundary
 
-    def extend(self, values: np.ndarray) -> np.ndarray:
-        """Append virtual-node values (e.g. the polar core average)."""
-        if self.virtual_rows.shape[0] == 0:
-            return values
-        return np.concatenate([values, self.virtual_rows @ values])
-
-    def fold(self, ext_values: np.ndarray) -> np.ndarray:
-        """Adjoint of extend: push virtual contributions back onto nodes."""
-        n = self.n_nodes
-        if self.virtual_rows.shape[0] == 0:
-            return ext_values
-        return ext_values[:n] + self.virtual_rows.T @ ext_values[n:]
+    def cached(self, key, build):
+        """Value of ``build()`` for ``key``, built on first request only."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
 
 @dataclass
@@ -136,6 +138,51 @@ def _sphere_area(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
+def _edge_keys(pairs, n: int) -> np.ndarray:
+    """Order-free int64 key ``a * n + b`` (a < b) of each node pair."""
+    ab = np.asarray(pairs, dtype=np.int64)
+    return ab.min(axis=1) * n + ab.max(axis=1)
+
+
+def _quad_edges(nodes, n: int) -> np.ndarray:
+    """Distinct sides of quadrilateral cells as sorted (a, b) node rows.
+
+    Corners are ordered like (SW, SE, NW, NE); rows come out in
+    lexicographic order.
+    """
+    sides = np.vstack([nodes[:, :2], nodes[:, 2:], nodes[:, ::2],
+                       nodes[:, 1::2]])
+    keys = np.unique(_edge_keys(sides, n))
+    return np.column_stack([keys // n, keys % n])
+
+
+def _cell_operator(nodes, tables, n_nodes, core) -> sparse.csr_matrix:
+    """Stack per-cell coefficient tables into one CSR map over the nodes.
+
+    ``nodes[c, k]`` is the k-th corner of cell c and ``tables`` holds the
+    average table first, then one table per gradient component, each
+    broadcastable to ``nodes.shape``.  Corner indices from ``n_nodes`` on
+    name the rows of ``core`` (reconstructed values such as the polar
+    center, or None when there are none), which are folded into the real
+    node columns.
+    """
+    count, k = nodes.shape
+    blocks = len(tables)
+    data = np.concatenate([np.broadcast_to(t, nodes.shape).reshape(-1)
+                           for t in tables])
+    rows = np.repeat(np.arange(blocks * count), k)
+    cols = np.tile(nodes.reshape(-1), blocks)
+    n_ext = n_nodes if core is None else n_nodes + core.shape[0]
+    op = sparse.csr_matrix((data, (rows, cols)), shape=(blocks * count, n_ext))
+    if core is not None:
+        lift = sparse.vstack([sparse.identity(n_nodes, format="csr"),
+                              sparse.csr_matrix(core)])
+        op = (op @ lift).tocsr()
+    op.eliminate_zeros()
+    op.sort_indices()
+    return op
+
+
 def _build_square(side: float, resolution: int) -> Domain:
     n = resolution
     na = n + 2                        # nodes per axis including boundary
@@ -162,17 +209,11 @@ def _build_square(side: float, resolution: int) -> Domain:
     nw = sw + na
     ne = nw + 1
     nodes = np.column_stack([sw, se, nw, ne])
-    avg = np.full(nodes.shape, 0.25)
-    gx = np.tile(np.array([-1.0, 1.0, -1.0, 1.0]) / (2 * h), (nodes.shape[0], 1))
-    gy = np.tile(np.array([-1.0, -1.0, 1.0, 1.0]) / (2 * h), (nodes.shape[0], 1))
-    cw = np.full(nodes.shape[0], h * h)
-    cells = CellSet(nodes=nodes, avg=avg, grad=(gx, gy), weights=cw)
-
-    right = np.column_stack([sw, se])
-    up = np.column_stack([sw, nw])
-    top = np.column_stack([nw, ne])       # closes the last row/column
-    rightmost = np.column_stack([se, ne])
-    edges = np.unique(np.sort(np.vstack([right, up, top, rightmost]), axis=1), axis=0)
+    gx = np.array([-1.0, 1.0, -1.0, 1.0]) / (2 * h)
+    gy = np.array([-1.0, -1.0, 1.0, 1.0]) / (2 * h)
+    cells = CellSet(op=_cell_operator(nodes, (0.25, gx, gy), na * na, None),
+                    weights=np.full(nodes.shape[0], h * h))
+    edges = _quad_edges(nodes, na * na)
 
     return Domain(
         kind="square",
@@ -185,29 +226,9 @@ def _build_square(side: float, resolution: int) -> Domain:
         boundary=boundary,
         cells=cells,
         edges=edges,
-        virtual_rows=np.zeros((0, na * na)),
         volume=float(side) ** 2,
         meta={"axis_nodes": na, "h": h},
     )
-
-
-def _polar_ring_cells(ring_lo, r_lo, dr, n_theta, na_total, d_theta):
-    """Cells between node ring ``ring_lo`` and ``ring_lo + 1``."""
-    k = np.arange(n_theta)
-    kp = (k + 1) % n_theta
-    a = ring_lo * n_theta + k
-    b = ring_lo * n_theta + kp
-    c = (ring_lo + 1) * n_theta + k
-    d = (ring_lo + 1) * n_theta + kp
-    nodes = np.column_stack([a, b, c, d])
-    avg = np.full(nodes.shape, 0.25)
-    r_mid = r_lo + 0.5 * dr
-    gr = np.tile(np.array([-1.0, -1.0, 1.0, 1.0]) / (2 * dr), (n_theta, 1))
-    gt = np.tile(
-        np.array([-1.0, 1.0, -1.0, 1.0]) / (2 * r_mid * d_theta), (n_theta, 1)
-    )
-    w = np.full(n_theta, 0.5 * d_theta * ((r_lo + dr) ** 2 - r_lo ** 2))
-    return nodes, avg, gr, gt, w
 
 
 def _build_polar(kind: str, resolution: int, angular_resolution: int,
@@ -259,53 +280,42 @@ def _build_polar(kind: str, resolution: int, angular_resolution: int,
     ring_w = 0.5 * d_theta * (cuts[1:] ** 2 - cuts[:-1] ** 2)
     weights = np.repeat(ring_w, n_theta)
 
-    cell_parts = []
-    for i in range(n_rings - 1):
-        cell_parts.append(
-            _polar_ring_cells(i, radii[i], dr, n_theta, n_nodes, d_theta)
-        )
-    nodes = np.vstack([p[0] for p in cell_parts])
-    avg = np.vstack([p[1] for p in cell_parts])
-    gr = np.vstack([p[2] for p in cell_parts])
-    gt = np.vstack([p[3] for p in cell_parts])
-    cw = np.concatenate([p[4] for p in cell_parts])
+    # cells between consecutive node rings, ring by ring
+    k = np.arange(n_theta)
+    kp = (k + 1) % n_theta
+    lo = (np.arange(n_rings - 1) * n_theta)[:, None]
+    nodes = np.column_stack([(lo + k).ravel(), (lo + kp).ravel(),
+                             (lo + n_theta + k).ravel(),
+                             (lo + n_theta + kp).ravel()])
+    r_lo = np.repeat(radii[:-1], n_theta)
+    gr = np.broadcast_to(np.array([-1.0, -1.0, 1.0, 1.0]) / (2 * dr),
+                         nodes.shape)
+    gt = (np.array([-1.0, 1.0, -1.0, 1.0])
+          / (2 * (r_lo + 0.5 * dr) * d_theta)[:, None])
+    cw = 0.5 * d_theta * ((r_lo + dr) ** 2 - r_lo ** 2)
+    edges = _quad_edges(nodes, n_nodes)
 
+    core = None
     if kind == "disk-polar":
-        # core cells close the disk: inner corner value is the angular
-        # average of ring 1, held by virtual node index n_nodes
+        # core cells close the disk: the inner corner value is the angular
+        # average of ring 1, reconstructed in column n_nodes
         r1 = radii[0]
-        k = np.arange(n_theta)
-        kp = (k + 1) % n_theta
         v = np.full(n_theta, n_nodes)
         core_nodes = np.column_stack([v, v, k, kp])
-        core_avg = np.tile(np.array([0.25, 0.25, 0.25, 0.25]), (n_theta, 1))
         core_gr = np.tile(np.array([-0.5, -0.5, 0.5, 0.5]) / r1, (n_theta, 1))
         core_gt = np.tile(
             np.array([0.0, 0.0, -1.0, 1.0]) / (0.5 * r1 * d_theta), (n_theta, 1)
         )
         core_w = np.full(n_theta, 0.5 * d_theta * r1 ** 2)
         nodes = np.vstack([core_nodes, nodes])
-        avg = np.vstack([core_avg, avg])
         gr = np.vstack([core_gr, gr])
         gt = np.vstack([core_gt, gt])
         cw = np.concatenate([core_w, cw])
-        virtual = np.zeros((1, n_nodes))
-        virtual[0, :n_theta] = 1.0 / n_theta
-    else:
-        virtual = np.zeros((0, n_nodes))
+        core = np.zeros((1, n_nodes))
+        core[0, :n_theta] = 1.0 / n_theta
 
-    cells = CellSet(nodes=nodes, avg=avg, grad=(gr, gt), weights=cw)
-
-    ring_idx = np.arange(n_rings)[:, None] * n_theta
-    k = np.arange(n_theta)
-    ang = np.vstack([
-        np.column_stack([base + k, base + (k + 1) % n_theta]) for base in ring_idx
-    ])
-    rad = np.vstack([
-        np.column_stack([i * n_theta + k, (i + 1) * n_theta + k])
-        for i in range(n_rings - 1)
-    ])
-    edges = np.unique(np.sort(np.vstack([ang, rad]), axis=1), axis=0)
+    cells = CellSet(op=_cell_operator(nodes, (0.25, gr, gt), n_nodes, core),
+                    weights=cw)
 
     extents = {"radius": float(r_outer)} if kind == "disk-polar" else {
         "inner_radius": float(r_inner), "outer_radius": float(r_outer)}
@@ -321,7 +331,6 @@ def _build_polar(kind: str, resolution: int, angular_resolution: int,
         boundary=boundary,
         cells=cells,
         edges=edges,
-        virtual_rows=virtual,
         volume=volume,
         meta={"rings": n_rings, "n_theta": n_theta, "dr": dr,
               "radii": radii, "d_theta": d_theta},
@@ -342,12 +351,11 @@ def _build_radial_ball(dimension: int, radius: float, resolution: int) -> Domain
     boundary[-1] = True
 
     i = np.arange(n)
-    nodes = np.column_stack([i, i + 1])
-    avg = np.full(nodes.shape, 0.5)
-    g = np.tile(np.array([-1.0, 1.0]) / dr, (n, 1))
+    edges = np.column_stack([i, i + 1])
+    g = np.array([-1.0, 1.0]) / dr
     cw = sigma * (r[1:] ** dimension - r[:-1] ** dimension) / dimension
-    cells = CellSet(nodes=nodes, avg=avg, grad=(g,), weights=cw)
-    edges = nodes.copy()
+    cells = CellSet(op=_cell_operator(edges, (0.5, g), n + 1, None),
+                    weights=cw)
 
     return Domain(
         kind="radial-ball-1d",
@@ -360,7 +368,6 @@ def _build_radial_ball(dimension: int, radius: float, resolution: int) -> Domain
         boundary=boundary,
         cells=cells,
         edges=edges,
-        virtual_rows=np.zeros((0, n + 1)),
         volume=sigma * radius ** dimension / dimension,
         meta={"dr": dr},
     )
@@ -435,20 +442,24 @@ def _validate_domain(dom: Domain):
 
 
 def cell_values(domain: Domain, values: np.ndarray):
-    """Per-cell averages and gradient components of a nodal value array."""
-    ext = domain.extend(values)
-    gathered = ext[domain.cells.nodes]
-    avg = np.sum(domain.cells.avg * gathered, axis=1)
-    grads = tuple(np.sum(g * gathered, axis=1) for g in domain.cells.grad)
-    return avg, grads
+    """Cell averages, |Du| and the gradient components of nodal values.
+
+    One product with the cell map; ``grads`` is its (d, cells) gradient
+    block and ``t`` the Euclidean magnitude of each column.
+    """
+    cs = domain.cells
+    out = (cs.op @ values).reshape(-1, cs.count)
+    avg, grads = out[0], out[1:]
+    if grads.shape[0] == 1:
+        t = np.abs(grads[0])
+    else:
+        t = np.sqrt((grads * grads).sum(axis=0))
+    return avg, t, grads
 
 
 def gradient_magnitude(u: GridFunction) -> np.ndarray:
     """|Du| per cell from first differences of the nodal values."""
-    _, grads = cell_values(u.domain, u.values)
-    if len(grads) == 1:
-        return np.abs(grads[0])
-    return np.sqrt(sum(g * g for g in grads))
+    return cell_values(u.domain, u.values)[1]
 
 
 def norm_lm(u: GridFunction, m: float) -> float:
@@ -468,41 +479,35 @@ def norm_w1p(u: GridFunction, p: float) -> float:
     return float((up + dup) ** (1.0 / p))
 
 
-def norm(u: GridFunction, which: str, exponent: float) -> float:
-    """Dispatch to norm_lm ("Lm") or norm_w1p ("W1p")."""
-    if which == "Lm":
-        return norm_lm(u, exponent)
-    if which == "W1p":
-        return norm_w1p(u, exponent)
-    raise ParameterError(f"unknown norm selector {which!r}")
-
-
 def hat_w1p_norms(domain: Domain, p: float) -> np.ndarray:
-    """W^{1,p} norms of all nodal hat functions (vectorized, cached)."""
+    """W^{1,p} norms of all nodal hat functions, in O(nnz) of the cell map.
+
+    The hat at node i has the gradient components of column i of the
+    gradient rows, so |D hat_i|^2 on a cell sums that column's squared
+    entries over the components.
+    """
     if p <= 1:
         raise ParameterError(f"Sobolev exponent must satisfy p > 1, got {p}")
-    key = ("hat_w1p", float(p))
-    if key in domain._cache:
-        return domain._cache[key]
+
+    def build():
+        cs = domain.cells
+        sq = cs.op[cs.count:].power(2).tocoo()
+        gsq = sparse.csr_matrix((sq.data, (sq.row % cs.count, sq.col)),
+                                shape=(cs.count, domain.n_nodes))
+        dup = gsq.power(0.5 * p).T @ cs.weights
+        return (domain.weights + dup) ** (1.0 / p)
+
+    return domain.cached(("hat_w1p", float(p)), build)
+
+
+def is_edge(domain: Domain, pairs: np.ndarray) -> np.ndarray:
+    """Mask of the rows of a (k, 2) node-pair array that are grid edges."""
     n = domain.n_nodes
-    cs = domain.cells
-    # dense (n_cells, n) gradient tables; desk-scale domains keep this small
-    tables = []
-    for g in cs.grad:
-        t = np.zeros((cs.count, n))
-        for k in range(cs.nodes.shape[1]):
-            idx = cs.nodes[:, k]
-            real = idx < n
-            np.add.at(t, (np.nonzero(real)[0], idx[real]), g[real, k])
-            for v in range(domain.virtual_rows.shape[0]):
-                rows = np.nonzero(idx == n + v)[0]
-                if rows.size:
-                    t[rows] += np.outer(g[rows, k], domain.virtual_rows[v])
-        tables.append(t)
-    gmag = np.sqrt(sum(t * t for t in tables))
-    out = (domain.weights + gmag.T ** p @ cs.weights) ** (1.0 / p)
-    domain._cache[key] = out
-    return out
+    keys = domain.cached("edge_keys",
+                         lambda: np.sort(_edge_keys(domain.edges, n)))
+    k = _edge_keys(pairs, n)
+    pos = np.minimum(np.searchsorted(keys, k), keys.shape[0] - 1)
+    return keys[pos] == k
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainMismatchError, SymmetryCompatibilityError
-from .grid import Domain, GridFunction
+from .grid import Domain, GridFunction, is_edge
 
 _SQUARE_LABELS = ("trivial", "rotations_2", "rotations_4", "dihedral_1",
                   "dihedral_2", "dihedral_4", "reflections", "block_product")
@@ -200,7 +200,6 @@ def build_group(domain: Domain, label: str) -> SymmetryGroup:
 def _validate_group(g: SymmetryGroup):
     dom = g.domain
     n = dom.n_nodes
-    edge_set = {(int(a), int(b)) for a, b in dom.edges}
     keys = {}
     for e, perm in enumerate(g.perms):
         if not np.array_equal(np.sort(perm), np.arange(n)):
@@ -216,12 +215,13 @@ def _validate_group(g: SymmetryGroup):
         if not np.array_equal(dom.boundary[perm], dom.boundary):
             raise SymmetryCompatibilityError(
                 f"element {e} does not preserve the boundary mask")
-        for a, b in dom.edges:
-            ia, ib = int(perm[a]), int(perm[b])
-            if (min(ia, ib), max(ia, ib)) not in edge_set:
-                raise SymmetryCompatibilityError(
-                    f"element {e} maps edge ({int(a)}, {int(b)}) to "
-                    f"({ia}, {ib}), which is not a grid edge")
+        mapped = perm[dom.edges]
+        bad = np.flatnonzero(~is_edge(dom, mapped))
+        if bad.size:
+            (a, b), (ia, ib) = dom.edges[bad[0]], mapped[bad[0]]
+            raise SymmetryCompatibilityError(
+                f"element {e} maps edge ({int(a)}, {int(b)}) to "
+                f"({int(ia)}, {int(ib)}), which is not a grid edge")
         keys[perm.tobytes()] = e
     if np.arange(n, dtype=np.int64).tobytes() not in keys:
         raise SymmetryCompatibilityError("identity element missing")

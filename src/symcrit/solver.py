@@ -371,22 +371,21 @@ def _wnorm(w, values):
 
 
 def _polish_metric(model, values):
-    """Factorized SPD polish metric, or None when assembly fails.
+    """Solve with the SPD polish metric, or None when assembly fails.
 
-    Stiffness with the quasi-linear cell coefficient j_t/t frozen at the
-    current point, plus the quadrature mass.  The coefficient is clamped
+    G^T diag(c) G + M on the interior nodes: G the gradient rows of the
+    cell map, c the quasi-linear cell coefficient j_t/t frozen at the
+    current point and M the quadrature mass.  The coefficient is clamped
     because j_t/t blows up at flat cells for p < 2.  Applied on both
     sides of the merit gradient it matches the squared stiffness of the
-    merit, which a single application cannot.
+    merit, which a single application cannot.  The returned solve leaves
+    the Dirichlet entries exactly zero.
     """
     dom = model.domain
     cs = dom.cells
-    n = dom.n_nodes
-    n_ext = n + dom.virtual_rows.shape[0]
+    inner = dom.interior
     try:
-        avg, grads = grid.cell_values(dom, values)
-        t = np.sqrt(sum(g * g for g in grads)) if len(grads) > 1 \
-            else np.abs(grads[0])
+        avg, t, _ = grid.cell_values(dom, values)
         t_floor = 1e-8 * (1.0 + float(t.max(initial=0.0)))
         t_eff = np.maximum(t, t_floor)
         a = model.integrand.j_t(avg, t_eff) / t_eff
@@ -394,28 +393,19 @@ def _polish_metric(model, values):
         med = float(np.median(positive)) if positive.size else 1.0
         coef = cs.weights * np.clip(a, 1e-6 * med, 1e6 * med)
 
-        n_cells, k = cs.nodes.shape
-        rows = np.repeat(np.arange(n_cells), k)
-        cols = cs.nodes.ravel()
-        stiff = sparse.csr_matrix((n_ext, n_ext))
-        for gcoef in cs.grad:
-            g_map = sparse.csr_matrix((gcoef.ravel(), (rows, cols)),
-                                      shape=(n_cells, n_ext))
-            stiff = stiff + g_map.T @ sparse.diags(coef) @ g_map
-        if dom.virtual_rows.shape[0] > 0:
-            lift = sparse.vstack([sparse.identity(n, format="csr"),
-                                  sparse.csr_matrix(dom.virtual_rows)])
-            stiff = (lift.T @ stiff @ lift).tocsr()
-        else:
-            stiff = stiff[:n, :n].tocsr()
-
-        metric = (stiff + sparse.diags(dom.weights)).tolil()
-        for b in np.flatnonzero(dom.boundary):
-            metric.rows[b] = [b]
-            metric.data[b] = [1.0]
-        return sparse_linalg.splu(metric.tocsc())
+        g = dom.cached("interior_gradient", lambda: cs.op[cs.count:, inner])
+        c = sparse.diags(np.tile(coef, g.shape[0] // cs.count))
+        metric = g.T @ c @ g + sparse.diags(dom.weights[inner])
+        lu = sparse_linalg.splu(metric.tocsc())
     except (RuntimeError, ValueError, np.linalg.LinAlgError):
         return None
+
+    def solve(rhs):
+        out = np.zeros(dom.n_nodes)
+        out[inner] = lu.solve(rhs[inner])
+        return out
+
+    return solve
 
 
 def _snap_groups(domain, symmetry):
@@ -658,7 +648,7 @@ def run(model, symmetry, cfg: SolveConfig) -> SolveReport:
         since_restart = 0
         micro_steps = 0
         polish_it = 0
-        metric_lu = _polish_metric(model, u_cur)
+        metric = _polish_metric(model, u_cur)
         snaps = _snap_groups(domain, symmetry if mode == "restricted" else None)
 
         def snap_candidate(u_now, merit_now):
@@ -698,7 +688,7 @@ def run(model, symmetry, cfg: SolveConfig) -> SolveReport:
                     since_restart = 0
                     t_mem = cfg.step_init
                     micro_steps = 0
-                    metric_lu = _polish_metric(model, u_cur)
+                    metric = _polish_metric(model, u_cur)
                     continue
                 if not sweeping or len(record) - sweep_start >= sweep_quota:
                     converged = f_u > trivial_level
@@ -712,14 +702,14 @@ def run(model, symmetry, cfg: SolveConfig) -> SolveReport:
                     s_dir = None
                     gm_prev = pm_prev = None
                     since_restart = 0
-                    metric_lu = _polish_metric(model, u_cur)
+                    metric = _polish_metric(model, u_cur)
                     continue
-            if metric_lu is not None and polish_it % _METRIC_REFRESH == 0:
-                metric_lu = _polish_metric(model, u_cur)
+            if metric is not None and polish_it % _METRIC_REFRESH == 0:
+                metric = _polish_metric(model, u_cur)
             gm = _hess_dir(model, u_cur, d)
             pm = None
-            if metric_lu is not None:
-                sandwich = metric_lu.solve(w * metric_lu.solve(gm))
+            if metric is not None:
+                sandwich = metric(w * metric(gm))
                 if np.all(np.isfinite(sandwich)):
                     pm = sandwich
             if pm is None:
@@ -792,7 +782,7 @@ def run(model, symmetry, cfg: SolveConfig) -> SolveReport:
                 gm_prev = pm_prev = None
                 since_restart = 0
                 t_mem = cfg.step_init
-                metric_lu = _polish_metric(model, u_cur)
+                metric = _polish_metric(model, u_cur)
                 continue
             # a merit plateau with a large residual is a spurious
             # stationary point of the merit, not a solution; stop instead
@@ -811,7 +801,7 @@ def run(model, symmetry, cfg: SolveConfig) -> SolveReport:
                     gm_prev = pm_prev = None
                     since_restart = 0
                     micro_steps = 0
-                    metric_lu = _polish_metric(model, u_cur)
+                    metric = _polish_metric(model, u_cur)
                     continue
             else:
                 micro_steps = 0

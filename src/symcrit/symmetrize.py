@@ -73,14 +73,9 @@ class Polarizer:
 
     def _edges_preserved(self) -> bool:
         dom = self.domain
-        key = "symmetrize_edge_set"
-        if key not in dom._cache:
-            dom._cache[key] = {(int(a), int(b)) for a, b in dom.edges}
-        edge_set = dom._cache[key]
-        perm = self.permutation
         touched = np.isin(dom.edges, self.pairs.reshape(-1)).any(axis=1)
-        mapped = np.sort(perm[dom.edges[touched]], axis=1)
-        return all((int(a), int(b)) in edge_set for a, b in mapped)
+        mapped = self.permutation[dom.edges[touched]]
+        return bool(np.all(grid.is_edge(dom, mapped)))
 
 
 def polarize(u: GridFunction, h: Polarizer) -> GridFunction:
@@ -185,8 +180,14 @@ def weight_classes(domain: Domain) -> list:
     """Interior node classes of equal quadrature weight, in target order.
 
     Each class is sorted by (squared radius, node index); the rearranged
-    function is non-increasing along that order within every class.
+    function is non-increasing along that order within every class.  The
+    classes are built once per domain and handed out read-only.
     """
+    return list(domain.cached("weight_classes",
+                              lambda: _weight_classes(domain)))
+
+
+def _weight_classes(domain: Domain) -> tuple:
     interior = np.nonzero(domain.interior)[0]
     if domain.kind == "square":
         classes = [interior]
@@ -215,8 +216,10 @@ def weight_classes(domain: Domain) -> list:
                 "refusing to approximate the rearrangement"
             )
         order = np.lexsort((cls, _radius_rank(domain.radius2[cls])))
-        out.append(cls[order])
-    return out
+        ordered = cls[order]
+        ordered.flags.writeable = False
+        out.append(ordered)
+    return tuple(out)
 
 
 def schwarz(u: GridFunction) -> GridFunction:

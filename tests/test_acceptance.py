@@ -17,6 +17,7 @@ import time
 import numpy as np
 import pytest
 
+import symcrit
 from symcrit import functional, grid, group, integrand, solver, symmetrize
 from symcrit import verify
 
@@ -24,6 +25,9 @@ from conftest import random_function
 from test_solver import sweep_level, toy_energy, unstable_direction
 
 EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "examples")
+# the child interpreter runs in a temporary cwd, where a relative import
+# path would not resolve
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(symcrit.__file__)))
 
 
 def _finish(tag: str, label: str, t0: float, budget: float):
@@ -347,6 +351,8 @@ def test_11_reproducibility(tmp_path):
         workdir.mkdir()
         env = dict(os.environ)
         env.pop("SYMCRIT_THREADS", None)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [SRC, env.get("PYTHONPATH")]))
         if threads is not None:
             env["SYMCRIT_THREADS"] = str(threads)
         proc = subprocess.run(

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import symcrit
 from symcrit import cli, grid
 
 SMALL_SOLVE = """\
@@ -277,6 +278,11 @@ FAST_SOLVE = SMALL_SOLVE.replace("domain.resolution = 9",
 def run_pipeline(workdir, cfg_path, threads=None):
     env = dict(os.environ)
     env.pop("SYMCRIT_THREADS", None)
+    # the child interpreter runs in workdir, where a relative import path
+    # would not resolve
+    src = os.path.dirname(os.path.dirname(os.path.abspath(symcrit.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
     if threads is not None:
         env["SYMCRIT_THREADS"] = str(threads)
     proc = subprocess.run(

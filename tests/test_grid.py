@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -120,9 +121,10 @@ def test_square_coordinate_gradient():
     vals[dom.boundary] = 0.0
     u = grid.GridFunction(dom, vals)
     du = grid.gradient_magnitude(u)
-    # cells whose four corners are all interior see the exact slope
-    cs = dom.cells
-    all_interior = np.all(~dom.boundary[cs.nodes], axis=1)
+    # cells whose four corners are all interior see the exact slope; the
+    # positive average rows of the cell map touch exactly those corners
+    averages = dom.cells.op[:dom.cells.count]
+    all_interior = averages @ dom.boundary.astype(float) == 0.0
     assert np.any(all_interior)
     assert np.max(np.abs(du[all_interior] - 1.0)) <= 1e-12
 
@@ -137,8 +139,28 @@ def test_norm_rejects_bad_exponents(ball_small):
         grid.norm_lm(u, 0.5)
     with pytest.raises(ParameterError):
         grid.norm_w1p(u, 1.0)
-    with pytest.raises(ParameterError):
-        grid.norm(u, "huh", 2.0)
+
+
+def test_hat_norms_match_their_definition(square_small, disk_small,
+                                          ball_small):
+    # includes the disk's ring-1 nodes, which also feed the core cells
+    # through the reconstructed center value
+    for dom in (square_small, disk_small, ball_small):
+        for p in (1.8, 2.0):
+            norms = grid.hat_w1p_norms(dom, p)
+            for i in np.flatnonzero(dom.interior):
+                hat = np.zeros(dom.n_nodes)
+                hat[i] = 1.0
+                direct = grid.norm_w1p(grid.GridFunction(dom, hat), p)
+                assert norms[i] == pytest.approx(direct, rel=1e-12)
+
+
+def test_replaced_domain_does_not_share_derived_geometry(disk_small):
+    before = grid.hat_w1p_norms(disk_small, 2.0)
+    heavier = dataclasses.replace(disk_small, weights=2.0 * disk_small.weights)
+    after = grid.hat_w1p_norms(heavier, 2.0)
+    assert not np.allclose(after, before)
+    assert np.array_equal(grid.hat_w1p_norms(disk_small, 2.0), before)
 
 
 def test_zero_norms(square_small):

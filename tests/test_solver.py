@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from symcrit import functional, grid, group, integrand, symmetrize
+from symcrit import functional, grid, group, integrand, symmetrize, verify
 from symcrit.errors import ParameterError
 from symcrit.grid import GridFunction
 from symcrit.solver import (PS_CSV_HEADER, TAIL_RETENTION, PSRecord,
@@ -351,6 +351,24 @@ def test_direct_mode_sweeps_onto_cone():
     assert diag.dist_v_final <= 1e-9
     assert diag.dist_v_monotone is True
     assert diag.cauchy_tail <= 1e-6
+
+
+def test_returned_point_is_the_measured_point():
+    # the polish solve must leave Dirichlet entries exactly zero, or the
+    # boundary clamp of the returned point moves it off the point whose
+    # residual passed the convergence test
+    model = make_model("radial-ball-1d",
+                       dict(dimension=3, radius=12.0, resolution=30),
+                       positivity=True)
+    sym = group.build_group(model.domain, "trivial")
+    cfg = SolveConfig(mode="restricted", path_points=12,
+                      max_iterations=20000, grad_tol=1e-8, seed=0)
+    rep = run(model, sym, cfg)
+    assert rep.converged
+    measured = rep.record.tail_values()[-1]
+    assert measured.tobytes() == rep.u.values.tobytes()
+    r = functional.residual_of_values(model, rep.u.values)
+    assert verify.dual_norm(model.domain, r) <= cfg.grad_tol
 
 
 # ---------------------------------------------------------------------------
