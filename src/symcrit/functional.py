@@ -30,7 +30,6 @@ class EnergyModel:
     integrand: Integrand
     q: float
     positivity: bool = False
-    group: object = None
 
     def __post_init__(self):
         p, n = self.integrand.p, self.domain.dim

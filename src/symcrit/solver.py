@@ -1,14 +1,16 @@
 """Discrete mountain-pass solver: plain, restricted, and direct modes.
 
-The path is a finite list of grid functions with fixed endpoints 0 and e.
-Each outer iteration descends the maximum-energy point along the
-quadrature-preconditioned residual; the restricted mode projects the
-direction onto the invariant subspace, the direct mode additionally
-rearranges path points whenever that does not raise the energy.
+``run`` builds the endpoints 0 and e and a noisy path between them, then
+runs stages on one shared state: the path stage descends the path's
+maximum-energy point, the polish stage contracts from the best point seen
+by conjugate gradient on the squared dual residual norm, and in direct
+mode a second polish, the cone sweep, keeps every trial on the
+rearrangement cone.  Restricted mode projects every direction onto the
+invariant subspace.
 """
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 import hashlib
 import json
 import math
@@ -87,10 +89,7 @@ class SolveConfig:
 
 
 def config_digest(cfg: SolveConfig) -> str:
-    payload = {k: getattr(cfg, k) for k in (
-        "mode", "path_points", "max_iterations", "grad_tol", "step_init",
-        "step_shrink", "armijo", "seed", "log_iterations")}
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    text = json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -341,13 +340,13 @@ def _dist_to_rearranged(domain, values, p, q):
 
 
 def _slope_parts(model, values, w, project):
-    """Residual, preconditioned (projected) direction, slope, dual norm."""
+    """Preconditioned (projected) direction, slope, dual norm."""
     r = functional.residual_of_values(model, values)
     d = r / w
     if project is not None:
         d = group_mod.average_values(project, d)
     slope = float(np.sum(r * d))
-    return r, d, slope, math.sqrt(max(slope, 0.0))
+    return d, slope, math.sqrt(max(slope, 0.0))
 
 
 def _hess_dir(model, values, d):
@@ -467,110 +466,121 @@ def _reparametrize(model, w, path, f_path, k_keep):
     return total
 
 
-def run(model, symmetry, cfg: SolveConfig) -> SolveReport:
-    """Mountain-pass solve; returns a report (non-convergence included).
+def _merit_directions(metric, w, gm):
+    """Preconditioned merit gradients to try: the Picard-metric sandwich
+    when it is finite, then the diagonal fallback gm / w."""
+    if metric is not None:
+        sandwich = metric(w * metric(gm))
+        if np.all(np.isfinite(sandwich)):
+            yield sandwich
+    yield gm / w
 
-    Two phases share the iteration budget.  The path phase ratchets the
-    maximum-energy point of a discrete path down toward the pass, which
-    locates the saddle only to about the node spacing.  The polish phase
-    then descends the squared dual residual norm from the best point the
-    path produced; near a nondegenerate critical point that merit is
-    locally convex, so the polish contracts where plain energy descent
-    would slide off the saddle.
-    """
-    t_start = time.perf_counter()
-    domain = model.domain
-    requested = cfg.mode
-    mode = cfg.mode
-    downgrade_reason = None
-    if mode == "restricted" and symmetry is None:
-        raise ParameterError("restricted mode needs a symmetry group")
-    if mode == "direct":
-        gate = symmetrize.hypothesis_b_check(model, samples=100,
-                                             seed=cfg.seed)
-        if not gate.passed:
-            downgrade_reason = (
-                "energy-decrease check failed "
-                f"(max excess {gate.max_excess:.3e}); running plain mode")
-            warnings.warn(downgrade_reason)
-            mode = "plain"
 
-    endpoints = init_endpoints(
-        model, symmetry if mode == "restricted" else None, seed=cfg.seed)
-    e_vals = endpoints.e.values
-    m = cfg.path_points
-    w = domain.weights
-    p, q = model.p, model.q
-    project = symmetry if mode == "restricted" else None
-    # a point polished down to the zero local minimum is not a pass; the
-    # sampled sigma0 overestimates the true sphere infimum, so only a
-    # scale-relative zero test is safe as the triviality gate
-    trivial_level = 1e-10 * (1.0 + abs(endpoints.f_e))
+class _Solve:
+    """State the stages of one run share: model, config and projector,
+    record and iteration counters, the path, the current iterate ``u``
+    and, from the first ``restart`` on, the polish's conjugate-gradient
+    memory and Picard metric."""
 
-    rng = np.random.default_rng([cfg.seed, 1])
-    scale = _INIT_NOISE * float(np.max(np.abs(e_vals)))
-    path = [t * e_vals for t in np.linspace(0.0, 1.0, m)]
-    for k in range(1, m - 1):
-        noise = rng.standard_normal(domain.n_nodes)
-        noise[domain.boundary] = 0.0
-        path[k] = path[k] + scale * noise
-        if mode == "restricted":
-            path[k] = group_mod.average_values(symmetry, path[k])
-    f_path = np.array([functional.energy_of_values(model, v) for v in path])
-    step_mem = np.full(m, cfg.step_init)
-    length = sum(_wnorm(w, path[k + 1] - path[k]) for k in range(m - 1))
+    def __init__(self, model, cfg, project, path, trivial_level):
+        self.model = model
+        self.cfg = cfg
+        self.project = project
+        self.w = model.domain.weights
+        self.trivial_level = trivial_level
+        self.path = path
+        self.f_path = np.array(
+            [functional.energy_of_values(model, v) for v in path])
+        self.record = PSRecord()
+        self.it = 0
+        self.polish_it = 0
+        self.u = None
 
-    record = PSRecord()
-    converged = False
-    it = 0
-    u_best = None
-    g_best = math.inf
-    f_best = math.inf
-    stall = 0
-    sweep_start = None
-    u_cur = path[1].copy()
-    phase1_budget = max(1, int(_PHASE1_FRACTION * cfg.max_iterations))
-
-    def fail(msg):
-        state = {"iteration": it, "f_path": f_path.copy(),
-                 "path": [v.copy() for v in path]}
+    def fail(self, msg):
+        state = {"iteration": self.it, "f_path": self.f_path.copy(),
+                 "path": [v.copy() for v in self.path]}
         raise NumericalFailureError(msg, last_state=state)
 
-    def log(values, f_val, grad_norm, force=False):
-        if cfg.log_iterations or force:
-            dist_v, dist_w = _dist_to_rearranged(domain, values, p, q)
-            record.append(it, f_val, grad_norm,
-                          grid.norm_w1p(GridFunction(domain, values), p),
-                          dist_v, dist_w, values)
-
-    # ---- phase 1: ratchet the path maximum down to the pass
-    while it < phase1_budget and not converged:
-        it += 1
-        k_max = 1 + int(np.argmax(f_path[1:-1]))
-        u = path[k_max]
-        u_cur = u
-        f_u = float(f_path[k_max])
-        if not math.isfinite(f_u):
-            fail("energy became non-finite at the path maximum")
-        r, d, slope, grad_norm = _slope_parts(model, u, w, project)
+    def measure(self, values, f_val, where):
+        """Check the iterate, log its row (every row with log_iterations,
+        else only at the tolerance and the budget end) and return its
+        direction, slope and dual residual norm."""
+        if not math.isfinite(f_val):
+            self.fail(f"energy became non-finite {where}")
+        d, slope, grad_norm = _slope_parts(self.model, values, self.w,
+                                           self.project)
         if not math.isfinite(slope):
-            fail("residual became non-finite at the path maximum")
-        log(u, f_u, grad_norm,
-            force=grad_norm <= cfg.grad_tol or it == cfg.max_iterations)
+            self.fail(f"residual became non-finite {where}")
+        cfg = self.cfg
+        if cfg.log_iterations or grad_norm <= cfg.grad_tol \
+                or self.it == cfg.max_iterations:
+            domain, p = self.model.domain, self.model.p
+            dist_v, dist_w = _dist_to_rearranged(domain, values, p,
+                                                 self.model.q)
+            self.record.append(self.it, f_val, grad_norm,
+                               grid.norm_w1p(GridFunction(domain, values), p),
+                               dist_v, dist_w, values)
+        return d, slope, grad_norm
+
+    def restart(self, u):
+        """Make u the current iterate and start the conjugate-gradient
+        memory afresh, with the Picard metric frozen at u."""
+        self.u = u
+        self.s_dir = self.gm_prev = self.pm_prev = None
+        self.since_restart = 0
+        self.metric = _polish_metric(self.model, u)
+
+
+def _snap_restart(st, snaps, merit):
+    """Restart from the first higher-symmetry average of the iterate that
+    lowers the merit; False when none does."""
+    for g_big in snaps:
+        cand = group_mod.average_values(g_big, st.u)
+        if st.project is not None:
+            cand = group_mod.average_values(st.project, cand)
+        _, m_s, _ = _slope_parts(st.model, cand, st.w, st.project)
+        if math.isfinite(m_s) and m_s < merit:
+            st.restart(cand)
+            return True
+    return False
+
+
+def _path_stage(st):
+    """Ratchet the maximum-energy point of the path down to the pass.
+
+    Uses at most ``_PHASE1_FRACTION`` of the budget.  Returns whether the
+    path maximum met the residual tolerance at a nontrivial level, and
+    the point the polish starts from: that maximum, or else the
+    smallest-gradient point seen at the lowest level the maximum reached.
+    """
+    model, cfg, w = st.model, st.cfg, st.w
+    path, f_path = st.path, st.f_path
+    m = len(path)
+    step_mem = np.full(m, cfg.step_init)
+    length = sum(_wnorm(w, path[k + 1] - path[k]) for k in range(m - 1))
+    u_best = None
+    g_best = f_best = math.inf
+    stall = 0
+    budget = max(1, int(_PHASE1_FRACTION * cfg.max_iterations))
+    while st.it < budget:
+        st.it += 1
+        k_max = 1 + int(np.argmax(f_path[1:-1]))
+        u = st.u = path[k_max]
+        f_u = float(f_path[k_max])
+        d, slope, grad_norm = st.measure(u, f_u, "at the path maximum")
         if grad_norm <= cfg.grad_tol:
-            if f_u > trivial_level:
-                converged = True
+            if f_u > st.trivial_level:
+                return True, u
             break
-        # the handoff point for polishing is the smallest-gradient point
-        # seen at the lowest level the path maximum has reached; stall
-        # counts iterations without any level progress
-        if f_u > trivial_level and f_u < f_best - 1e-12 * (1.0 + abs(f_u)):
+        # stall counts iterations without any level progress
+        if f_u > st.trivial_level \
+                and f_u < f_best - 1e-12 * (1.0 + abs(f_u)):
             f_best = f_u
             g_best = grad_norm
             u_best = u.copy()
             stall = 0
         else:
-            if f_u > trivial_level \
+            if f_u > st.trivial_level \
                     and f_u <= f_best + 1e-9 * (1.0 + abs(f_u)) \
                     and grad_norm < g_best:
                 g_best = grad_norm
@@ -616,210 +626,200 @@ def run(model, symmetry, cfg: SolveConfig) -> SolveReport:
                 f_path[kk] = f_c
 
         length = _reparametrize(model, w, path, f_path, k_max)
+    return False, st.u if u_best is None else u_best
 
-    # ---- phase 2: contract to the critical point.  Nonlinear conjugate
-    # gradient on the squared dual residual norm, run in the Picard
-    # metric: plain descent on that merit squares the stiffness of the
-    # problem, and sandwiching the merit gradient between two inverse
-    # applications of the frozen-coefficient operator squares the metric
-    # to match.
-    #
-    # Direct mode schedules its polarization sweep at the end of the
-    # contraction: far from the solution the merit route runs through
-    # sign-changing territory where a sweep and the contraction fight
-    # each other, while near the symmetric limit they cooperate.  Once
-    # the residual tolerance is first reached, the iterate is swept and
-    # the remaining steps are projected onto the cone the sweep fixes,
-    # so every iterate from the sweep on equals its own rearrangement.
-    needs_polish = it < cfg.max_iterations \
-        and (not converged or mode == "direct")
-    if needs_polish:
-        if converged:
-            # phase 1 already met the tolerance, but direct mode still
-            # owes the record its polarization sweep
-            u_cur = u_cur.copy()
-            converged = False
-        else:
-            u_cur = u_best.copy() if u_best is not None else u_cur.copy()
-        sweeping = False
-        t_mem = cfg.step_init
-        s_dir = None
-        gm_prev = pm_prev = None
-        since_restart = 0
-        micro_steps = 0
-        polish_it = 0
-        metric = _polish_metric(model, u_cur)
-        snaps = _snap_groups(domain, symmetry if mode == "restricted" else None)
 
-        def snap_candidate(u_now, merit_now):
-            for g_big in snaps:
-                cand = group_mod.average_values(g_big, u_now)
-                if project is not None:
-                    cand = group_mod.average_values(project, cand)
-                _, _, m_s, _ = _slope_parts(model, cand, w, project)
-                if math.isfinite(m_s) and m_s < merit_now:
-                    return cand
-            return None
+def _line_search(st, direction, gm, mslope, merit, t, cone):
+    """Armijo backtracking on the merit from ``st.u`` along ``direction``;
+    returns the accepted point, step and merit, or None.  On the cone the
+    step is capped at the iterate's scale (an uncapped projected trial can
+    land on the trivial critical point in one jump), every trial is
+    projected, the slope test uses the projected displacement, and a
+    trial must keep a nontrivial level."""
+    model, cfg, u = st.model, st.cfg, st.u
+    if cone:
+        s_inf = float(np.max(np.abs(direction)))
+        if s_inf > 0.0:
+            t = min(t, (1.0 + float(np.max(np.abs(u)))) / s_inf)
+    for _ in range(_MAX_BACKTRACKS):
+        cand = u + t * direction
+        step_slope = t * mslope
+        if cone and np.all(np.isfinite(cand)):
+            cand = symmetrize.cone_project(
+                GridFunction(model.domain, cand)).values
+            step_slope = float(np.sum(gm * (cand - u)))
+            if not (math.isfinite(step_slope) and step_slope < 0.0):
+                t *= cfg.step_shrink
+                continue
+        if np.all(np.isfinite(cand)):
+            _, m_c, _ = _slope_parts(model, cand, st.w, st.project)
+            if math.isfinite(m_c) \
+                    and m_c <= merit + cfg.armijo * step_slope \
+                    and (not cone or functional.energy_of_values(model, cand)
+                         > st.trivial_level):
+                return cand, t, m_c
+        t *= cfg.step_shrink
+    return None
 
-        while it < cfg.max_iterations:
-            it += 1
-            polish_it += 1
-            f_u = functional.energy_of_values(model, u_cur)
-            if not math.isfinite(f_u):
-                fail("energy became non-finite during polishing")
-            r, d, merit, grad_norm = _slope_parts(model, u_cur, w, project)
-            if not math.isfinite(merit):
-                fail("residual became non-finite during polishing")
-            log(u_cur, f_u, grad_norm,
-                force=grad_norm <= cfg.grad_tol or it == cfg.max_iterations)
-            if grad_norm <= cfg.grad_tol:
-                if mode == "direct" and not sweeping:
-                    sweeping = True
-                    sweep_start = len(record)
-                    # keep contracting along the cone until the swept
-                    # segment owns the final quartile of the record, so
-                    # the tail statistics are measured on iterates that
-                    # follow the sweep
-                    sweep_quota = max(1, -(-sweep_start // 3))
-                    u_cur = symmetrize.schwarz(
-                        GridFunction(domain, u_cur)).values
-                    s_dir = None
-                    gm_prev = pm_prev = None
-                    since_restart = 0
-                    t_mem = cfg.step_init
-                    micro_steps = 0
-                    metric = _polish_metric(model, u_cur)
-                    continue
-                if not sweeping or len(record) - sweep_start >= sweep_quota:
-                    converged = f_u > trivial_level
-                    break
-            if snaps and not sweeping \
-                    and (polish_it % _SNAP_EVERY == 1
-                         or grad_norm <= 1e3 * cfg.grad_tol):
-                cand = snap_candidate(u_cur, merit)
-                if cand is not None:
-                    u_cur = cand
-                    s_dir = None
-                    gm_prev = pm_prev = None
-                    since_restart = 0
-                    metric = _polish_metric(model, u_cur)
-                    continue
-            if metric is not None and polish_it % _METRIC_REFRESH == 0:
-                metric = _polish_metric(model, u_cur)
-            gm = _hess_dir(model, u_cur, d)
-            pm = None
-            if metric is not None:
-                sandwich = metric(w * metric(gm))
-                if np.all(np.isfinite(sandwich)):
-                    pm = sandwich
-            if pm is None:
-                pm = gm / w
+
+def _polish_stage(st, start, snaps, sweep_quota=None):
+    """Contract from start to the critical point.
+
+    Nonlinear conjugate gradient on the squared dual residual norm, run
+    in the Picard metric: plain descent on that merit squares the
+    stiffness of the problem, and sandwiching the merit gradient between
+    two inverse applications of the frozen-coefficient operator squares
+    the metric to match.  ``snaps`` come from ``_snap_groups``.  With
+    ``sweep_quota`` set this is the cone sweep, which stops only once it
+    has logged that many rows.  Returns the energy where the residual
+    tolerance was met, or None when the budget ran out or no step was left.
+    """
+    model, cfg, w, project = st.model, st.cfg, st.w, st.project
+    sweeping = sweep_quota is not None
+    first_row = len(st.record)
+    st.restart(start)
+    t_mem = cfg.step_init
+    micro_steps = 0
+    while st.it < cfg.max_iterations:
+        st.it += 1
+        st.polish_it += 1
+        u = st.u
+        f_u = functional.energy_of_values(model, u)
+        d, merit, grad_norm = st.measure(u, f_u, "during polishing")
+        if grad_norm <= cfg.grad_tol and (
+                not sweeping or len(st.record) - first_row >= sweep_quota):
+            return f_u
+        if snaps and not sweeping \
+                and (st.polish_it % _SNAP_EVERY == 1
+                     or grad_norm <= 1e3 * cfg.grad_tol) \
+                and _snap_restart(st, snaps, merit):
+            continue
+        if st.metric is not None and st.polish_it % _METRIC_REFRESH == 0:
+            st.metric = _polish_metric(model, u)
+        gm = _hess_dir(model, u, d)
+        for pm in _merit_directions(st.metric, w, gm):
             if project is not None:
                 pm = group_mod.average_values(project, pm)
             denom = float(np.sum(gm * pm))
-            if not math.isfinite(denom) or denom <= 0.0:
-                pm = gm / w
-                if project is not None:
-                    pm = group_mod.average_values(project, pm)
-                denom = float(np.sum(gm * pm))
-                if not math.isfinite(denom) or denom <= 0.0:
-                    break
-            beta = 0.0
-            if s_dir is not None and since_restart < 50:
-                num = float(np.sum((gm - gm_prev) * pm))
-                prev = float(np.sum(gm_prev * pm_prev))
-                if math.isfinite(num) and prev > 0.0:
-                    beta = max(0.0, num / prev)
-            s_cand = -pm + beta * (s_dir if s_dir is not None else 0.0)
-            mslope = float(np.sum(gm * s_cand))
-            if not (math.isfinite(mslope) and mslope < 0.0):
-                s_cand = -pm
-                mslope = -denom
-                since_restart = 0
-            t = t_mem
-            if sweeping:
-                # cap the displacement at the iterate's own scale; the
-                # cone projection of an uncapped trial can land on the
-                # trivial critical point in a single jump
-                s_inf = float(np.max(np.abs(s_cand)))
-                if s_inf > 0.0:
-                    t = min(t, (1.0 + float(np.max(np.abs(u_cur)))) / s_inf)
-            accepted = False
-            for _ in range(_MAX_BACKTRACKS):
-                cand = u_cur + t * s_cand
-                step_slope = t * mslope
-                if sweeping and np.all(np.isfinite(cand)):
-                    # project the trial onto the cone fixed by the
-                    # rearrangement, so every iterate after the sweep
-                    # equals its own rearrangement; the slope test then
-                    # has to use the projected displacement
-                    cand = symmetrize.cone_project(
-                        GridFunction(domain, cand)).values
-                    step_slope = float(np.sum(gm * (cand - u_cur)))
-                    if not (math.isfinite(step_slope) and step_slope < 0.0):
-                        t *= cfg.step_shrink
-                        continue
-                if np.all(np.isfinite(cand)):
-                    _, _, m_c, _ = _slope_parts(model, cand, w, project)
-                    if math.isfinite(m_c) \
-                            and m_c <= merit + cfg.armijo * step_slope \
-                            and (not sweeping
-                                 or functional.energy_of_values(model, cand)
-                                 > trivial_level):
-                        accepted = True
-                        break
-                t *= cfg.step_shrink
-            if not accepted:
-                if sweeping and grad_norm <= cfg.grad_tol:
-                    # settled on the cone at the residual floor; the
-                    # record keeps the point until the quota is met
-                    continue
-                cand = snap_candidate(u_cur, merit)
-                if cand is None:
-                    break
-                u_cur = cand
-                s_dir = None
-                gm_prev = pm_prev = None
-                since_restart = 0
-                t_mem = cfg.step_init
-                metric = _polish_metric(model, u_cur)
+            if math.isfinite(denom) and denom > 0.0:
+                break
+        else:
+            return None
+        beta = 0.0
+        if st.s_dir is not None and st.since_restart < 50:
+            num = float(np.sum((gm - st.gm_prev) * pm))
+            prev = float(np.sum(st.gm_prev * st.pm_prev))
+            if math.isfinite(num) and prev > 0.0:
+                beta = max(0.0, num / prev)
+        s_cand = -pm + beta * (st.s_dir if st.s_dir is not None else 0.0)
+        mslope = float(np.sum(gm * s_cand))
+        if not (math.isfinite(mslope) and mslope < 0.0):
+            # not a descent direction: fall back to steepest descent
+            s_cand = -pm
+            mslope = -denom
+            st.since_restart = 0
+        step = _line_search(st, s_cand, gm, mslope, merit, t_mem, sweeping)
+        if step is None:
+            if sweeping and grad_norm <= cfg.grad_tol:
+                # settled on the cone at the residual floor; the record
+                # keeps the point until the quota is met
                 continue
-            # a merit plateau with a large residual is a spurious
-            # stationary point of the merit, not a solution; stop instead
-            # of looping on no-op steps.  Near the tolerance the same
-            # step sizes are the legitimate endgame, so the guard only
-            # fires while the residual is still far out.
-            if merit - m_c <= 1e-18 * (1.0 + merit) \
-                    and grad_norm > 100.0 * cfg.grad_tol:
-                micro_steps += 1
-                if micro_steps >= 10:
-                    cand = snap_candidate(u_cur, merit)
-                    if cand is None:
-                        break
-                    u_cur = cand
-                    s_dir = None
-                    gm_prev = pm_prev = None
-                    since_restart = 0
-                    micro_steps = 0
-                    metric = _polish_metric(model, u_cur)
-                    continue
-            else:
+            if not _snap_restart(st, snaps, merit):
+                return None
+            t_mem = cfg.step_init
+            continue
+        cand, t, m_c = step
+        # a merit plateau with a large residual is a spurious stationary
+        # point of the merit, not a solution; stop instead of looping on
+        # no-op steps.  Near the tolerance the same step sizes are the
+        # legitimate endgame, so the guard only fires while the residual
+        # is still far out.
+        if merit - m_c <= 1e-18 * (1.0 + merit) \
+                and grad_norm > 100.0 * cfg.grad_tol:
+            micro_steps += 1
+            if micro_steps >= 10:
+                if not _snap_restart(st, snaps, merit):
+                    return None
                 micro_steps = 0
-            u_cur = cand
-            t_mem = min(cfg.step_init, t / cfg.step_shrink)
-            s_dir, gm_prev, pm_prev = s_cand, gm, pm
-            since_restart += 1
+                continue
+        else:
+            micro_steps = 0
+        st.u = cand
+        t_mem = min(cfg.step_init, t / cfg.step_shrink)
+        st.s_dir, st.gm_prev, st.pm_prev = s_cand, gm, pm
+        st.since_restart += 1
+    return None
 
-    u_final = GridFunction(domain, u_cur)
+
+def run(model, symmetry, cfg: SolveConfig) -> SolveReport:
+    """Mountain-pass solve; returns a report (non-convergence included).
+
+    The path stage locates the saddle only to about the node spacing;
+    near a nondegenerate critical point the polish merit is locally
+    convex, so the polish contracts where plain energy descent would
+    slide off the saddle.  Direct mode sweeps only after the contraction:
+    far from the solution the merit route runs through sign-changing
+    territory where a sweep and the contraction fight each other, while
+    near the symmetric limit they cooperate.  The sweep runs until the
+    swept segment owns the final quartile of the record, so the tail
+    statistics are measured on iterates that follow it.
+    """
+    t_start = time.perf_counter()
+    domain = model.domain
+    mode = cfg.mode
+    downgrade_reason = None
+    if mode == "restricted" and symmetry is None:
+        raise ParameterError("restricted mode needs a symmetry group")
+    if mode == "direct":
+        gate = symmetrize.hypothesis_b_check(model, samples=100,
+                                             seed=cfg.seed)
+        if not gate.passed:
+            downgrade_reason = (
+                "energy-decrease check failed "
+                f"(max excess {gate.max_excess:.3e}); running plain mode")
+            warnings.warn(downgrade_reason)
+            mode = "plain"
+    project = symmetry if mode == "restricted" else None
+
+    endpoints = init_endpoints(model, project, seed=cfg.seed)
+    e_vals = endpoints.e.values
+    rng = np.random.default_rng([cfg.seed, 1])
+    scale = _INIT_NOISE * float(np.max(np.abs(e_vals)))
+    path = [t * e_vals for t in np.linspace(0.0, 1.0, cfg.path_points)]
+    for k in range(1, cfg.path_points - 1):
+        noise = rng.standard_normal(domain.n_nodes)
+        noise[domain.boundary] = 0.0
+        path[k] = path[k] + scale * noise
+        if project is not None:
+            path[k] = group_mod.average_values(project, path[k])
+    # a point polished down to the zero local minimum is not a pass; the
+    # sampled sigma0 overestimates the true sphere infimum, so only a
+    # scale-relative zero test is safe as the triviality gate
+    st = _Solve(model, cfg, project, path,
+                trivial_level=1e-10 * (1.0 + abs(endpoints.f_e)))
+
+    converged, start = _path_stage(st)
+    sweep_start = None
+    if st.it < cfg.max_iterations and (not converged or mode == "direct"):
+        snaps = _snap_groups(domain, project)
+        level = _polish_stage(st, start, snaps)
+        if level is not None and mode == "direct":
+            sweep_start = len(st.record)
+            swept = symmetrize.schwarz(GridFunction(domain, st.u)).values
+            level = _polish_stage(st, swept, snaps,
+                                  sweep_quota=max(1, -(-sweep_start // 3)))
+        converged = level is not None and level > st.trivial_level
+
+    u_final = GridFunction(domain, st.u)
     return SolveReport(
         mode=mode,
-        requested_mode=requested,
+        requested_mode=cfg.mode,
         converged=converged,
         u=u_final,
         level=functional.energy(model, u_final),
-        record=record,
+        record=st.record,
         endpoints=endpoints,
-        iterations=it,
+        iterations=st.it,
         wall_time=time.perf_counter() - t_start,
         config=cfg,
         config_hash=config_digest(cfg),
@@ -856,21 +856,16 @@ def compare_levels(model, symmetry, cfg: SolveConfig,
     """Run plain and restricted solves and compare minimax levels."""
     plain = run(model, symmetry, replace(cfg, mode="plain"))
     restricted = run(model, symmetry, replace(cfg, mode="restricted"))
-    if not (plain.converged and restricted.converged):
-        bad = [name for name, rep in
-               (("plain", plain), ("restricted", restricted))
-               if not rep.converged]
-        return LevelComparison(
-            declined=True, reason=f"non-converged: {', '.join(bad)}",
-            c_plain=plain.level if plain.converged else None,
-            c_restricted=restricted.level if restricted.converged else None,
-            ordered=None, tolerance=level_tolerance,
-            plain_report=plain, restricted_report=restricted)
-    ordered = plain.level <= restricted.level + level_tolerance
+    bad = [name for name, rep in (("plain", plain), ("restricted", restricted))
+           if not rep.converged]
     return LevelComparison(
-        declined=False, reason=None,
-        c_plain=plain.level, c_restricted=restricted.level,
-        ordered=ordered, tolerance=level_tolerance,
+        declined=bool(bad),
+        reason=f"non-converged: {', '.join(bad)}" if bad else None,
+        c_plain=plain.level if plain.converged else None,
+        c_restricted=restricted.level if restricted.converged else None,
+        ordered=None if bad else
+        plain.level <= restricted.level + level_tolerance,
+        tolerance=level_tolerance,
         plain_report=plain, restricted_report=restricted)
 
 
@@ -896,10 +891,7 @@ class PSDiagnostics:
         return len(self.violations) == 0
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "sup_w1p", "ceiling", "bounded", "cauchy_tail", "cauchy_points",
-            "cauchy_truncated", "dist_v_final", "dist_v_monotone",
-            "sweep_start", "violations")}
+        return asdict(self)
 
 
 def ps_diagnostics(record: PSRecord, model, ceiling: float = 1e3,

@@ -1,0 +1,15 @@
+import pathlib
+import re
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_use_example_runs(capsys):
+    section = README.read_text(encoding="utf-8").split("## Library use")[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    scope = {}
+    exec(compile(code, str(README), "exec"), scope)
+    assert scope["report"].converged
+    assert scope["check"].principle_holds
+    level, holds = capsys.readouterr().out.split()
+    assert float(level) == scope["report"].level and holds == "True"

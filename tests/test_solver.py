@@ -1,3 +1,4 @@
+from dataclasses import fields, replace
 import math
 import warnings
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from symcrit import functional, grid, group, integrand, symmetrize, verify
-from symcrit.errors import ParameterError
+from symcrit.errors import NumericalFailureError, ParameterError
 from symcrit.grid import GridFunction
 from symcrit.solver import (PS_CSV_HEADER, TAIL_RETENTION, PSRecord,
                             SolveConfig, compare_levels, config_digest,
@@ -62,17 +63,53 @@ def test_config_rejects_bad_values(kw):
 
 def test_config_digest_tracks_content():
     a = SolveConfig(seed=3)
-    b = SolveConfig(seed=3)
-    c = SolveConfig(seed=4)
-    assert config_digest(a) == config_digest(b)
-    assert config_digest(a) != config_digest(c)
+    assert config_digest(a) == config_digest(SolveConfig(seed=3))
     assert len(config_digest(a)) == 64
+    changed = dict(mode="plain", path_points=13, max_iterations=5001,
+                   grad_tol=1e-9, step_init=0.5, step_shrink=0.25,
+                   armijo=1e-3, seed=4, log_iterations=False)
+    assert set(changed) == {f.name for f in fields(SolveConfig)}
+    for name, value in changed.items():
+        assert config_digest(replace(a, **{name: value})) \
+            != config_digest(a), name
+    # every payload embeds the digest, so its bytes must not move
+    assert config_digest(SolveConfig()) == (
+        "14fd735a03801902228928ba340ccfe6e88b6d87c200a6afe67db2d6abed7f7f")
 
 
 def test_restricted_mode_requires_group(toy_model):
     cfg = SolveConfig(mode="restricted", max_iterations=10)
     with pytest.raises(ParameterError):
         run(toy_model, None, cfg)
+
+
+@pytest.mark.parametrize("bad_call, where", [
+    (3, "at the path maximum"),
+    (7, "during polishing"),
+])
+def test_nonfinite_residual_names_the_stage(toy_model, monkeypatch,
+                                            bad_call, where):
+    # with a budget of 10 the path stage runs 6 iterations and computes
+    # one residual in each, so call 7 is the first polish measurement
+    clean = functional.residual_of_values
+    calls = []
+
+    def poisoned(model, values):
+        calls.append(1)
+        r = clean(model, values)
+        return np.full_like(r, np.nan) if len(calls) >= bad_call else r
+
+    monkeypatch.setattr(functional, "residual_of_values", poisoned)
+    cfg = SolveConfig(mode="plain", max_iterations=10)
+    with pytest.raises(NumericalFailureError,
+                       match=f"residual became non-finite {where}") as err:
+        run(toy_model, None, cfg)
+    state = err.value.last_state
+    assert state["iteration"] == bad_call
+    assert len(state["path"]) == cfg.path_points
+    assert all(v.shape == (toy_model.domain.n_nodes,)
+               for v in state["path"])
+    assert np.all(np.isfinite(state["f_path"]))
 
 
 # ---------------------------------------------------------------------------
