@@ -1,10 +1,10 @@
 """Command-line pipeline from config files to machine-readable artifacts.
 
 Exit codes: 0 converged and verified, 1 configuration or module error
-(with a single-line JSON diagnostic on stderr), 2 non-converged solve,
-3 criticality check failed.  Every output file embeds the content hash
-of the effective config; wall-clock data is quarantined to the manifest
-so payload files are byte-identical across reruns.
+(with a single-line JSON diagnostic on stderr), 2 non-converged solve or
+numerical failure, 3 criticality check failed.  Every output file embeds
+the content hash of the effective config; wall-clock data is quarantined
+to the manifest so payload files are byte-identical across reruns.
 """
 
 import os
@@ -34,7 +34,8 @@ from . import integrand as integrand_mod
 from . import solver
 from . import symmetrize
 from . import verify
-from .errors import ConfigurationError, HypothesisViolationError, SymcritError
+from .errors import (ConfigurationError, HypothesisViolationError,
+                     NumericalFailureError, SymcritError)
 
 ARTIFACT_VERSION = "0.1.0"
 
@@ -50,12 +51,14 @@ _DOMAIN_KEYS = {
     "max_rotation_order": "int",
 }
 
+# every SolveConfig field is a solver.* key, except the seed (run.seed)
+_SOLVER_FIELDS = [f for f in dataclasses.fields(solver.SolveConfig)
+                  if f.name != "seed"]
+
 _KNOWN_KEYS = (
     {f"domain.{k}" for k in _DOMAIN_KEYS}
+    | {f"solver.{f.name}" for f in _SOLVER_FIELDS}
     | {"group.label", "model.q", "model.positivity",
-       "solver.mode", "solver.path_points", "solver.max_iterations",
-       "solver.grad_tol", "solver.step_init", "solver.step_shrink",
-       "solver.armijo", "solver.log_iterations",
        "verify.tau_tan", "verify.tau_trans", "verify.j_max",
        "verify.level_tolerance",
        "run.seed", "output.dir"}
@@ -148,23 +151,10 @@ def build_model(cfg: dict):
 
 
 def build_solve_config(cfg: dict, seed: int):
-    return solver.SolveConfig(
-        mode=config_mod.take(cfg, "solver.mode", "str",
-                             default="restricted"),
-        path_points=config_mod.take(cfg, "solver.path_points", "int",
-                                    default=12),
-        max_iterations=config_mod.take(cfg, "solver.max_iterations", "int",
-                                       default=5000),
-        grad_tol=config_mod.take(cfg, "solver.grad_tol", "float",
-                                 default=1e-8),
-        step_init=config_mod.take(cfg, "solver.step_init", "float",
-                                  default=1.0),
-        step_shrink=config_mod.take(cfg, "solver.step_shrink", "float",
-                                    default=0.5),
-        armijo=config_mod.take(cfg, "solver.armijo", "float", default=1e-4),
-        seed=seed,
-        log_iterations=config_mod.take(cfg, "solver.log_iterations", "bool",
-                                       default=True))
+    return solver.SolveConfig(seed=seed, **{
+        f.name: config_mod.take(cfg, f"solver.{f.name}", f.type.__name__,
+                                default=f.default)
+        for f in _SOLVER_FIELDS})
 
 
 def _effective_config(args) -> dict:
@@ -212,7 +202,24 @@ def cmd_solve(args) -> int:
     started = datetime.datetime.now(datetime.timezone.utc)
     t0 = time.perf_counter()
     stages = {}
-    rep = solver.run(model, sym, scfg)
+    try:
+        rep = solver.run(model, sym, scfg)
+    except NumericalFailureError as exc:
+        # a named numerical failure is a non-converged solve, not a
+        # configuration error: report the stage and iteration it hit
+        os.makedirs(outdir, exist_ok=True)
+        _write_json({
+            "config": cfg,
+            "config_hash": stamp,
+            "requested_mode": scfg.mode,
+            "converged": False,
+            "failure": {"message": str(exc),
+                        "iteration": exc.last_state["iteration"]},
+        }, os.path.join(outdir, "solve_report.json"))
+        stages["solve"] = "numerical-failure"
+        _write_manifest(outdir, stamp, started, t0, stages)
+        _say(args, f"solve: {exc}, outputs in {outdir} (exit 2)")
+        return 2
     stages["solve"] = "converged" if rep.converged else "not-converged"
     if rep.downgrade_reason:
         stages["solve"] += " (downgraded to plain)"
@@ -263,7 +270,21 @@ def cmd_solve(args) -> int:
         "solver_config_hash": rep.config_hash,
         "endpoints": rep.endpoints.to_dict(),
     }, os.path.join(outdir, "solve_report.json"))
+    _write_manifest(outdir, stamp, started, t0, stages)
 
+    if not rep.converged:
+        code = 2
+    elif not principle_holds:
+        code = 3
+    else:
+        code = 0
+    _say(args, f"solve: {stages['solve']}, verify: {stages['verify']}, "
+               f"level {rep.level:.9f}, outputs in {outdir} (exit {code})")
+    return code
+
+
+def _write_manifest(outdir, stamp, started, t0, stages):
+    """sha256 inventory of the payload files plus the wall-clock data."""
     payload_names = sorted(
         name for name in os.listdir(outdir)
         if name != "manifest.json" and not name.endswith(".tmp"))
@@ -288,16 +309,6 @@ def cmd_solve(args) -> int:
     manifest_path = os.path.join(outdir, "manifest.json")
     _write_json(manifest, manifest_path + ".tmp")
     os.replace(manifest_path + ".tmp", manifest_path)
-
-    if not rep.converged:
-        code = 2
-    elif not principle_holds:
-        code = 3
-    else:
-        code = 0
-    _say(args, f"solve: {stages['solve']}, verify: {stages['verify']}, "
-               f"level {rep.level:.9f}, outputs in {outdir} (exit {code})")
-    return code
 
 
 def _report_out(args, payload: dict, filename: str):
@@ -329,9 +340,8 @@ def cmd_check_axioms(args) -> int:
     dom = build_domain(cfg)
     seed = config_mod.take(cfg, "run.seed", "int", default=0)
     report = symmetrize.check_axioms(dom, seed=seed)
-    payload = {"config_hash": stamp, "all_passed": report.all_passed,
-               **dataclasses.asdict(report)}
-    _report_out(args, payload, "check_axioms.json")
+    _report_out(args, {"config_hash": stamp, **report.to_dict()},
+                "check_axioms.json")
     return 0 if report.all_passed else 1
 
 

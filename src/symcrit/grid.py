@@ -124,11 +124,6 @@ def zeros(domain: Domain) -> GridFunction:
     return GridFunction(domain, np.zeros(domain.n_nodes))
 
 
-def _check_same_domain(a, b):
-    if a is not b:
-        raise DomainMismatchError("operands live on different domains")
-
-
 # ---------------------------------------------------------------------------
 # domain builders
 

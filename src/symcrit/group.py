@@ -1,8 +1,9 @@
 """Finite symmetry groups acting on domains by node permutations.
 
-Construction is exact: an element is admitted only when it permutes nodes
-of equal quadrature weight and maps grid edges to grid edges.  When the
-requested action cannot be realized this way the constructor raises a
+Construction is exact: a group element, or a mirror from ``mirrors``, is
+admitted only when it permutes nodes of equal quadrature weight, preserves
+the boundary and maps grid edges to grid edges.  When the requested
+action cannot be realized this way the constructor raises a
 SymmetryCompatibilityError instead of returning an approximation.
 
 The action on functions follows (g u)(x) = u(g^{-1} x): if ``perm`` sends
@@ -19,18 +20,32 @@ import numpy as np
 from .errors import DomainMismatchError, SymmetryCompatibilityError
 from .grid import Domain, GridFunction, is_edge
 
-_SQUARE_LABELS = ("trivial", "rotations_2", "rotations_4", "dihedral_1",
-                  "dihedral_2", "dihedral_4", "reflections", "block_product")
+_SQUARE_TABLE = {
+    "trivial": ("id",),
+    "rotations_2": ("id", "rot180"),
+    "rotations_4": ("id", "rot90", "rot180", "rot270"),
+    "dihedral_1": ("id", "refl_x"),
+    "dihedral_2": ("id", "rot180", "refl_x", "refl_y"),
+    "dihedral_4": ("id", "rot90", "rot180", "rot270",
+                   "refl_x", "refl_y", "refl_d", "refl_a"),
+}
+
+_POLAR_KINDS = ("disk-polar", "annulus-polar")
+
+# labels that name an element set already in a grid's table
+_ALIASES = {
+    "square": {"reflections": "dihedral_2", "block_product": "dihedral_2"},
+    "polar": {"reflections": "dihedral_1", "block_product": "dihedral_2"},
+}
 
 
 @dataclass
 class SymmetryGroup:
-    """Explicit finite group of node permutations plus its point action."""
+    """Explicit finite group of node permutations."""
 
     domain: Domain
     label: str
     perms: np.ndarray       # (order, n_nodes) int, geometric node maps
-    matrices: np.ndarray    # (order, d, d) orthogonal matrices on R^d
 
     @property
     def order(self) -> int:
@@ -50,17 +65,6 @@ class FixBasis:
         return len(self.orbits)
 
 
-def _rotation(phi):
-    c, s = math.cos(phi), math.sin(phi)
-    return np.array([[c, -s], [s, c]])
-
-
-def _reflection(psi):
-    """Reflection across the line through the origin at angle psi."""
-    c, s = math.cos(2 * psi), math.sin(2 * psi)
-    return np.array([[c, s], [s, -c]])
-
-
 def _square_index_maps(domain):
     na = domain.meta["axis_nodes"]
     m = na - 1
@@ -71,62 +75,38 @@ def _square_index_maps(domain):
         return (fy * na + fx).astype(np.int64)
 
     return {
-        "id": (to_perm(ix, iy), np.eye(2)),
-        "rot90": (to_perm(m - iy, ix), _rotation(math.pi / 2)),
-        "rot180": (to_perm(m - ix, m - iy), _rotation(math.pi)),
-        "rot270": (to_perm(iy, m - ix), _rotation(3 * math.pi / 2)),
-        "refl_x": (to_perm(m - ix, iy), _reflection(math.pi / 2)),
-        "refl_y": (to_perm(ix, m - iy), _reflection(0.0)),
-        "refl_d": (to_perm(iy, ix), _reflection(math.pi / 4)),
-        "refl_a": (to_perm(m - iy, m - ix), _reflection(3 * math.pi / 4)),
+        "id": to_perm(ix, iy),
+        "rot90": to_perm(m - iy, ix),
+        "rot180": to_perm(m - ix, m - iy),
+        "rot270": to_perm(iy, m - ix),
+        "refl_x": to_perm(m - ix, iy),
+        "refl_y": to_perm(ix, m - iy),
+        "refl_d": to_perm(iy, ix),
+        "refl_a": to_perm(m - iy, m - ix),
     }
 
 
 def _square_elements(domain, label):
-    maps = _square_index_maps(domain)
-    named = {
-        "trivial": ["id"],
-        "rotations_2": ["id", "rot180"],
-        "rotations_4": ["id", "rot90", "rot180", "rot270"],
-        "dihedral_1": ["id", "refl_x"],
-        "dihedral_2": ["id", "rot180", "refl_x", "refl_y"],
-        "dihedral_4": ["id", "rot90", "rot180", "rot270",
-                       "refl_x", "refl_y", "refl_d", "refl_a"],
-        "reflections": ["id", "refl_x", "refl_y", "rot180"],
-        "block_product": ["id", "refl_x", "refl_y", "rot180"],
-    }
-    if label not in named:
+    if label not in _SQUARE_TABLE:
         raise SymmetryCompatibilityError(
             f"label {label!r} is not realizable on a square grid; "
-            f"supported: {sorted(named)}")
-    chosen = [maps[name] for name in named[label]]
-    return (np.stack([p for p, _ in chosen]),
-            np.stack([mat for _, mat in chosen]))
+            f"supported: {sorted([*_SQUARE_TABLE, *_ALIASES['square']])}")
+    maps = _square_index_maps(domain)
+    return np.stack([maps[name] for name in _SQUARE_TABLE[label]])
 
 
-def _polar_shift_perm(domain, shift):
+def _polar_perm(domain, new_k):
+    """Node map sending angular index k to new_k[k] on every ring."""
     n_theta = domain.meta["n_theta"]
-    rings = domain.meta["rings"]
-    k = np.arange(n_theta)
-    new_k = (k + shift) % n_theta
-    base = (np.arange(rings) * n_theta)[:, None]
-    return (base + new_k[None, :]).reshape(-1).astype(np.int64)
-
-
-def _polar_reflect_perm(domain, c):
-    n_theta = domain.meta["n_theta"]
-    rings = domain.meta["rings"]
-    k = np.arange(n_theta)
-    new_k = (c - k) % n_theta
-    base = (np.arange(rings) * n_theta)[:, None]
-    return (base + new_k[None, :]).reshape(-1).astype(np.int64)
+    base = (np.arange(domain.meta["rings"]) * n_theta)[:, None]
+    return (base + (new_k % n_theta)[None, :]).reshape(-1).astype(np.int64)
 
 
 def _polar_elements(domain, label):
     n_theta = domain.meta["n_theta"]
-    d_theta = domain.meta["d_theta"]
+    k_nodes = np.arange(n_theta)
 
-    def order_from(label, prefix):
+    def order_from(prefix):
         try:
             k = int(label[len(prefix):])
         except ValueError:
@@ -141,89 +121,93 @@ def _polar_elements(domain, label):
                 f"{k} does not divide the angular resolution {n_theta}")
         return k
 
-    perms, mats = [], []
     if label == "trivial":
-        perms = [_polar_shift_perm(domain, 0)]
-        mats = [np.eye(2)]
-    elif label.startswith("rotations_"):
-        k = order_from(label, "rotations_")
-        for j in range(k):
-            perms.append(_polar_shift_perm(domain, j * (n_theta // k)))
-            mats.append(_rotation(2 * math.pi * j / k))
-    elif label.startswith("dihedral_"):
-        k = order_from(label, "dihedral_")
-        for j in range(k):
-            perms.append(_polar_shift_perm(domain, j * (n_theta // k)))
-            mats.append(_rotation(2 * math.pi * j / k))
-        for j in range(k):
-            perms.append(_polar_reflect_perm(domain, j * (n_theta // k)))
-            mats.append(_reflection(math.pi * j / k))
-    elif label == "reflections":
-        perms = [_polar_shift_perm(domain, 0), _polar_reflect_perm(domain, 0)]
-        mats = [np.eye(2), _reflection(0.0)]
-    elif label == "block_product":
-        if n_theta % 2 != 0:
-            raise SymmetryCompatibilityError(
-                "block_product needs an even angular resolution")
-        half = n_theta // 2
-        perms = [_polar_shift_perm(domain, 0), _polar_reflect_perm(domain, 0),
-                 _polar_shift_perm(domain, half), _polar_reflect_perm(domain, half)]
-        mats = [np.eye(2), _reflection(0.0), _rotation(math.pi),
-                _reflection(math.pi / 2)]
-    else:
-        raise SymmetryCompatibilityError(
-            f"label {label!r} is not realizable on a polar grid")
-    return np.stack(perms), np.stack(mats)
+        return _polar_perm(domain, k_nodes)[None, :]
+    if label.startswith("rotations_"):
+        k = order_from("rotations_")
+        shifts = range(0, n_theta, n_theta // k)
+        return np.stack([_polar_perm(domain, k_nodes + s) for s in shifts])
+    if label.startswith("dihedral_"):
+        k = order_from("dihedral_")
+        shifts = range(0, n_theta, n_theta // k)
+        return np.stack([_polar_perm(domain, k_nodes + s) for s in shifts]
+                        + [_polar_perm(domain, s - k_nodes) for s in shifts])
+    raise SymmetryCompatibilityError(
+        f"label {label!r} is not realizable on a polar grid")
 
 
 def build_group(domain: Domain, label: str) -> SymmetryGroup:
     """Realize a built-in group label on a domain, or fail exactly."""
     if domain.kind == "square":
-        perms, mats = _square_elements(domain, label)
-    elif domain.kind in ("disk-polar", "annulus-polar"):
-        perms, mats = _polar_elements(domain, label)
+        perms = _square_elements(domain, _ALIASES["square"].get(label, label))
+    elif domain.kind in _POLAR_KINDS:
+        perms = _polar_elements(domain, _ALIASES["polar"].get(label, label))
     elif domain.kind == "radial-ball-1d":
         if label != "trivial":
             raise SymmetryCompatibilityError(
                 "the radial profile already quotients out O(N); only the "
                 "trivial group acts on radial-ball-1d")
         perms = np.arange(domain.n_nodes, dtype=np.int64)[None, :]
-        mats = np.eye(domain.dim)[None, :, :]
     else:
         raise SymmetryCompatibilityError(f"unsupported domain kind {domain.kind!r}")
 
-    g = SymmetryGroup(domain=domain, label=label, perms=perms, matrices=mats)
+    g = SymmetryGroup(domain=domain, label=label, perms=perms)
     _validate_group(g)
     return g
 
 
+def mirrors(domain: Domain) -> list:
+    """The domain's exact mirror symmetries as node permutations.
+
+    The square's four mirrors (x, y, diagonal, antidiagonal), the polar
+    grid's theta = 0 mirror, none on the radial ball.  Each one passes the
+    same checks as a group element.
+    """
+    if domain.kind == "square":
+        maps = _square_index_maps(domain)
+        perms = [maps[name] for name in ("refl_x", "refl_y", "refl_d",
+                                         "refl_a")]
+    elif domain.kind in _POLAR_KINDS:
+        perms = [_polar_perm(domain, -np.arange(domain.meta["n_theta"]))]
+    elif domain.kind == "radial-ball-1d":
+        perms = []
+    else:
+        raise SymmetryCompatibilityError(f"unsupported domain kind {domain.kind!r}")
+    for perm in perms:
+        _check_element(domain, perm, "mirror")
+    return perms
+
+
+def _check_element(dom: Domain, perm: np.ndarray, who: str):
+    """An element must permute nodes of equal weight, the boundary mask
+    and the grid edges."""
+    if not np.array_equal(np.sort(perm), np.arange(dom.n_nodes)):
+        raise SymmetryCompatibilityError(f"{who} is not a node permutation")
+    bad = np.nonzero(~np.isclose(dom.weights[perm], dom.weights,
+                                 rtol=1e-12, atol=0.0))[0]
+    if bad.size:
+        i = int(bad[0])
+        raise SymmetryCompatibilityError(
+            f"{who} maps node {i} (weight {dom.weights[i]!r}) to node "
+            f"{int(perm[i])} (weight {dom.weights[perm[i]]!r})")
+    if not np.array_equal(dom.boundary[perm], dom.boundary):
+        raise SymmetryCompatibilityError(
+            f"{who} does not preserve the boundary mask")
+    mapped = perm[dom.edges]
+    bad = np.flatnonzero(~is_edge(dom, mapped))
+    if bad.size:
+        (a, b), (ia, ib) = dom.edges[bad[0]], mapped[bad[0]]
+        raise SymmetryCompatibilityError(
+            f"{who} maps edge ({int(a)}, {int(b)}) to "
+            f"({int(ia)}, {int(ib)}), which is not a grid edge")
+
+
 def _validate_group(g: SymmetryGroup):
-    dom = g.domain
-    n = dom.n_nodes
     keys = {}
     for e, perm in enumerate(g.perms):
-        if not np.array_equal(np.sort(perm), np.arange(n)):
-            raise SymmetryCompatibilityError(
-                f"element {e} of {g.label!r} is not a node permutation")
-        bad = np.nonzero(~np.isclose(dom.weights[perm], dom.weights,
-                                     rtol=1e-12, atol=0.0))[0]
-        if bad.size:
-            i = int(bad[0])
-            raise SymmetryCompatibilityError(
-                f"element {e} maps node {i} (weight {dom.weights[i]!r}) to node "
-                f"{int(perm[i])} (weight {dom.weights[perm[i]]!r})")
-        if not np.array_equal(dom.boundary[perm], dom.boundary):
-            raise SymmetryCompatibilityError(
-                f"element {e} does not preserve the boundary mask")
-        mapped = perm[dom.edges]
-        bad = np.flatnonzero(~is_edge(dom, mapped))
-        if bad.size:
-            (a, b), (ia, ib) = dom.edges[bad[0]], mapped[bad[0]]
-            raise SymmetryCompatibilityError(
-                f"element {e} maps edge ({int(a)}, {int(b)}) to "
-                f"({int(ia)}, {int(ib)}), which is not a grid edge")
+        _check_element(g.domain, perm, f"element {e} of {g.label!r}")
         keys[perm.tobytes()] = e
-    if np.arange(n, dtype=np.int64).tobytes() not in keys:
+    if np.arange(g.domain.n_nodes, dtype=np.int64).tobytes() not in keys:
         raise SymmetryCompatibilityError("identity element missing")
     for pa in g.perms:
         for pb in g.perms:
@@ -272,32 +256,3 @@ def fix_basis(g: SymmetryGroup) -> FixBasis:
         orbit_id[members] = len(orbits)
         orbits.append(members)
     return FixBasis(group=g, orbit_id=orbit_id, orbits=orbits)
-
-
-def orbit_packing_count(g: SymmetryGroup, y, r: float) -> int:
-    """Largest number of orbit points of y whose open r-balls are disjoint.
-
-    Exhaustive branch-and-bound over the finite orbit, visiting points in
-    greedy order, so the count is exact.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    pts = np.unique(np.round(g.matrices @ y, 9), axis=0)
-    m = pts.shape[0]
-    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-    ok = d2 >= (2.0 * r) ** 2
-
-    best = 0
-
-    def extend(chosen_mask, start, count):
-        nonlocal best
-        best = max(best, count)
-        for i in range(start, m):
-            if count + (m - i) <= best:
-                return
-            if np.all(ok[i, chosen_mask]):
-                chosen_mask[i] = True
-                extend(chosen_mask, i + 1, count + 1)
-                chosen_mask[i] = False
-
-    extend(np.zeros(m, dtype=bool), 0, 0)
-    return best

@@ -6,19 +6,19 @@ polarizers along a sorting network realizes the rearrangement u* exactly
 in finitely many steps.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 import math
 
 import numpy as np
 
 from .errors import (
     DomainMismatchError,
-    GeometryError,
     ParameterError,
     SymmetryCompatibilityError,
     UnsupportedDomainError,
 )
 from . import grid
+from . import group
 from .grid import Domain, GridFunction
 from . import functional
 
@@ -40,7 +40,6 @@ class Polarizer:
 
     domain: Domain
     pairs: np.ndarray
-    edge_compatible: bool = field(init=False)
 
     def __post_init__(self):
         pairs = np.array(self.pairs, dtype=np.int64, copy=True)
@@ -62,7 +61,6 @@ class Polarizer:
                 f"of unequal quadrature weight ({wa[k]:.17g} vs {wb[k]:.17g})"
             )
         self.pairs = pairs
-        self.edge_compatible = self._edges_preserved()
 
     @property
     def permutation(self) -> np.ndarray:
@@ -70,12 +68,6 @@ class Polarizer:
         perm[self.pairs[:, 0]] = self.pairs[:, 1]
         perm[self.pairs[:, 1]] = self.pairs[:, 0]
         return perm
-
-    def _edges_preserved(self) -> bool:
-        dom = self.domain
-        touched = np.isin(dom.edges, self.pairs.reshape(-1)).any(axis=1)
-        mapped = self.permutation[dom.edges[touched]]
-        return bool(np.all(grid.is_edge(dom, mapped)))
 
 
 def polarize(u: GridFunction, h: Polarizer) -> GridFunction:
@@ -102,52 +94,17 @@ def _pairs_from_permutation(perm: np.ndarray) -> np.ndarray:
     return np.column_stack([lower, perm[lower]])
 
 
-def _square_reflection_perms(domain: Domain):
-    na = domain.meta["axis_nodes"]
-    ix = np.tile(np.arange(na), na)
-    iy = np.repeat(np.arange(na), na)
-    flip_x = iy * na + (na - 1 - ix)
-    flip_y = (na - 1 - iy) * na + ix
-    diag = ix * na + iy
-    anti = (na - 1 - ix) * na + (na - 1 - iy)
-    return [flip_x, flip_y, diag, anti]
-
-
-def _polar_mirror_perm(domain: Domain) -> np.ndarray:
-    n_theta = domain.meta["n_theta"]
-    rings = domain.meta["rings"]
-    k = np.arange(n_theta)
-    mirrored = (n_theta - k) % n_theta
-    base = np.arange(rings)[:, None] * n_theta
-    return (base + mirrored).reshape(-1)
-
-
 def reflection_polarizers(domain: Domain) -> tuple:
-    """The domain's exact mirror symmetries, packaged as polarizers.
+    """One polarizer per mirror of ``group.mirrors``, in that order.
 
-    Only mirrors whose positive half coincides with the smaller-index side
-    qualify; those leave the rearranged function fixed.  The 1-d radial
-    domain has no mirrors, so its tuple is empty.
+    The positive side of each mirror is its smaller-index half, which
+    leaves the rearranged function fixed.  The mirrors are checked like
+    group elements (equal weights, boundary, grid edges), so a domain
+    whose weights break a mirror raises SymmetryCompatibilityError.  The
+    1-d radial domain has no mirrors, so its tuple is empty.
     """
-    if domain.kind == "square":
-        perms = _square_reflection_perms(domain)
-    elif domain.kind in ("disk-polar", "annulus-polar"):
-        perms = [_polar_mirror_perm(domain)]
-    elif domain.kind == "radial-ball-1d":
-        return ()
-    else:
-        raise UnsupportedDomainError(
-            f"no reflection catalogue for domain kind {domain.kind!r}"
-        )
-    out = []
-    for perm in perms:
-        h = Polarizer(domain, _pairs_from_permutation(perm))
-        if not h.edge_compatible:
-            raise GeometryError(
-                "reflection polarizer does not map grid edges to grid edges"
-            )
-        out.append(h)
-    return tuple(out)
+    return tuple(Polarizer(domain, _pairs_from_permutation(perm))
+                 for perm in group.mirrors(domain))
 
 
 # ---------------------------------------------------------------------------
@@ -393,15 +350,7 @@ class AxiomReport:
         )
 
     def to_dict(self) -> dict:
-        out = {k: getattr(self, k) for k in (
-            "domain_kind", "samples", "idempotence_max", "schwarz_fixed_max",
-            "schwarz_of_polarized_max", "contraction_max_ratio",
-            "theta_lipschitz_estimate", "plan_swaps", "plan_swap_bound",
-            "plan_exact", "plan_max_deviation", "distance_monotone",
-            "dirichlet_decrease_violations", "adversarial_rejected",
-        )}
-        out["all_passed"] = self.all_passed
-        return out
+        return {**asdict(self), "all_passed": self.all_passed}
 
 
 def _random_function(domain: Domain, rng) -> GridFunction:
@@ -522,10 +471,7 @@ class HypothesisBReport:
     tolerance: float
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "passed", "samples", "polarizer_count", "theta_violations",
-            "polarization_violations", "max_excess", "tolerance",
-        )}
+        return asdict(self)
 
 
 def hypothesis_b_check(model, samples: int = 100, seed: int = 20240817,

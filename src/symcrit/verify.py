@@ -9,7 +9,7 @@ directions and a sampling falsifier for the directional lower bound the
 restricted-to-full implication rests on.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 import math
 
 import numpy as np
@@ -31,6 +31,17 @@ def dual_norm(domain, r: np.ndarray) -> float:
     """Norm of a residual vector in the dual of the quadrature metric."""
     w = domain.weights
     return float(math.sqrt(np.sum(r * r / w)))
+
+
+def _invariance_gate(symmetry, values, who) -> float:
+    """Sup distance of values from Fix(G); raises beyond INVARIANCE_TOL."""
+    proj = group_mod.average_values(symmetry, values)
+    err = float(np.max(np.abs(values - proj)))
+    if err > INVARIANCE_TOL:
+        raise HypothesisViolationError(
+            f"{who} is {err:.3e} from the fixed subspace, beyond "
+            f"{INVARIANCE_TOL:.0e}")
+    return err
 
 
 # ---------------------------------------------------------------------------
@@ -118,18 +129,8 @@ class CriticalityReport:
     sweep: list
 
     def to_dict(self) -> dict:
-        return {
-            "tangential": self.tangential,
-            "transverse": self.transverse,
-            "tau_tan": self.tau_tan,
-            "tau_trans": self.tau_trans,
-            "tangential_ok": self.tangential_ok,
-            "transverse_ok": self.transverse_ok,
-            "principle_holds": self.principle_holds,
-            "invariance_error": self.invariance_error,
-            "weak_slope": self.weak_slope.to_dict(),
-            "sweep": [[j, top] for j, top in self.sweep],
-        }
+        # asdict keeps the sweep rows as tuples; the report lists them
+        return {**asdict(self), "sweep": [list(row) for row in self.sweep]}
 
 
 def palais_check(model, symmetry, u: GridFunction, tau_tan: float = 1e-8,
@@ -150,13 +151,7 @@ def palais_check(model, symmetry, u: GridFunction, tau_tan: float = 1e-8,
         raise ParameterError("transverse tolerance must be positive")
 
     dom = model.domain
-    proj = group_mod.average_values(symmetry, u.values)
-    inv_err = float(np.max(np.abs(u.values - proj)))
-    if inv_err > INVARIANCE_TOL:
-        raise HypothesisViolationError(
-            f"point is {inv_err:.3e} from the fixed subspace, beyond "
-            f"{INVARIANCE_TOL:.0e}; symmetric criticality assumes an "
-            "invariant point")
+    inv_err = _invariance_gate(symmetry, u.values, "point")
 
     r = functional.residual_of_values(model, u.values)
     # averaging is self-adjoint because node weights are group-invariant,
@@ -229,15 +224,6 @@ class AssumptionReport:
             "refinement_margins": self.refinement_margins,
             "witness": self.witness,
         }
-
-
-def _invariance_gate(symmetry, values, who):
-    proj = group_mod.average_values(symmetry, values)
-    err = float(np.max(np.abs(values - proj)))
-    if err > INVARIANCE_TOL:
-        raise HypothesisViolationError(
-            f"{who} is {err:.3e} from the fixed subspace, beyond "
-            f"{INVARIANCE_TOL:.0e}")
 
 
 def check_assumption_A(model, symmetry, u: GridFunction, v: GridFunction,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from symcrit import grid
+from symcrit import functional, grid
 
 
 @pytest.fixture
@@ -31,6 +31,19 @@ def annulus_small():
 def ball_small():
     return grid.build_domain("radial-ball-1d", dimension=3, radius=10.0,
                              resolution=50)
+
+
+def poison_residual(monkeypatch, bad_call):
+    """Make the dual residual NaN from its bad_call-th evaluation on."""
+    clean = functional.residual_of_values
+    calls = []
+
+    def poisoned(model, values):
+        calls.append(1)
+        r = clean(model, values)
+        return np.full_like(r, np.nan) if len(calls) >= bad_call else r
+
+    monkeypatch.setattr(functional, "residual_of_values", poisoned)
 
 
 def random_function(domain, rng, scale=1.0):

@@ -9,6 +9,8 @@ import pytest
 import symcrit
 from symcrit import cli, grid
 
+from conftest import poison_residual
+
 SMALL_SOLVE = """\
 domain.kind = square
 domain.side = 6.0
@@ -204,6 +206,29 @@ def test_nonconverged_solve_exits_two(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "record.csv"))
     man = read_json(os.path.join(out, "manifest.json"))
     assert man["stages"]["solve"] == "not-converged"
+
+
+def test_numerical_failure_exits_two_with_report(tmp_path, monkeypatch):
+    # the toy ball of test_solver: call 7 is the first polish residual
+    poison_residual(monkeypatch, 7)
+    cfg = write_cfg(tmp_path, ("domain.kind = radial-ball-1d\n"
+                               "domain.dimension = 3\ndomain.radius = 12.0\n"
+                               "domain.resolution = 2\n"
+                               "group.label = trivial\n"
+                               "integrand.name = plaplace\n"
+                               "integrand.p = 2.0\nmodel.q = 4.0\n"
+                               "solver.mode = plain\n"
+                               "solver.max_iterations = 10\n"))
+    out = str(tmp_path / "o")
+    rc = cli.main(["solve", "--config", cfg, "--out", out, "--quiet"])
+    assert rc == 2
+    rep = read_json(os.path.join(out, "solve_report.json"))
+    assert rep["converged"] is False
+    assert "during polishing" in rep["failure"]["message"]
+    assert rep["failure"]["iteration"] == 7
+    man = read_json(os.path.join(out, "manifest.json"))
+    assert man["stages"]["solve"] == "numerical-failure"
+    assert set(man["files"]) == {"solve_report.json"}
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -62,6 +61,21 @@ def test_radial_only_trivial(ball_small):
 def test_unknown_label(square_small):
     with pytest.raises(SymmetryCompatibilityError):
         group.build_group(square_small, "icosahedral")
+
+
+@pytest.mark.parametrize("kind, alias, target, order", [
+    ("square", "reflections", "dihedral_2", 4),
+    ("square", "block_product", "dihedral_2", 4),
+    ("disk", "reflections", "dihedral_1", 2),
+    ("disk", "block_product", "dihedral_2", 4),
+])
+def test_alias_labels_build_their_target(square_small, disk_small,
+                                         kind, alias, target, order):
+    dom = square_small if kind == "square" else disk_small
+    elements = {p.tobytes() for p in group.build_group(dom, alias).perms}
+    expected = {p.tobytes() for p in group.build_group(dom, target).perms}
+    assert elements == expected
+    assert len(elements) == order
 
 
 # ---------------------------------------------------------------------------
@@ -178,49 +192,3 @@ def test_trivial_group_orbit_count(ball_small):
     g = group.build_group(ball_small, "trivial")
     fb = group.fix_basis(g)
     assert fb.dim == int(np.sum(~ball_small.boundary))
-
-
-# ---------------------------------------------------------------------------
-# orbit packing
-
-
-def packing_oracle(points, r):
-    """Exhaustive search over all subsets (small orbits only)."""
-    pts = np.asarray(points)
-    best = 0
-    for size in range(len(pts), 0, -1):
-        for combo in itertools.combinations(range(len(pts)), size):
-            sub = pts[list(combo)]
-            d = np.sqrt(np.sum((sub[:, None] - sub[None, :]) ** 2, axis=-1))
-            np.fill_diagonal(d, np.inf)
-            if np.min(d) >= 2 * r:
-                return size
-    return best
-
-
-def test_packing_fixed_point(disk_rotations):
-    _, g = disk_rotations
-    assert group.orbit_packing_count(g, np.array([0.0, 0.0]), 0.5) == 1
-
-
-def test_packing_eight_rotations():
-    dom = grid.build_domain("disk-polar", radius=12.0, resolution=5,
-                            angular_resolution=16)
-    g = group.build_group(dom, "rotations_8")
-    y = np.array([10.0, 0.0])
-    # adjacent orbit points sit 2*10*sin(pi/8) ~ 7.65 > 2 apart
-    assert 2 * 10 * math.sin(math.pi / 8) > 2
-    assert group.orbit_packing_count(g, y, 1.0) == 8
-    n5 = group.orbit_packing_count(g, y, 5.0)
-    assert n5 < 8
-    orbit = np.unique(np.round(g.matrices @ y, 9), axis=0)
-    assert n5 == packing_oracle(orbit, 5.0)
-
-
-def test_packing_matches_oracle_random(disk_rotations, rng):
-    _, g = disk_rotations
-    for _ in range(10):
-        y = rng.uniform(-3, 3, size=2)
-        r = rng.uniform(0.2, 4.0)
-        orbit = np.unique(np.round(g.matrices @ y, 9), axis=0)
-        assert group.orbit_packing_count(g, y, r) == packing_oracle(orbit, r)

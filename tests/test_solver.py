@@ -12,6 +12,8 @@ from symcrit.solver import (PS_CSV_HEADER, TAIL_RETENTION, PSRecord,
                             SolveConfig, compare_levels, config_digest,
                             default_psi, init_endpoints, ps_diagnostics, run)
 
+from conftest import poison_residual
+
 
 def make_model(kind, dom_kw, name="plaplace", p=2.0, q=4.0, positivity=False):
     dom = grid.build_domain(kind, **dom_kw)
@@ -91,15 +93,7 @@ def test_nonfinite_residual_names_the_stage(toy_model, monkeypatch,
                                             bad_call, where):
     # with a budget of 10 the path stage runs 6 iterations and computes
     # one residual in each, so call 7 is the first polish measurement
-    clean = functional.residual_of_values
-    calls = []
-
-    def poisoned(model, values):
-        calls.append(1)
-        r = clean(model, values)
-        return np.full_like(r, np.nan) if len(calls) >= bad_call else r
-
-    monkeypatch.setattr(functional, "residual_of_values", poisoned)
+    poison_residual(monkeypatch, bad_call)
     cfg = SolveConfig(mode="plain", max_iterations=10)
     with pytest.raises(NumericalFailureError,
                        match=f"residual became non-finite {where}") as err:

@@ -69,8 +69,8 @@ def test_square_reflections(square_dom):
     mirrors = symmetrize.reflection_polarizers(square_dom)
     assert len(mirrors) == 4
     for h in mirrors:
-        assert h.edge_compatible
         perm = h.permutation
+        assert grid.is_edge(square_dom, perm[square_dom.edges]).all()
         assert np.array_equal(perm[perm], np.arange(square_dom.n_nodes))
         assert np.all(h.pairs[:, 0] < h.pairs[:, 1])
 
@@ -78,8 +78,16 @@ def test_square_reflections(square_dom):
 def test_disk_and_radial_reflections(disk_dom, ball_dom):
     mirrors = symmetrize.reflection_polarizers(disk_dom)
     assert len(mirrors) == 1
-    assert mirrors[0].edge_compatible
+    assert grid.is_edge(disk_dom, mirrors[0].permutation[disk_dom.edges]).all()
     assert symmetrize.reflection_polarizers(ball_dom) == ()
+
+
+def test_reflections_reject_asymmetric_weights(square_dom):
+    w = square_dom.weights.copy()
+    w[np.nonzero(square_dom.interior)[0][0]] *= 1.5
+    tampered = dataclasses.replace(square_dom, weights=w)
+    with pytest.raises(SymmetryCompatibilityError):
+        symmetrize.reflection_polarizers(tampered)
 
 
 # ---------------------------------------------------------------------------
