@@ -217,7 +217,8 @@ def cmd_solve(args) -> int:
                         "iteration": exc.last_state["iteration"]},
         }, os.path.join(outdir, "solve_report.json"))
         stages["solve"] = "numerical-failure"
-        _write_manifest(outdir, stamp, started, t0, stages)
+        _write_manifest(outdir, ["solve_report.json"], stamp, started, t0,
+                        stages)
         _say(args, f"solve: {exc}, outputs in {outdir} (exit 2)")
         return 2
     stages["solve"] = "converged" if rep.converged else "not-converged"
@@ -230,6 +231,7 @@ def cmd_solve(args) -> int:
                             extra_comments=(note,))
     rep.record.write_csv(os.path.join(outdir, "record.csv"),
                          extra_comments=(note,))
+    written = ["u_final.csv", "record.csv"]
 
     crit_path = os.path.join(outdir, "criticality.json")
     principle_holds = False
@@ -241,9 +243,11 @@ def cmd_solve(args) -> int:
         _write_json({"config_hash": stamp, **crit.to_dict()}, crit_path)
         verify.write_sweep_csv(crit.sweep, os.path.join(outdir, "sweep.csv"),
                                extra_comments=(note,))
+        written.append("sweep.csv")
     except HypothesisViolationError as exc:
         stages["verify"] = "hypothesis-violated"
         _write_json({"config_hash": stamp, "error": str(exc)}, crit_path)
+    written.append("criticality.json")
 
     if len(rep.record) >= 2:
         diag = solver.ps_diagnostics(rep.record, model,
@@ -253,6 +257,7 @@ def cmd_solve(args) -> int:
                                  f"{len(diag.violations)} violations")
         _write_json({"config_hash": stamp, **diag.to_dict()},
                     os.path.join(outdir, "diagnostics.json"))
+        written.append("diagnostics.json")
     else:
         stages["diagnostics"] = "skipped (record too short)"
 
@@ -270,7 +275,8 @@ def cmd_solve(args) -> int:
         "solver_config_hash": rep.config_hash,
         "endpoints": rep.endpoints.to_dict(),
     }, os.path.join(outdir, "solve_report.json"))
-    _write_manifest(outdir, stamp, started, t0, stages)
+    written.append("solve_report.json")
+    _write_manifest(outdir, written, stamp, started, t0, stages)
 
     if not rep.converged:
         code = 2
@@ -283,11 +289,10 @@ def cmd_solve(args) -> int:
     return code
 
 
-def _write_manifest(outdir, stamp, started, t0, stages):
-    """sha256 inventory of the payload files plus the wall-clock data."""
-    payload_names = sorted(
-        name for name in os.listdir(outdir)
-        if name != "manifest.json" and not name.endswith(".tmp"))
+def _write_manifest(outdir, names, stamp, started, t0, stages):
+    """sha256 inventory of the payload files this run wrote (``names``;
+    files an earlier run left in ``outdir`` are not listed) plus the
+    wall-clock data."""
     finished = datetime.datetime.now(datetime.timezone.utc)
     manifest = {
         "artifact_version": ARTIFACT_VERSION,
@@ -303,7 +308,7 @@ def _write_manifest(outdir, stamp, started, t0, stages):
             name: {
                 "bytes": os.path.getsize(os.path.join(outdir, name)),
                 "sha256": _sha256_file(os.path.join(outdir, name)),
-            } for name in payload_names
+            } for name in sorted(names)
         },
     }
     manifest_path = os.path.join(outdir, "manifest.json")

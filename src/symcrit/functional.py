@@ -68,11 +68,14 @@ def _q_slope(model, s):
     return _power_slope(s, model.q)
 
 
-def energy_of_values(model: EnergyModel, values: np.ndarray) -> float:
+def energy_of_values(model: EnergyModel, values: np.ndarray):
+    """f of one nodal vector (a float), or of each row of a (k, n) stack
+    (a (k,) array), from one product with the cell map."""
     dom, J, p = model.domain, model.integrand, model.integrand.p
     avg, t, _ = cell_values(dom, values)
     density = J.j(avg, t) + np.abs(avg) ** p / p - _q_value(model, avg)
-    return float(np.sum(dom.cells.weights * density))
+    f = np.sum(dom.cells.weights * density, axis=-1)
+    return f if f.ndim else float(f)
 
 
 def energy(model: EnergyModel, u: GridFunction) -> float:

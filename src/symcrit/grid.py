@@ -439,16 +439,21 @@ def _validate_domain(dom: Domain):
 def cell_values(domain: Domain, values: np.ndarray):
     """Cell averages, |Du| and the gradient components of nodal values.
 
-    One product with the cell map; ``grads`` is its (d, cells) gradient
-    block and ``t`` the Euclidean magnitude of each column.
+    ``values`` is one nodal vector or a (k, n) stack of them; either way
+    it takes one product with the cell map.  ``grads`` is the (..., d,
+    cells) gradient block and ``t`` the Euclidean magnitude over its
+    components.  The cell axis comes out last and contiguous, so a
+    reduction over it gives every row of a stack bitwise the value of the
+    row on its own.
     """
     cs = domain.cells
-    out = (cs.op @ values).reshape(-1, cs.count)
-    avg, grads = out[0], out[1:]
-    if grads.shape[0] == 1:
-        t = np.abs(grads[0])
+    out = np.ascontiguousarray((cs.op @ values.T).T)
+    out = out.reshape(*values.shape[:-1], -1, cs.count)
+    avg, grads = out[..., 0, :], out[..., 1:, :]
+    if grads.shape[-2] == 1:
+        t = np.abs(grads[..., 0, :])
     else:
-        t = np.sqrt((grads * grads).sum(axis=0))
+        t = np.sqrt((grads * grads).sum(axis=-2))
     return avg, t, grads
 
 
@@ -457,21 +462,42 @@ def gradient_magnitude(u: GridFunction) -> np.ndarray:
     return cell_values(u.domain, u.values)[1]
 
 
-def norm_lm(u: GridFunction, m: float) -> float:
-    """Discrete Lebesgue norm with the node quadrature weights."""
+def _roots(sums, m: float):
+    """sums ** (1/m), taken on each scalar: numpy's array power can differ
+    from libm's pow in the last ulp, and a row of a stack must get the
+    norm its vector gets on its own."""
+    if np.ndim(sums) == 0:
+        return float(sums ** (1.0 / m))
+    return np.array([s ** (1.0 / m) for s in sums])
+
+
+def lm_norms(domain: Domain, values: np.ndarray, m: float):
+    """Discrete Lebesgue norm with the node quadrature weights, of one
+    nodal vector (a float) or of each row of a (k, n) stack."""
     if m < 1:
         raise ParameterError(f"Lebesgue exponent must satisfy m >= 1, got {m}")
-    return float(np.sum(u.domain.weights * np.abs(u.values) ** m) ** (1.0 / m))
+    return _roots(np.sum(domain.weights * np.abs(values) ** m, axis=-1), m)
+
+
+def w1p_norms(domain: Domain, values: np.ndarray, p: float):
+    """Discrete W^{1,p} norm (||v||_p^p + ||Dv||_p^p)^{1/p}, of one nodal
+    vector (a float) or of each row of a (k, n) stack."""
+    if p <= 1:
+        raise ParameterError(f"Sobolev exponent must satisfy p > 1, got {p}")
+    du = cell_values(domain, values)[1]
+    up = np.sum(domain.weights * np.abs(values) ** p, axis=-1)
+    dup = np.sum(domain.cells.weights * du ** p, axis=-1)
+    return _roots(up + dup, p)
+
+
+def norm_lm(u: GridFunction, m: float) -> float:
+    """Discrete Lebesgue norm of a grid function (see ``lm_norms``)."""
+    return lm_norms(u.domain, u.values, m)
 
 
 def norm_w1p(u: GridFunction, p: float) -> float:
-    """Discrete W^{1,p} norm: (||u||_p^p + ||Du||_p^p)^{1/p}."""
-    if p <= 1:
-        raise ParameterError(f"Sobolev exponent must satisfy p > 1, got {p}")
-    du = gradient_magnitude(u)
-    up = np.sum(u.domain.weights * np.abs(u.values) ** p)
-    dup = np.sum(u.domain.cells.weights * du ** p)
-    return float((up + dup) ** (1.0 / p))
+    """Discrete W^{1,p} norm of a grid function (see ``w1p_norms``)."""
+    return w1p_norms(u.domain, u.values, p)
 
 
 def hat_w1p_norms(domain: Domain, p: float) -> np.ndarray:

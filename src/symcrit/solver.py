@@ -6,7 +6,8 @@ maximum-energy point, the polish stage contracts from the best point seen
 by conjugate gradient on the squared dual residual norm, and in direct
 mode a second polish, the cone sweep, keeps every trial on the
 rearrangement cone.  Restricted mode projects every direction onto the
-invariant subspace.
+invariant subspace.  The path is one (m, n) array of nodal values, so the
+nodes a path step moves or resamples are priced by one stacked energy call.
 """
 
 from collections import deque
@@ -42,6 +43,10 @@ TAIL_RETENTION = 600
 # relative size of the seeded symmetry-breaking perturbation applied to
 # the initial path (projected away again in restricted mode)
 _INIT_NOISE = 0.05
+
+# sphere samples are priced in stacks of about this many nodal values,
+# so the stacked temporaries stay small at any grid size
+_SAMPLE_BLOCK_VALUES = 1 << 14
 
 _MAX_BACKTRACKS = 60
 _SMOOTHING = 0.25
@@ -260,18 +265,21 @@ def init_endpoints(model, symmetry=None, psi: GridFunction | None = None,
     rho = min(r_cert, psi_w1p)
     rho0 = sigma0 = None
     history = []
+    block = max(1, _SAMPLE_BLOCK_VALUES // domain.n_nodes)
     for _ in range(60):
         inf_f = math.inf
-        for _ in range(sphere_samples):
-            noise = rng.standard_normal(domain.n_nodes)
-            noise[domain.boundary] = 0.0
+        for start in range(0, sphere_samples, block):
+            # a (k, n) draw is the same stream as k draws of n
+            noise = rng.standard_normal(
+                (min(block, sphere_samples - start), domain.n_nodes))
+            noise[:, domain.boundary] = 0.0
             if project:
                 noise = group_mod.average_values(symmetry, noise)
-            nrm = grid.norm_w1p(GridFunction(domain, noise), p)
-            if nrm == 0.0:
-                continue
-            sample = (rho / nrm) * noise
-            inf_f = min(inf_f, functional.energy_of_values(model, sample))
+            nrm = grid.w1p_norms(domain, noise, p)
+            live = nrm != 0.0
+            f_samples = functional.energy_of_values(
+                model, (rho / nrm[live])[:, None] * noise[live])
+            inf_f = min([inf_f, *f_samples.tolist()])
         history.append((rho, inf_f))
         if inf_f > 0.0:
             rho0, sigma0 = rho, inf_f
@@ -332,10 +340,9 @@ def init_endpoints(model, symmetry=None, psi: GridFunction | None = None,
 
 
 def _dist_to_rearranged(domain, values, p, q):
-    star = symmetrize.schwarz(GridFunction(domain, values))
-    diff = GridFunction(domain, values - star.values)
-    dist_w = grid.norm_lm(diff, q)
-    dist_v = max(grid.norm_lm(diff, p), dist_w)
+    diff = values - symmetrize.schwarz_values(domain, values)
+    dist_w = grid.lm_norms(domain, diff, q)
+    dist_v = max(grid.lm_norms(domain, diff, p), dist_w)
     return dist_v, dist_w
 
 
@@ -363,10 +370,6 @@ def _hess_dir(model, values, d):
     rp = functional.residual_of_values(model, values + eps * d)
     rm = functional.residual_of_values(model, values - eps * d)
     return (rp - rm) / (2.0 * eps)
-
-
-def _wnorm(w, values):
-    return math.sqrt(float(np.sum(w * values * values)))
 
 
 def _polish_metric(model, values):
@@ -433,6 +436,20 @@ def _snap_groups(domain, symmetry):
     return out
 
 
+def _segment_lengths(w, path):
+    """Quadrature-weighted L2 length of each segment of the polyline."""
+    d = np.diff(path, axis=0)
+    return np.sqrt(np.sum(w * d * d, axis=1))
+
+
+def _take_finite(model, path, f_path, rows, cand):
+    """Price candidate rows in one call; finite ones replace their row."""
+    f_c = functional.energy_of_values(model, cand)
+    ok = np.isfinite(f_c)
+    path[rows[ok]] = cand[ok]
+    f_path[rows[ok]] = f_c[ok]
+
+
 def _reparametrize(model, w, path, f_path, k_keep):
     """String reparametrization: resample the interior nodes at uniform
     arc length along the polyline, keeping the node k_keep in place.
@@ -444,25 +461,18 @@ def _reparametrize(model, w, path, f_path, k_keep):
     segment's crest than the old one did.  Returns the polyline length.
     """
     m = len(path)
-    old = list(path)
-    seg = np.array([_wnorm(w, old[k + 1] - old[k]) for k in range(m - 1)])
+    seg = _segment_lengths(w, path)
     total = float(seg.sum())
     if not math.isfinite(total) or total <= 0.0:
         return total
     cum = np.concatenate([[0.0], np.cumsum(seg)])
-    targets = np.linspace(0.0, total, m)
-    for k in range(1, m - 1):
-        if k == k_keep:
-            continue
-        pos = min(float(targets[k]), total)
-        j = int(np.searchsorted(cum, pos, side="right")) - 1
-        j = min(max(j, 0), m - 2)
-        frac = 0.0 if seg[j] == 0.0 else (pos - cum[j]) / seg[j]
-        cand = (1.0 - frac) * old[j] + frac * old[j + 1]
-        f_c = functional.energy_of_values(model, cand)
-        if math.isfinite(f_c):
-            path[k] = cand
-            f_path[k] = f_c
+    rows = np.array([k for k in range(1, m - 1) if k != k_keep])
+    pos = np.minimum(np.linspace(0.0, total, m)[rows], total)
+    j = np.clip(np.searchsorted(cum, pos, side="right") - 1, 0, m - 2)
+    frac = np.divide(pos - cum[j], seg[j], out=np.zeros_like(pos),
+                     where=seg[j] != 0.0)[:, None]
+    _take_finite(model, path, f_path, rows,
+                 (1.0 - frac) * path[j] + frac * path[j + 1])
     return total
 
 
@@ -489,8 +499,7 @@ class _Solve:
         self.w = model.domain.weights
         self.trivial_level = trivial_level
         self.path = path
-        self.f_path = np.array(
-            [functional.energy_of_values(model, v) for v in path])
+        self.f_path = functional.energy_of_values(model, path)
         self.record = PSRecord()
         self.it = 0
         self.polish_it = 0
@@ -498,7 +507,7 @@ class _Solve:
 
     def fail(self, msg):
         state = {"iteration": self.it, "f_path": self.f_path.copy(),
-                 "path": [v.copy() for v in self.path]}
+                 "path": self.path.copy()}
         raise NumericalFailureError(msg, last_state=state)
 
     def measure(self, values, f_val, where):
@@ -518,7 +527,7 @@ class _Solve:
             dist_v, dist_w = _dist_to_rearranged(domain, values, p,
                                                  self.model.q)
             self.record.append(self.it, f_val, grad_norm,
-                               grid.norm_w1p(GridFunction(domain, values), p),
+                               grid.w1p_norms(domain, values, p),
                                dist_v, dist_w, values)
         return d, slope, grad_norm
 
@@ -557,7 +566,7 @@ def _path_stage(st):
     path, f_path = st.path, st.f_path
     m = len(path)
     step_mem = np.full(m, cfg.step_init)
-    length = sum(_wnorm(w, path[k + 1] - path[k]) for k in range(m - 1))
+    length = sum(_segment_lengths(w, path).tolist())
     u_best = None
     g_best = f_best = math.inf
     stall = 0
@@ -565,7 +574,8 @@ def _path_stage(st):
     while st.it < budget:
         st.it += 1
         k_max = 1 + int(np.argmax(f_path[1:-1]))
-        u = st.u = path[k_max]
+        # a copy: the row is rewritten below, the iterate must not move
+        u = st.u = path[k_max].copy()
         f_u = float(f_path[k_max])
         d, slope, grad_norm = st.measure(u, f_u, "at the path maximum")
         if grad_norm <= cfg.grad_tol:
@@ -575,16 +585,13 @@ def _path_stage(st):
         # stall counts iterations without any level progress
         if f_u > st.trivial_level \
                 and f_u < f_best - 1e-12 * (1.0 + abs(f_u)):
-            f_best = f_u
-            g_best = grad_norm
-            u_best = u.copy()
+            f_best, g_best, u_best = f_u, grad_norm, u
             stall = 0
         else:
             if f_u > st.trivial_level \
                     and f_u <= f_best + 1e-9 * (1.0 + abs(f_u)) \
                     and grad_norm < g_best:
-                g_best = grad_norm
-                u_best = u.copy()
+                g_best, u_best = grad_norm, u
             stall += 1
         if stall >= _STALL_PATIENCE and u_best is not None:
             break
@@ -594,7 +601,7 @@ def _path_stage(st):
         # past the neighbors into the unbounded -|u|^q well; once the
         # point slips below the sampled crest, a resampled neighbor takes
         # over as the maximum
-        d_norm = _wnorm(w, d)
+        d_norm = math.sqrt(float(np.sum(w * d * d)))
         t = step_mem[k_max]
         if d_norm > 0.0 and length > 0.0:
             t = min(t, 0.5 * length / ((m - 1) * d_norm))
@@ -615,15 +622,10 @@ def _path_stage(st):
 
         # pull the neighbors toward the segment midpoints to keep the
         # polyline from kinking around the moving maximum
-        for kk in (k_max - 1, k_max + 1):
-            if kk <= 0 or kk >= m - 1:
-                continue
-            mid = 0.5 * (path[kk - 1] + path[kk + 1])
-            cand = (1.0 - _SMOOTHING) * path[kk] + _SMOOTHING * mid
-            f_c = functional.energy_of_values(model, cand)
-            if math.isfinite(f_c):
-                path[kk] = cand
-                f_path[kk] = f_c
+        nbrs = np.array([k for k in (k_max - 1, k_max + 1) if 0 < k < m - 1])
+        mid = 0.5 * (path[nbrs - 1] + path[nbrs + 1])
+        _take_finite(model, path, f_path, nbrs,
+                     (1.0 - _SMOOTHING) * path[nbrs] + _SMOOTHING * mid)
 
         length = _reparametrize(model, w, path, f_path, k_max)
     return False, st.u if u_best is None else u_best
@@ -785,13 +787,12 @@ def run(model, symmetry, cfg: SolveConfig) -> SolveReport:
     e_vals = endpoints.e.values
     rng = np.random.default_rng([cfg.seed, 1])
     scale = _INIT_NOISE * float(np.max(np.abs(e_vals)))
-    path = [t * e_vals for t in np.linspace(0.0, 1.0, cfg.path_points)]
-    for k in range(1, cfg.path_points - 1):
-        noise = rng.standard_normal(domain.n_nodes)
-        noise[domain.boundary] = 0.0
-        path[k] = path[k] + scale * noise
-        if project is not None:
-            path[k] = group_mod.average_values(project, path[k])
+    path = np.linspace(0.0, 1.0, cfg.path_points)[:, None] * e_vals
+    noise = rng.standard_normal((cfg.path_points - 2, domain.n_nodes))
+    noise[:, domain.boundary] = 0.0
+    path[1:-1] += scale * noise
+    if project is not None:
+        path[1:-1] = group_mod.average_values(project, path[1:-1])
     # a point polished down to the zero local minimum is not a pass; the
     # sampled sigma0 overestimates the true sphere infimum, so only a
     # scale-relative zero test is safe as the triviality gate
@@ -805,7 +806,7 @@ def run(model, symmetry, cfg: SolveConfig) -> SolveReport:
         level = _polish_stage(st, start, snaps)
         if level is not None and mode == "direct":
             sweep_start = len(st.record)
-            swept = symmetrize.schwarz(GridFunction(domain, st.u)).values
+            swept = symmetrize.schwarz_values(domain, st.u)
             level = _polish_stage(st, swept, snaps,
                                   sweep_quota=max(1, -(-sweep_start // 3)))
         converged = level is not None and level > st.trivial_level
@@ -918,17 +919,15 @@ def ps_diagnostics(record: PSRecord, model, ceiling: float = 1e3,
     tail = record.tail_values()
     truncated = quartile > len(tail)
     pts = tail[-min(quartile, len(tail)):]
-    # bound the pairwise sweep; an even stride keeps first and last iterates
-    if len(pts) > 120:
-        idx = np.unique(np.linspace(0, len(pts) - 1, 120).astype(int))
-        pts = [pts[i] for i in idx]
-    domain = model.domain
-    q = model.q
+    # bound the pairwise sweep to 120 points; an even stride (all of them
+    # when there are fewer) keeps first and last iterates
+    idx = np.linspace(0, len(pts) - 1, min(len(pts), 120)).astype(int)
+    pts = np.array([pts[i] for i in np.unique(idx)])
+    # one row reduction per anchor against every later iterate
     cauchy = 0.0
-    for a in range(len(pts)):
-        for b in range(a + 1, len(pts)):
-            diff = GridFunction(domain, pts[a] - pts[b])
-            cauchy = max(cauchy, grid.norm_lm(diff, q))
+    for a in range(len(pts) - 1):
+        norms = grid.lm_norms(model.domain, pts[a] - pts[a + 1:], model.q)
+        cauchy = max(cauchy, float(np.max(norms)))
 
     dist_v = np.array(record.dist_vstar_V)
     monotone = None

@@ -179,13 +179,30 @@ def _weight_classes(domain: Domain) -> tuple:
     return tuple(out)
 
 
+def _class_blocks(domain: Domain) -> tuple:
+    """The weight classes stacked by size: one (classes, size) index
+    array per class size, each row a class in target order."""
+    def build():
+        by_size = {}
+        for cls in weight_classes(domain):
+            by_size.setdefault(cls.shape[0], []).append(cls)
+        return tuple(np.stack(rows) for rows in by_size.values())
+
+    return domain.cached("class_blocks", build)
+
+
+def schwarz_values(domain: Domain, values: np.ndarray) -> np.ndarray:
+    """``schwarz`` on raw nodal values: one row-wise sort per class size."""
+    out = np.zeros(domain.n_nodes)
+    mag = np.abs(values)
+    for block in _class_blocks(domain):
+        out[block] = np.sort(mag[block], axis=1)[:, ::-1]
+    return out
+
+
 def schwarz(u: GridFunction) -> GridFunction:
     """Rearrange |u| to be non-increasing within each equal-weight class."""
-    out = np.zeros(u.domain.n_nodes)
-    mag = np.abs(u.values)
-    for cls in weight_classes(u.domain):
-        out[cls] = np.sort(mag[cls])[::-1]
-    return GridFunction(u.domain, out)
+    return GridFunction(u.domain, schwarz_values(u.domain, u.values))
 
 
 def _pava_decreasing(values):
@@ -224,12 +241,11 @@ def cone_project(u: GridFunction) -> GridFunction:
     never forced below the scale of the violation.
     """
     out = np.zeros(u.domain.n_nodes)
-    vals = u.values
-    for cls in weight_classes(u.domain):
-        if len(cls) == 1:
-            out[cls] = max(float(vals[cls[0]]), 0.0)
-        else:
-            out[cls] = np.maximum(_pava_decreasing(vals[cls]), 0.0)
+    for block in _class_blocks(u.domain):
+        rows = u.values[block]
+        if block.shape[1] > 1:
+            rows = np.array([_pava_decreasing(row) for row in rows])
+        out[block] = np.maximum(rows, 0.0)
     return GridFunction(u.domain, out)
 
 

@@ -208,17 +208,20 @@ def test_nonconverged_solve_exits_two(tmp_path, capsys):
     assert man["stages"]["solve"] == "not-converged"
 
 
+# the toy ball of test_solver: residual call 7 is the first polish residual
+TOY_BALL = ("domain.kind = radial-ball-1d\n"
+            "domain.dimension = 3\ndomain.radius = 12.0\n"
+            "domain.resolution = 2\n"
+            "group.label = trivial\n"
+            "integrand.name = plaplace\n"
+            "integrand.p = 2.0\nmodel.q = 4.0\n"
+            "solver.mode = plain\n"
+            "solver.max_iterations = 10\n")
+
+
 def test_numerical_failure_exits_two_with_report(tmp_path, monkeypatch):
-    # the toy ball of test_solver: call 7 is the first polish residual
     poison_residual(monkeypatch, 7)
-    cfg = write_cfg(tmp_path, ("domain.kind = radial-ball-1d\n"
-                               "domain.dimension = 3\ndomain.radius = 12.0\n"
-                               "domain.resolution = 2\n"
-                               "group.label = trivial\n"
-                               "integrand.name = plaplace\n"
-                               "integrand.p = 2.0\nmodel.q = 4.0\n"
-                               "solver.mode = plain\n"
-                               "solver.max_iterations = 10\n"))
+    cfg = write_cfg(tmp_path, TOY_BALL)
     out = str(tmp_path / "o")
     rc = cli.main(["solve", "--config", cfg, "--out", out, "--quiet"])
     assert rc == 2
@@ -226,6 +229,21 @@ def test_numerical_failure_exits_two_with_report(tmp_path, monkeypatch):
     assert rep["converged"] is False
     assert "during polishing" in rep["failure"]["message"]
     assert rep["failure"]["iteration"] == 7
+    man = read_json(os.path.join(out, "manifest.json"))
+    assert man["stages"]["solve"] == "numerical-failure"
+    assert set(man["files"]) == {"solve_report.json"}
+
+
+def test_rerun_manifest_lists_only_its_own_files(tmp_path, monkeypatch):
+    # a rerun into a used directory must not claim the payloads the
+    # earlier run left there
+    cfg = write_cfg(tmp_path, TOY_BALL)
+    out = str(tmp_path / "o")
+    cli.main(["solve", "--config", cfg, "--out", out, "--quiet"])
+    assert set(PAYLOADS) <= set(os.listdir(out))
+    poison_residual(monkeypatch, 7)
+    rc = cli.main(["solve", "--config", cfg, "--out", out, "--quiet"])
+    assert rc == 2
     man = read_json(os.path.join(out, "manifest.json"))
     assert man["stages"]["solve"] == "numerical-failure"
     assert set(man["files"]) == {"solve_report.json"}

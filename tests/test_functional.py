@@ -83,6 +83,28 @@ def test_energy_matches_hand_quadrature():
     assert abs(functional.energy(model, u) - frozen) <= 1e-12 * frozen
 
 
+@pytest.mark.parametrize("positivity", [False, True])
+@pytest.mark.parametrize("name", ["plaplace", "modulated"])
+def test_stacked_energy_is_rowwise_bitwise(name, positivity, rng):
+    # a (k, n) stack takes one product with the cell map, and each row
+    # must still get exactly the energy it gets on its own
+    domains = (grid.build_domain("square", side=4.0, resolution=7),
+               grid.build_domain("disk-polar", radius=3.0, resolution=5,
+                                 angular_resolution=16),
+               grid.build_domain("radial-ball-1d", dimension=3, radius=6.0,
+                                 resolution=24))
+    for dom in domains:
+        model = make_model(dom, name=name, p=1.8, q=3.0,
+                           positivity=positivity)
+        stack = (np.geomspace(1e-3, 30.0, 40)[:, None]
+                 * rng.standard_normal((40, dom.n_nodes)))
+        stack[:, dom.boundary] = 0.0
+        energies = functional.energy_of_values(model, stack)
+        assert energies.shape == (40,)
+        for row, f in zip(stack, energies):
+            assert f == functional.energy_of_values(model, row)
+
+
 def test_zero_function_has_zero_energy(ball_model, square_model):
     for model in (ball_model, square_model):
         assert functional.energy(model, grid.zeros(model.domain)) == 0.0

@@ -163,6 +163,20 @@ def test_replaced_domain_does_not_share_derived_geometry(disk_small):
     assert np.array_equal(grid.hat_w1p_norms(disk_small, 2.0), before)
 
 
+def test_stacked_norms_are_rowwise_bitwise(square_small, disk_small,
+                                           ball_small, rng):
+    for dom in (square_small, disk_small, ball_small):
+        stack = rng.standard_normal((30, dom.n_nodes))
+        stack[:, dom.boundary] = 0.0
+        for m in (1.0, 1.8, 3.0):
+            lm = grid.lm_norms(dom, stack, m)
+            w1p = grid.w1p_norms(dom, stack, 1.0 + m)
+            for k, row in enumerate(stack):
+                u = grid.GridFunction(dom, row)
+                assert lm[k] == grid.norm_lm(u, m)
+                assert w1p[k] == grid.norm_w1p(u, 1.0 + m)
+
+
 def test_zero_norms(square_small):
     u = grid.zeros(square_small)
     assert grid.norm_lm(u, 2) == 0.0

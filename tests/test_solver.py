@@ -9,8 +9,9 @@ from symcrit import functional, grid, group, integrand, symmetrize, verify
 from symcrit.errors import NumericalFailureError, ParameterError
 from symcrit.grid import GridFunction
 from symcrit.solver import (PS_CSV_HEADER, TAIL_RETENTION, PSRecord,
-                            SolveConfig, compare_levels, config_digest,
-                            default_psi, init_endpoints, ps_diagnostics, run)
+                            SolveConfig, _reparametrize, compare_levels,
+                            config_digest, default_psi, init_endpoints,
+                            ps_diagnostics, run)
 
 from conftest import poison_residual
 
@@ -308,6 +309,51 @@ def test_solver_level_matches_value_grid_search(toy_model):
 # solve runs
 
 
+def reparametrize_reference(model, w, path, f_path, k_keep):
+    """Node-at-a-time resampling from the old polyline, one energy call
+    per node: what ``_reparametrize`` must reproduce bit for bit."""
+    m = len(path)
+    old = [row.copy() for row in path]
+    seg = np.array([math.sqrt(float(np.sum(w * d * d)))
+                    for d in (old[k + 1] - old[k] for k in range(m - 1))])
+    total = float(seg.sum())
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    targets = np.linspace(0.0, total, m)
+    for k in range(1, m - 1):
+        if k == k_keep:
+            continue
+        pos = min(float(targets[k]), total)
+        j = int(np.searchsorted(cum, pos, side="right")) - 1
+        j = min(max(j, 0), m - 2)
+        frac = 0.0 if seg[j] == 0.0 else (pos - cum[j]) / seg[j]
+        cand = (1.0 - frac) * old[j] + frac * old[j + 1]
+        f_c = functional.energy_of_values(model, cand)
+        if math.isfinite(f_c):
+            path[k] = cand
+            f_path[k] = f_c
+    return total
+
+
+@pytest.mark.parametrize("k_keep", [1, 5, 10])
+def test_reparametrize_matches_sequential_reference(square_model, k_keep):
+    dom = square_model.domain
+    rng = np.random.default_rng(7)
+    path = np.linspace(0.0, 1.0, 12)[:, None] * (3.0 * default_psi(dom).values)
+    path[1:-1] += 0.2 * rng.standard_normal((10, dom.n_nodes))
+    path[:, dom.boundary] = 0.0
+    path[4] = path[3]                   # a zero-length segment
+    f_path = functional.energy_of_values(square_model, path)
+    before = path.copy()
+    ref_path, ref_f = path.copy(), f_path.copy()
+    total = _reparametrize(square_model, dom.weights, path, f_path, k_keep)
+    assert total == reparametrize_reference(square_model, dom.weights,
+                                            ref_path, ref_f, k_keep)
+    assert np.array_equal(path, ref_path)
+    assert np.array_equal(f_path, ref_f)
+    assert np.array_equal(path[k_keep], before[k_keep])
+    assert not np.array_equal(path, before)
+
+
 def test_restricted_iterates_stay_invariant(square_run):
     sym, cfg, rep = square_run
     assert rep.converged
@@ -493,3 +539,23 @@ def test_diagnostics_measure_tail_spread(toy_model):
     want = grid.norm_lm(GridFunction(dom, b - c), toy_model.q)
     assert diag.cauchy_tail == pytest.approx(want, rel=1e-12)
     assert diag.cauchy_points == 2
+
+
+def test_cauchy_tail_matches_pairwise_definition(square_model):
+    # 600 rows give a 150-row tail quartile, which the sweep subsamples
+    # to 120 points at an even stride
+    dom, q = square_model.domain, square_model.q
+    rng = np.random.default_rng(11)
+    vals = 1.0 + np.geomspace(1.0, 1e-6, 600)[:, None] \
+        * rng.standard_normal((600, dom.n_nodes))
+    vals[:, dom.boundary] = 0.0
+    rows = [(2.0, 1.0, 5.0, 0.0, 0.0)] * 600
+    diag = ps_diagnostics(synthetic_record(rows, vals), square_model)
+    pts = vals[-150:][np.unique(np.linspace(0, 149, 120).astype(int))]
+    want = 0.0
+    for a in range(len(pts)):
+        for b in range(a + 1, len(pts)):
+            want = max(want, grid.norm_lm(GridFunction(dom, pts[a] - pts[b]),
+                                          q))
+    assert diag.cauchy_points == 120
+    assert diag.cauchy_tail == want
