@@ -270,6 +270,8 @@ def cmd_solve(args) -> int:
         "converged": rep.converged,
         "level": rep.level,
         "iterations": rep.iterations,
+        "stage_iterations": rep.stage_iterations,
+        "ray_exit": rep.ray_exit,
         "sweep_start": rep.sweep_start,
         "record_length": len(rep.record),
         "solver_config_hash": rep.config_hash,

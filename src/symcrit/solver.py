@@ -1,13 +1,14 @@
 """Discrete mountain-pass solver: plain, restricted, and direct modes.
 
-``run`` builds the endpoints 0 and e and a noisy path between them, then
-runs stages on one shared state: the path stage descends the path's
-maximum-energy point, the polish stage contracts from the best point seen
-by conjugate gradient on the squared dual residual norm, and in direct
-mode a second polish, the cone sweep, keeps every trial on the
-rearrangement cone.  Restricted mode projects every direction onto the
-invariant subspace.  The path is one (m, n) array of nodal values, so the
-nodes a path step moves or resamples are priced by one stacked energy call.
+``run`` builds the endpoints 0 and e and runs stages on one shared state.
+The ray stage is the local minimax method of Li and Zhou: it descends the
+peak energy max_t f(t v) over directions v on the unit W^{1,p} sphere.
+Every ray crosses the sphere on which ``init_endpoints`` certifies f > 0,
+so no iterate can fall to u = 0.  If it stalls, the polish stage
+contracts from its last peak by conjugate gradient on the squared dual
+residual norm; in direct mode a second polish, the cone sweep, keeps
+every trial on the rearrangement cone.  Restricted mode projects every
+direction onto the invariant subspace.
 """
 
 from collections import deque
@@ -49,14 +50,14 @@ _INIT_NOISE = 0.05
 _SAMPLE_BLOCK_VALUES = 1 << 14
 
 _MAX_BACKTRACKS = 60
-_SMOOTHING = 0.25
 
-# path-phase handoff: iterations without progress of the path maximum
-# before polishing starts, and the share of the budget the path may use
-_STALL_PATIENCE = 300
-_PHASE1_FRACTION = 0.6
+# ray stage: energy samples per peak scan, iterations the dual residual
+# may go without halving before the polish takes over, metric refresh
+_SCAN_POINTS = 24
+_RAY_PATIENCE = 20
+_RAY_METRIC_REFRESH = 5
 
-# polish-phase cadences: metric refresh and higher-symmetry proposals
+# polish cadences: metric refresh and higher-symmetry proposals
 _METRIC_REFRESH = 100
 _SNAP_EVERY = 50
 
@@ -66,6 +67,8 @@ class SolveConfig:
     """Parameters of one mountain-pass run."""
 
     mode: str = "restricted"
+    # samples of the initial noisy path from 0 to e; the ray stage starts
+    # from the direction of its maximum-energy sample
     path_points: int = 12
     max_iterations: int = 5000
     grad_tol: float = 1e-8
@@ -99,7 +102,7 @@ def config_digest(cfg: SolveConfig) -> str:
 
 
 class PSRecord:
-    """Per-iteration log of the max-energy path point."""
+    """Per-iteration log of the current iterate."""
 
     def __init__(self):
         self.iteration = []
@@ -156,11 +159,7 @@ class EndpointData:
     sphere_samples: int
 
     def to_dict(self) -> dict:
-        return {
-            "rho0": self.rho0, "sigma0": self.sigma0, "tau": self.tau,
-            "f_zero": self.f_zero, "f_e": self.f_e,
-            "sphere_samples": self.sphere_samples,
-        }
+        return {k: v for k, v in vars(self).items() if k not in ("psi", "e")}
 
 
 @dataclass
@@ -179,6 +178,10 @@ class SolveReport:
     downgrade_reason: str | None = None
     # record row of the first polarization sweep (direct mode only)
     sweep_start: int | None = None
+    # iterations per stage ("ray", "polish", "sweep") and the ray stage's
+    # exit: its status and the dual residual it ended at
+    stage_iterations: dict | None = None
+    ray_exit: dict | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -191,19 +194,14 @@ def default_psi(domain) -> GridFunction:
         side = domain.extents["side"]
         x, y = domain.coords[:, 0], domain.coords[:, 1]
         vals = np.cos(math.pi * x / side) * np.cos(math.pi * y / side)
-    elif domain.kind == "disk-polar":
-        radius = domain.extents["radius"]
+    elif domain.kind in ("disk-polar", "radial-ball-1d"):
         r = np.sqrt(domain.radius2)
-        vals = np.cos(0.5 * math.pi * r / radius)
+        vals = np.cos(0.5 * math.pi * r / domain.extents["radius"])
     elif domain.kind == "annulus-polar":
         r_in = domain.extents["inner_radius"]
         r_out = domain.extents["outer_radius"]
         r = np.sqrt(domain.radius2)
         vals = np.sin(math.pi * (r - r_in) / (r_out - r_in))
-    elif domain.kind == "radial-ball-1d":
-        radius = domain.extents["radius"]
-        r = domain.coords[:, 0]
-        vals = np.cos(0.5 * math.pi * r / radius)
     else:
         raise ParameterError(f"no default bump for domain kind {domain.kind!r}")
     return GridFunction(domain, vals)
@@ -373,15 +371,14 @@ def _hess_dir(model, values, d):
 
 
 def _polish_metric(model, values):
-    """Solve with the SPD polish metric, or None when assembly fails.
+    """Solve with the SPD Picard metric, or None when assembly fails.
 
     G^T diag(c) G + M on the interior nodes: G the gradient rows of the
-    cell map, c the quasi-linear cell coefficient j_t/t frozen at the
-    current point and M the quadrature mass.  The coefficient is clamped
-    because j_t/t blows up at flat cells for p < 2.  Applied on both
-    sides of the merit gradient it matches the squared stiffness of the
-    merit, which a single application cannot.  The returned solve leaves
-    the Dirichlet entries exactly zero.
+    cell map, c the cell coefficient j_t/t frozen at the current point
+    (clamped, as it blows up at flat cells for p < 2) and M the mass.
+    The ray stage applies it to the residual; the polish applies it on
+    both sides of the merit gradient, to match the squared stiffness of
+    the merit.  The solve leaves the Dirichlet entries exactly zero.
     """
     dom = model.domain
     cs = dom.cells
@@ -419,61 +416,17 @@ def _snap_groups(domain, symmetry):
     merit decrease, so an unsuitable candidate costs one evaluation.
     """
     if domain.kind in ("disk-polar", "annulus-polar"):
-        labels = ["rotations_%d" % domain.meta["n_theta"]]
+        label = "rotations_%d" % domain.meta["n_theta"]
     elif domain.kind == "square":
-        labels = ["dihedral_4"]
+        label = "dihedral_4"
     else:
-        labels = []
+        return []
+    try:
+        g = group_mod.build_group(domain, label)
+    except SymmetryCompatibilityError:
+        return []
     current = 0 if symmetry is None else symmetry.order
-    out = []
-    for label in labels:
-        try:
-            g = group_mod.build_group(domain, label)
-        except SymmetryCompatibilityError:
-            continue
-        if g.order > current:
-            out.append(g)
-    return out
-
-
-def _segment_lengths(w, path):
-    """Quadrature-weighted L2 length of each segment of the polyline."""
-    d = np.diff(path, axis=0)
-    return np.sqrt(np.sum(w * d * d, axis=1))
-
-
-def _take_finite(model, path, f_path, rows, cand):
-    """Price candidate rows in one call; finite ones replace their row."""
-    f_c = functional.energy_of_values(model, cand)
-    ok = np.isfinite(f_c)
-    path[rows[ok]] = cand[ok]
-    f_path[rows[ok]] = f_c[ok]
-
-
-def _reparametrize(model, w, path, f_path, k_keep):
-    """String reparametrization: resample the interior nodes at uniform
-    arc length along the polyline, keeping the node k_keep in place.
-
-    Arc length uses the quadrature-weighted metric.  Without this
-    redistribution the free nodes cluster in the wells and the sampled
-    maximum stops representing the ridge crossing.  The resampling can
-    raise the sampled maximum transiently when a new node lands nearer a
-    segment's crest than the old one did.  Returns the polyline length.
-    """
-    m = len(path)
-    seg = _segment_lengths(w, path)
-    total = float(seg.sum())
-    if not math.isfinite(total) or total <= 0.0:
-        return total
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    rows = np.array([k for k in range(1, m - 1) if k != k_keep])
-    pos = np.minimum(np.linspace(0.0, total, m)[rows], total)
-    j = np.clip(np.searchsorted(cum, pos, side="right") - 1, 0, m - 2)
-    frac = np.divide(pos - cum[j], seg[j], out=np.zeros_like(pos),
-                     where=seg[j] != 0.0)[:, None]
-    _take_finite(model, path, f_path, rows,
-                 (1.0 - frac) * path[j] + frac * path[j + 1])
-    return total
+    return [g] if g.order > current else []
 
 
 def _merit_directions(metric, w, gm):
@@ -488,27 +441,25 @@ def _merit_directions(metric, w, gm):
 
 class _Solve:
     """State the stages of one run share: model, config and projector,
-    record and iteration counters, the path, the current iterate ``u``
-    and, from the first ``restart`` on, the polish's conjugate-gradient
-    memory and Picard metric."""
+    record and iteration counters, the current iterate ``u`` and, from
+    the first ``restart`` on, the polish's conjugate-gradient memory and
+    Picard metric."""
 
-    def __init__(self, model, cfg, project, path, trivial_level):
+    def __init__(self, model, cfg, project, trivial_level):
         self.model = model
         self.cfg = cfg
         self.project = project
         self.w = model.domain.weights
         self.trivial_level = trivial_level
-        self.path = path
-        self.f_path = functional.energy_of_values(model, path)
         self.record = PSRecord()
         self.it = 0
         self.polish_it = 0
         self.u = None
 
     def fail(self, msg):
-        state = {"iteration": self.it, "f_path": self.f_path.copy(),
-                 "path": self.path.copy()}
-        raise NumericalFailureError(msg, last_state=state)
+        raise NumericalFailureError(
+            f"{msg} at iteration {self.it}",
+            last_state={"iteration": self.it, "u": self.u.copy()})
 
     def measure(self, values, f_val, where):
         """Check the iterate, log its row (every row with log_iterations,
@@ -554,81 +505,124 @@ def _snap_restart(st, snaps, merit):
     return False
 
 
-def _path_stage(st):
-    """Ratchet the maximum-energy point of the path down to the pass.
+def _illinois(g, a, ga, b, gb, rtol):
+    """Root of g in [a, b] with g(a) >= 0 >= g(b) to rtol relative width:
+    regula falsi that halves the value kept at an end that stays put."""
+    side = 0
+    while ga != 0.0 and gb != 0.0 and b - a > rtol * b:
+        c = (a * gb - b * ga) / (gb - ga)
+        if not a < c < b:
+            break       # the secant root rounds to an end
+        gc = g(c)
+        if gc > 0.0:
+            a, ga, gb = c, gc, gb * 0.5 if side == 1 else gb
+            side = 1
+        else:
+            b, gb, ga = c, gc, ga * 0.5 if side == -1 else ga
+            side = -1
+    return a if abs(ga) <= abs(gb) else b
 
-    Uses at most ``_PHASE1_FRACTION`` of the budget.  Returns whether the
-    path maximum met the residual tolerance at a nontrivial level, and
-    the point the polish starts from: that maximum, or else the
-    smallest-gradient point seen at the lowest level the maximum reached.
+
+def _ray_peak(model, u):
+    """First local maximum of f on the ray through u and its energy, or
+    None.  A stacked energy scan over (0, 2 ||u||] in ``_SCAN_POINTS``
+    steps (stacks of at most ``_SAMPLE_BLOCK_VALUES`` values) doubles its
+    range while the samples rise, then zooms in until the ray derivative
+    changes sign across the first drop.  Illinois regula falsi on that
+    derivative fixes the peak to 1e-15 relative, where energy values
+    alone fix it to sqrt(eps).  Non-finite values raise
+    ``FloatingPointError``."""
+    norm = grid.w1p_norms(model.domain, u, model.p)
+    v = u / norm
+    lo, f_lo, hi = 0.0, 0.0, 2.0 * norm
+
+    def slope(t):
+        g = float(np.sum(functional.residual_of_values(model, t * v) * v))
+        if not math.isfinite(g):
+            raise FloatingPointError("residual")
+        return g
+
+    rows = max(1, _SAMPLE_BLOCK_VALUES // v.shape[-1])
+    for _ in range(_MAX_BACKTRACKS):
+        ts = np.linspace(lo, hi, _SCAN_POINTS + 1)
+        fs = np.concatenate([[f_lo]] + [
+            functional.energy_of_values(model, ts[k:k + rows, None] * v)
+            for k in range(1, _SCAN_POINTS + 1, rows)])
+        if not np.all(np.isfinite(fs)):
+            raise FloatingPointError("energy")
+        drop = np.flatnonzero(fs[1:] <= fs[:-1])
+        if drop.size == 0:
+            lo, f_lo, hi = ts[-2], fs[-2], 2.0 * hi
+            continue
+        k = max(int(drop[0]), 1)
+        a, b = ts[k - 1], ts[k + 1]
+        if a > 0.0:
+            g_a, g_b = slope(a), slope(b)
+            if g_a >= 0.0 >= g_b:
+                w = _illinois(slope, a, g_a, b, g_b, 1e-15) * v
+                return w, functional.energy_of_values(model, w)
+        lo, f_lo, hi = a, fs[k - 1], b
+    return None
+
+
+def _ray_stage(st, u0):
+    """Descend the peak energy f(t*(v) v) over unit directions v,
+    starting from the direction of u0.
+
+    A step moves the peak point along its Picard-metric gradient
+    (projected in restricted mode) and takes the peak of the new ray.  It
+    is accepted by Armijo on the peak energy or, once the energy change
+    is below roundoff, by a smaller dual residual.  Returns the status,
+    "converged", "stalled" (no step left, or the residual did not halve
+    in ``_RAY_PATIENCE`` iterations) or "budget", and the last residual.
     """
-    model, cfg, w = st.model, st.cfg, st.w
-    path, f_path = st.path, st.f_path
-    m = len(path)
-    step_mem = np.full(m, cfg.step_init)
-    length = sum(_segment_lengths(w, path).tolist())
-    u_best = None
-    g_best = f_best = math.inf
-    stall = 0
-    budget = max(1, int(_PHASE1_FRACTION * cfg.max_iterations))
-    while st.it < budget:
+    model, cfg, w, project = st.model, st.cfg, st.w, st.project
+    where = "in the ray stage"
+
+    def peak_of(u):
+        try:
+            return _ray_peak(model, u)
+        except FloatingPointError as exc:
+            st.fail(f"{exc} became non-finite {where}")
+
+    st.u = u0
+    first = peak_of(u0)
+    if first is None:
+        st.fail(f"no energy peak along the starting ray {where}")
+    st.u, f_u = first
+    s_mem = cfg.step_init
+    g_ref, it_ref = math.inf, 0
+    while st.it < cfg.max_iterations:
         st.it += 1
-        k_max = 1 + int(np.argmax(f_path[1:-1]))
-        # a copy: the row is rewritten below, the iterate must not move
-        u = st.u = path[k_max].copy()
-        f_u = float(f_path[k_max])
-        d, slope, grad_norm = st.measure(u, f_u, "at the path maximum")
+        d, _, grad_norm = st.measure(st.u, f_u, where)
         if grad_norm <= cfg.grad_tol:
-            if f_u > st.trivial_level:
-                return True, u
-            break
-        # stall counts iterations without any level progress
-        if f_u > st.trivial_level \
-                and f_u < f_best - 1e-12 * (1.0 + abs(f_u)):
-            f_best, g_best, u_best = f_u, grad_norm, u
-            stall = 0
-        else:
-            if f_u > st.trivial_level \
-                    and f_u <= f_best + 1e-9 * (1.0 + abs(f_u)) \
-                    and grad_norm < g_best:
-                g_best, u_best = grad_norm, u
-            stall += 1
-        if stall >= _STALL_PATIENCE and u_best is not None:
-            break
-
-        # Armijo backtracking on the max point, with the displacement
-        # capped at half a node spacing so a single step can never leap
-        # past the neighbors into the unbounded -|u|^q well; once the
-        # point slips below the sampled crest, a resampled neighbor takes
-        # over as the maximum
-        d_norm = math.sqrt(float(np.sum(w * d * d)))
-        t = step_mem[k_max]
-        if d_norm > 0.0 and length > 0.0:
-            t = min(t, 0.5 * length / ((m - 1) * d_norm))
-        accepted = False
+            return "converged", grad_norm
+        if grad_norm <= 0.5 * g_ref:
+            g_ref, it_ref = grad_norm, st.it
+        elif st.it - it_ref >= _RAY_PATIENCE:
+            return "stalled", grad_norm
+        covector = w * d
+        if st.it % _RAY_METRIC_REFRESH == 1:
+            metric = _polish_metric(model, st.u)
+        grad = d if metric is None else metric(covector)
+        if project is not None:
+            grad = group_mod.average_values(project, grad)
+        slope = float(np.sum(covector * grad))
+        s = s_mem
         for _ in range(_MAX_BACKTRACKS):
-            cand = u - t * d
-            f_c = functional.energy_of_values(model, cand)
-            if math.isfinite(f_c) and f_c <= f_u - cfg.armijo * t * slope:
-                accepted = True
+            cand = peak_of(st.u - s * grad)
+            if cand is not None and (
+                    cand[1] <= f_u - cfg.armijo * s * slope
+                    or abs(cand[1] - f_u) <= 1e-14 * (1.0 + abs(f_u))
+                    and _slope_parts(model, cand[0], w, project)[2]
+                    < grad_norm):
                 break
-            t *= cfg.step_shrink
-        if accepted:
-            path[k_max] = cand
-            f_path[k_max] = f_c
-            step_mem[k_max] = min(cfg.step_init, t / cfg.step_shrink)
+            s *= cfg.step_shrink
         else:
-            step_mem[k_max] = max(t, 1e-300)
-
-        # pull the neighbors toward the segment midpoints to keep the
-        # polyline from kinking around the moving maximum
-        nbrs = np.array([k for k in (k_max - 1, k_max + 1) if 0 < k < m - 1])
-        mid = 0.5 * (path[nbrs - 1] + path[nbrs + 1])
-        _take_finite(model, path, f_path, nbrs,
-                     (1.0 - _SMOOTHING) * path[nbrs] + _SMOOTHING * mid)
-
-        length = _reparametrize(model, w, path, f_path, k_max)
-    return False, st.u if u_best is None else u_best
+            return "stalled", grad_norm
+        st.u, f_u = cand
+        s_mem = min(cfg.step_init, s / cfg.step_shrink)
+    return "budget", grad_norm
 
 
 def _line_search(st, direction, gm, mslope, merit, t, cone):
@@ -756,15 +750,12 @@ def _polish_stage(st, start, snaps, sweep_quota=None):
 def run(model, symmetry, cfg: SolveConfig) -> SolveReport:
     """Mountain-pass solve; returns a report (non-convergence included).
 
-    The path stage locates the saddle only to about the node spacing;
-    near a nondegenerate critical point the polish merit is locally
-    convex, so the polish contracts where plain energy descent would
-    slide off the saddle.  Direct mode sweeps only after the contraction:
-    far from the solution the merit route runs through sign-changing
-    territory where a sweep and the contraction fight each other, while
-    near the symmetric limit they cooperate.  The sweep runs until the
-    swept segment owns the final quartile of the record, so the tail
-    statistics are measured on iterates that follow it.
+    The ray stage starts from the direction of the maximum-energy sample
+    of a seeded noisy path from 0 to e.  Direct mode always polishes and
+    then sweeps: far from the solution a sweep and the contraction fight
+    each other, near the symmetric limit they cooperate.  The sweep runs
+    until the swept segment owns the final quartile of the record, so the
+    tail statistics are measured on iterates that follow it.
     """
     t_start = time.perf_counter()
     domain = model.domain
@@ -784,32 +775,39 @@ def run(model, symmetry, cfg: SolveConfig) -> SolveReport:
     project = symmetry if mode == "restricted" else None
 
     endpoints = init_endpoints(model, project, seed=cfg.seed)
+    # the interior samples of a seeded noisy path from 0 to e
     e_vals = endpoints.e.values
-    rng = np.random.default_rng([cfg.seed, 1])
-    scale = _INIT_NOISE * float(np.max(np.abs(e_vals)))
-    path = np.linspace(0.0, 1.0, cfg.path_points)[:, None] * e_vals
-    noise = rng.standard_normal((cfg.path_points - 2, domain.n_nodes))
+    noise = np.random.default_rng([cfg.seed, 1]).standard_normal(
+        (cfg.path_points - 2, domain.n_nodes))
     noise[:, domain.boundary] = 0.0
-    path[1:-1] += scale * noise
+    path = (np.linspace(0.0, 1.0, cfg.path_points)[1:-1, None] * e_vals
+            + _INIT_NOISE * float(np.max(np.abs(e_vals))) * noise)
     if project is not None:
-        path[1:-1] = group_mod.average_values(project, path[1:-1])
+        path = group_mod.average_values(project, path)
     # a point polished down to the zero local minimum is not a pass; the
     # sampled sigma0 overestimates the true sphere infimum, so only a
     # scale-relative zero test is safe as the triviality gate
-    st = _Solve(model, cfg, project, path,
+    st = _Solve(model, cfg, project,
                 trivial_level=1e-10 * (1.0 + abs(endpoints.f_e)))
 
-    converged, start = _path_stage(st)
+    u0 = path[int(np.argmax(functional.energy_of_values(model, path)))]
+    status, residual = _ray_stage(st, u0)
+    level = (functional.energy_of_values(model, st.u)
+             if status == "converged" else None)
+    stages = {"ray": st.it, "polish": 0, "sweep": 0}
     sweep_start = None
-    if st.it < cfg.max_iterations and (not converged or mode == "direct"):
+    if st.it < cfg.max_iterations \
+            and (status == "stalled" or mode == "direct"):
         snaps = _snap_groups(domain, project)
-        level = _polish_stage(st, start, snaps)
+        level = _polish_stage(st, st.u, snaps)
+        stages["polish"] = st.it - stages["ray"]
         if level is not None and mode == "direct":
             sweep_start = len(st.record)
             swept = symmetrize.schwarz_values(domain, st.u)
             level = _polish_stage(st, swept, snaps,
                                   sweep_quota=max(1, -(-sweep_start // 3)))
-        converged = level is not None and level > st.trivial_level
+            stages["sweep"] = st.it - stages["ray"] - stages["polish"]
+    converged = level is not None and level > st.trivial_level
 
     u_final = GridFunction(domain, st.u)
     return SolveReport(
@@ -826,6 +824,8 @@ def run(model, symmetry, cfg: SolveConfig) -> SolveReport:
         config_hash=config_digest(cfg),
         downgrade_reason=downgrade_reason,
         sweep_start=sweep_start,
+        stage_iterations=stages,
+        ray_exit={"status": status, "residual": residual},
     )
 
 
@@ -845,11 +845,8 @@ class LevelComparison:
     restricted_report: SolveReport
 
     def to_dict(self) -> dict:
-        return {
-            "declined": self.declined, "reason": self.reason,
-            "c_plain": self.c_plain, "c_restricted": self.c_restricted,
-            "ordered": self.ordered, "tolerance": self.tolerance,
-        }
+        return {k: v for k, v in vars(self).items()
+                if not k.endswith("_report")}
 
 
 def compare_levels(model, symmetry, cfg: SolveConfig,

@@ -85,6 +85,37 @@ def test_solve_report_content(solved):
     assert diag["violations"] == []
 
 
+def test_solve_report_names_the_stages(solved):
+    _, _, out = solved
+    rep = read_json(os.path.join(out, "solve_report.json"))
+    stages = rep["stage_iterations"]
+    assert set(stages) == {"ray", "polish", "sweep"}
+    assert sum(stages.values()) == rep["iterations"]
+    assert stages["ray"] > 0 and stages["sweep"] == 0
+    ray = rep["ray_exit"]
+    assert ray["status"] in ("converged", "stalled", "budget")
+    # the polish runs only after a stall, outside direct mode
+    assert (stages["polish"] > 0) == (ray["status"] == "stalled")
+    if ray["status"] == "converged":
+        assert ray["residual"] <= 1e-8
+
+
+def test_solve_keeps_scipy_optimize_unloaded(tmp_path):
+    # importing scipy.optimize costs about 16 MB of resident memory, more
+    # than a solve at desk scale needs for everything else
+    cfg = write_cfg(tmp_path, TOY_BALL.replace("max_iterations = 10",
+                                               "max_iterations = 5000"))
+    code = ("import sys; from symcrit import cli; "
+            f"rc = cli.main(['solve', '--config', {cfg!r}, '--out', "
+            f"{str(tmp_path / 'o')!r}, '--quiet']); "
+            "print(rc, 'scipy.optimize' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out == ["0", "False"]
+
+
 def test_manifest_inventories_payloads(solved):
     _, _, out = solved
     man = read_json(os.path.join(out, "manifest.json"))
@@ -220,15 +251,17 @@ TOY_BALL = ("domain.kind = radial-ball-1d\n"
 
 
 def test_numerical_failure_exits_two_with_report(tmp_path, monkeypatch):
-    poison_residual(monkeypatch, 7)
+    # residual calls 1-11 price the starting peak and call 12 measures
+    # iteration 1, so call 14 falls inside iteration 1's peak search
+    poison_residual(monkeypatch, 14)
     cfg = write_cfg(tmp_path, TOY_BALL)
     out = str(tmp_path / "o")
     rc = cli.main(["solve", "--config", cfg, "--out", out, "--quiet"])
     assert rc == 2
     rep = read_json(os.path.join(out, "solve_report.json"))
     assert rep["converged"] is False
-    assert "during polishing" in rep["failure"]["message"]
-    assert rep["failure"]["iteration"] == 7
+    assert "in the ray stage" in rep["failure"]["message"]
+    assert rep["failure"]["iteration"] == 1
     man = read_json(os.path.join(out, "manifest.json"))
     assert man["stages"]["solve"] == "numerical-failure"
     assert set(man["files"]) == {"solve_report.json"}

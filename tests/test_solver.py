@@ -9,9 +9,9 @@ from symcrit import functional, grid, group, integrand, symmetrize, verify
 from symcrit.errors import NumericalFailureError, ParameterError
 from symcrit.grid import GridFunction
 from symcrit.solver import (PS_CSV_HEADER, TAIL_RETENTION, PSRecord,
-                            SolveConfig, _reparametrize, compare_levels,
-                            config_digest, default_psi, init_endpoints,
-                            ps_diagnostics, run)
+                            SolveConfig, _SCAN_POINTS, _ray_peak,
+                            compare_levels, config_digest, default_psi,
+                            init_endpoints, ps_diagnostics, run)
 
 from conftest import poison_residual
 
@@ -86,25 +86,55 @@ def test_restricted_mode_requires_group(toy_model):
         run(toy_model, None, cfg)
 
 
-@pytest.mark.parametrize("bad_call, where", [
-    (3, "at the path maximum"),
-    (7, "during polishing"),
+@pytest.mark.parametrize("mode, bad_call, where, iteration", [
+    # on the toy ball residual calls 1-11 price the starting peak and
+    # call 12 measures iteration 1, so call 14 falls inside the peak
+    # search of iteration 1's first trial step
+    ("plain", 14, "in the ray stage", 1),
+    # the ray stage on the direct-mode ball converges in 66 iterations
+    # and 715 residual calls, so call 716 is the first polish measurement
+    ("direct", 716, "during polishing", 67),
 ])
-def test_nonfinite_residual_names_the_stage(toy_model, monkeypatch,
-                                            bad_call, where):
-    # with a budget of 10 the path stage runs 6 iterations and computes
-    # one residual in each, so call 7 is the first polish measurement
+def test_nonfinite_residual_names_the_stage(toy_model, monkeypatch, mode,
+                                            bad_call, where, iteration):
+    # the direct-mode gate passes on the modulated ball at res 30
+    model = toy_model if mode == "plain" else make_model(
+        "radial-ball-1d", dict(dimension=3, radius=12.0, resolution=30),
+        name="modulated", positivity=True)
     poison_residual(monkeypatch, bad_call)
-    cfg = SolveConfig(mode="plain", max_iterations=10)
+    cfg = SolveConfig(mode=mode,
+                      max_iterations=10 if mode == "plain" else 20000)
     with pytest.raises(NumericalFailureError,
-                       match=f"residual became non-finite {where}") as err:
-        run(toy_model, None, cfg)
+                       match=f"residual became non-finite {where} "
+                             f"at iteration {iteration}") as err:
+        run(model, None, cfg)
     state = err.value.last_state
-    assert state["iteration"] == bad_call
-    assert len(state["path"]) == cfg.path_points
-    assert all(v.shape == (toy_model.domain.n_nodes,)
-               for v in state["path"])
-    assert np.all(np.isfinite(state["f_path"]))
+    assert state["iteration"] == iteration
+    assert state["u"].shape == (model.domain.n_nodes,)
+    assert np.all(np.isfinite(state["u"]))
+
+
+def test_nonfinite_energy_in_peak_search_names_the_stage(toy_model,
+                                                        monkeypatch):
+    # only the peak scans price stacks of _SCAN_POINTS rows: the first
+    # scan finds the starting peak, the second belongs to iteration 1
+    clean = functional.energy_of_values
+    scans = []
+
+    def poisoned(model, values):
+        f = clean(model, values)
+        if np.ndim(values) == 2 and len(values) == _SCAN_POINTS:
+            scans.append(1)
+            if len(scans) >= 2:
+                return np.full_like(f, np.nan)
+        return f
+
+    monkeypatch.setattr(functional, "energy_of_values", poisoned)
+    with pytest.raises(NumericalFailureError,
+                       match="energy became non-finite in the ray stage "
+                             "at iteration 1") as err:
+        run(toy_model, None, SolveConfig(mode="plain", max_iterations=10))
+    assert np.all(np.isfinite(err.value.last_state["u"]))
 
 
 # ---------------------------------------------------------------------------
@@ -306,52 +336,58 @@ def test_solver_level_matches_value_grid_search(toy_model):
 
 
 # ---------------------------------------------------------------------------
+# ray peak
+
+
+@pytest.mark.parametrize("kind, dom_kw, p, q", [
+    ("square", dict(side=6.0, resolution=9), 1.8, 3.0),
+    ("radial-ball-1d", dict(dimension=3, radius=12.0, resolution=30),
+     2.0, 4.0),
+])
+@pytest.mark.parametrize("scale", [0.02, 1.0, 40.0])
+def test_ray_peak_matches_closed_form(kind, dom_kw, p, q, scale):
+    # plaplace does not depend on u itself, so on this discretization
+    # f(t v) = A t^p - B t^q exactly, with its single peak in closed form;
+    # starting points far inside and far beyond the peak exercise the
+    # range doubling and the zoom of the scan
+    model = make_model(kind, dom_kw, p=p, q=q)
+    dom = model.domain
+    rng = np.random.default_rng(5)
+    v = default_psi(dom).values + 0.3 * rng.standard_normal(dom.n_nodes)
+    v[dom.boundary] = 0.0
+    avg, grad, _ = grid.cell_values(dom, v)
+    a = float(np.sum(dom.cells.weights * (grad ** p + np.abs(avg) ** p))) / p
+    b = float(np.sum(dom.cells.weights * np.abs(avg) ** q)) / q
+    t_want = (p * a / (q * b)) ** (1.0 / (q - p))
+    peak, f = _ray_peak(model, scale * t_want * v)
+    t = grid.w1p_norms(dom, peak, p) / grid.w1p_norms(dom, v, p)
+    assert t == pytest.approx(t_want, rel=1e-12)
+    assert f == pytest.approx(a * t_want ** p - b * t_want ** q, rel=1e-12)
+    ray_slope = float(np.sum(functional.residual_of_values(model, peak) * v))
+    assert abs(ray_slope) <= 1e-13 * p * a * t_want ** (p - 1.0)
+
+
+# ---------------------------------------------------------------------------
 # solve runs
 
 
-def reparametrize_reference(model, w, path, f_path, k_keep):
-    """Node-at-a-time resampling from the old polyline, one energy call
-    per node: what ``_reparametrize`` must reproduce bit for bit."""
-    m = len(path)
-    old = [row.copy() for row in path]
-    seg = np.array([math.sqrt(float(np.sum(w * d * d)))
-                    for d in (old[k + 1] - old[k] for k in range(m - 1))])
-    total = float(seg.sum())
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    targets = np.linspace(0.0, total, m)
-    for k in range(1, m - 1):
-        if k == k_keep:
-            continue
-        pos = min(float(targets[k]), total)
-        j = int(np.searchsorted(cum, pos, side="right")) - 1
-        j = min(max(j, 0), m - 2)
-        frac = 0.0 if seg[j] == 0.0 else (pos - cum[j]) / seg[j]
-        cand = (1.0 - frac) * old[j] + frac * old[j + 1]
-        f_c = functional.energy_of_values(model, cand)
-        if math.isfinite(f_c):
-            path[k] = cand
-            f_path[k] = f_c
-    return total
-
-
-@pytest.mark.parametrize("k_keep", [1, 5, 10])
-def test_reparametrize_matches_sequential_reference(square_model, k_keep):
-    dom = square_model.domain
-    rng = np.random.default_rng(7)
-    path = np.linspace(0.0, 1.0, 12)[:, None] * (3.0 * default_psi(dom).values)
-    path[1:-1] += 0.2 * rng.standard_normal((10, dom.n_nodes))
-    path[:, dom.boundary] = 0.0
-    path[4] = path[3]                   # a zero-length segment
-    f_path = functional.energy_of_values(square_model, path)
-    before = path.copy()
-    ref_path, ref_f = path.copy(), f_path.copy()
-    total = _reparametrize(square_model, dom.weights, path, f_path, k_keep)
-    assert total == reparametrize_reference(square_model, dom.weights,
-                                            ref_path, ref_f, k_keep)
-    assert np.array_equal(path, ref_path)
-    assert np.array_equal(f_path, ref_f)
-    assert np.array_equal(path[k_keep], before[k_keep])
-    assert not np.array_equal(path, before)
+@pytest.mark.parametrize("res", [30, 40, 60, 120])
+def test_radial_ball_reaches_the_pass_at_every_seed(res):
+    # every ray from 0 crosses the sphere on which f > 0 is certified, so
+    # no seed may collapse to u = 0 or stall; all seeds find one level
+    model = make_model("radial-ball-1d",
+                       dict(dimension=3, radius=12.0, resolution=res),
+                       positivity=True)
+    sym = group.build_group(model.domain, "trivial")
+    levels = []
+    for seed in range(4):
+        rep = run(model, sym, SolveConfig(mode="restricted", path_points=12,
+                                          max_iterations=20000,
+                                          grad_tol=1e-8, seed=seed))
+        assert rep.converged, seed
+        assert rep.level > 1e-10 * (1.0 + abs(rep.endpoints.f_e))
+        levels.append(rep.level)
+    assert max(levels) - min(levels) <= 1e-9 * max(levels)
 
 
 def test_restricted_iterates_stay_invariant(square_run):
