@@ -68,13 +68,24 @@ def _q_slope(model, s):
     return _power_slope(s, model.q)
 
 
+def _density(model, avg, t):
+    """Energy density per cell from the cell averages and |Du|."""
+    p = model.p
+    return model.integrand.j(avg, t) + np.abs(avg) ** p / p \
+        - _q_value(model, avg)
+
+
+def _value_slope(model, avg, t):
+    """Partial derivative of the density in the cell average."""
+    return model.integrand.j_s(avg, t) + _power_slope(avg, model.p) \
+        - _q_slope(model, avg)
+
+
 def energy_of_values(model: EnergyModel, values: np.ndarray):
     """f of one nodal vector (a float), or of each row of a (k, n) stack
     (a (k,) array), from one product with the cell map."""
-    dom, J, p = model.domain, model.integrand, model.integrand.p
-    avg, t, _ = cell_values(dom, values)
-    density = J.j(avg, t) + np.abs(avg) ** p / p - _q_value(model, avg)
-    f = np.sum(dom.cells.weights * density, axis=-1)
+    avg, t, _ = cell_values(model.domain, values)
+    f = np.sum(model.domain.cells.weights * _density(model, avg, t), axis=-1)
     return f if f.ndim else float(f)
 
 
@@ -86,12 +97,11 @@ def energy(model: EnergyModel, u: GridFunction) -> float:
 
 def residual_of_values(model: EnergyModel, values: np.ndarray) -> np.ndarray:
     """All partial derivatives f'(u) e_i in one sweep, zero on the boundary."""
-    dom, J, p = model.domain, model.integrand, model.integrand.p
+    dom, J = model.domain, model.integrand
     cs = dom.cells
     avg, t, grads = cell_values(dom, values)
 
-    s_part = cs.weights * (J.j_s(avg, t) + _power_slope(avg, p)
-                           - _q_slope(model, avg))
+    s_part = cs.weights * _value_slope(model, avg, t)
     t_part = cs.weights * J.j_t(avg, t)
     ratio = np.divide(t_part, t, out=np.zeros_like(t), where=t > 0)
 
@@ -105,75 +115,42 @@ def directional_derivative(model: EnergyModel, u: GridFunction,
     """f'(u) v with the j_t * Du/|Du| = 0 convention on flat cells."""
     _check_domain(model, u)
     _check_domain(model, v)
-    dom, J, p = model.domain, model.integrand, model.integrand.p
+    dom, J = model.domain, model.integrand
     avg, t, grads = cell_values(dom, u.values)
     vavg, _, vgrads = cell_values(dom, v.values)
 
-    s_term = (J.j_s(avg, t) + _power_slope(avg, p) - _q_slope(model, avg)) * vavg
+    s_term = _value_slope(model, avg, t) * vavg
     dot = (grads * vgrads).sum(axis=0)
     t_term = np.divide(J.j_t(avg, t) * dot, t, out=np.zeros_like(t), where=t > 0)
     return float(np.sum(dom.cells.weights * (s_term + t_term)))
 
 
-# ---------------------------------------------------------------------------
-# truncation and cutoff utilities
+@dataclass(frozen=True)
+class Ray:
+    """The energy along the ray t v, t >= 0, priced from v's cell
+    quantities alone: the cell averages and |Du| of t v are t times those
+    of v, so no further product with the cell map is needed."""
+
+    model: EnergyModel
+    avg: np.ndarray             # cell averages of v
+    grad: np.ndarray            # |Dv| per cell
+
+    def energies(self, ts) -> np.ndarray:
+        """f(t v) for each t of a 1-D array, one (len(ts), cells) stack."""
+        ts = np.asarray(ts, dtype=np.float64)[:, None]
+        density = _density(self.model, ts * self.avg, ts * self.grad)
+        return np.sum(self.model.domain.cells.weights * density, axis=-1)
+
+    def slope(self, t: float) -> float:
+        """d/dt f(t v) = f'(t v) v; flat cells contribute j_t * 0."""
+        s, g = t * self.avg, t * self.grad
+        terms = _value_slope(self.model, s, g) * self.avg \
+            + self.model.integrand.j_t(s, g) * self.grad
+        return float(np.sum(self.model.domain.cells.weights * terms))
 
 
-def truncate(values, k: float):
-    """T_k: clamp values to [-k, k]; 1-Lipschitz, identity on |s| <= k."""
-    if k <= 0:
-        raise ParameterError(f"truncation level must be positive, got {k}")
-    return np.clip(values, -k, k)
-
-
-def cutoff(values):
-    """C^1 bump H: 1 on [-1, 1], 0 outside [-2, 2], |H'| <= 2."""
-    s = np.abs(np.asarray(values, dtype=np.float64))
-    x = np.clip(s - 1.0, 0.0, 1.0)
-    return 1.0 - x * x * (3.0 - 2.0 * x)
-
-
-def clamped_ramp(values, slope: float, radius: float):
-    """zeta(s) = slope * min(|s|, radius): linear near 0, then flat."""
-    if slope < 0 or radius < 0:
-        raise ParameterError("ramp slope and radius must be nonnegative")
-    return slope * np.minimum(np.abs(values), radius)
-
-
-@dataclass
-class PositivityCertificate:
-    """Outcome of testing f'(u) against the sign-probing direction."""
-
-    value: float                 # f'(u) applied to -u^- e^{zeta(u)}
-    negative_part_norm: float    # ||u^-||_p with the node quadrature
-    cell_lower_bound: float      # cell-quadrature integral of |avg(u)^-|^p
-    slope: float
-    radius: float
-
-
-def positivity_certificate(model: EnergyModel, u: GridFunction,
-                           slope: float = 1.0,
-                           radius: float = None) -> PositivityCertificate:
-    """Probe in the direction -u^- e^{zeta(u)}.
-
-    At a critical point this derivative vanishes while it dominates the
-    integral of |u^-|^p, so a vanishing certificate value certifies that
-    the negative part is numerically zero.
-    """
-    _check_domain(model, u)
-    J = model.integrand
-    if radius is None:
-        radius = J.sign_radius
-    neg = np.maximum(-u.values, 0.0)
-    v = GridFunction(model.domain,
-                     -neg * np.exp(clamped_ramp(u.values, slope, radius)))
-    value = directional_derivative(model, u, v)
-
-    p = J.p
-    norm_neg = float(np.sum(model.domain.weights * neg ** p) ** (1.0 / p))
-    avg = cell_values(model.domain, u.values)[0]
-    cell_bound = float(np.sum(model.domain.cells.weights
-                              * np.maximum(-avg, 0.0) ** p))
-    return PositivityCertificate(value=value, negative_part_norm=norm_neg,
-                                 cell_lower_bound=cell_bound,
-                                 slope=slope, radius=radius)
+def ray(model: EnergyModel, values: np.ndarray) -> Ray:
+    """The ray through one nodal vector, from one product with the cell
+    map."""
+    avg, t, _ = cell_values(model.domain, values)
+    return Ray(model, avg, t)

@@ -6,9 +6,10 @@ peak energy max_t f(t v) over directions v on the unit W^{1,p} sphere.
 Every ray crosses the sphere on which ``init_endpoints`` certifies f > 0,
 so no iterate can fall to u = 0.  If it stalls, the polish stage
 contracts from its last peak by conjugate gradient on the squared dual
-residual norm; in direct mode a second polish, the cone sweep, keeps
-every trial on the rearrangement cone.  Restricted mode projects every
-direction onto the invariant subspace.
+residual norm; in direct mode the cone sweep, the same polish run from
+the rearranged converged point, keeps every trial on the rearrangement
+cone.  Restricted mode projects every direction onto the invariant
+subspace.
 """
 
 from collections import deque
@@ -45,8 +46,9 @@ TAIL_RETENTION = 600
 # the initial path (projected away again in restricted mode)
 _INIT_NOISE = 0.05
 
-# sphere samples are priced in stacks of about this many nodal values,
-# so the stacked temporaries stay small at any grid size
+# sphere samples and ray scans are priced in stacks of about this many
+# nodal or cell values, so the stacked temporaries stay small at any grid
+# size (a ray scan that falls out of cache is slower than its row loop)
 _SAMPLE_BLOCK_VALUES = 1 << 14
 
 _MAX_BACKTRACKS = 60
@@ -370,32 +372,106 @@ def _hess_dir(model, values, d):
     return (rp - rm) / (2.0 * eps)
 
 
+@dataclass(frozen=True)
+class _MetricStencil:
+    """The fixed sparsity pattern of the Picard metric G^T diag(c) G + M
+    on the interior nodes, and the linear maps that fill it from c.
+
+    ``fill`` maps the per-cell coefficients to the CSC data of the
+    contribution of the gradient rows with at most four nonzeros.  A row
+    with more (a disk core cell, whose inner corner is the average of the
+    whole first ring) would put the square of the ring size into ``fill``
+    per cell; those rows are kept as one dense ``block`` over the columns
+    they touch and added as block^T diag(c) block.
+    """
+
+    fill: sparse.csr_matrix
+    indices: np.ndarray
+    indptr: np.ndarray
+    diag: np.ndarray            # CSC positions of the diagonal
+    block_cells: np.ndarray     # cell of each dense block row
+    block: np.ndarray
+    block_pos: np.ndarray       # CSC positions of the ring x ring entries
+
+    def matrix(self, coef, mass):
+        """G^T diag(c) G + diag(mass) as a CSC matrix, c = coef per cell
+        (repeated over the gradient components)."""
+        data = self.fill @ coef
+        data[self.block_pos] += ((self.block.T * coef[self.block_cells])
+                                 @ self.block).ravel()
+        data[self.diag] += mass
+        n = self.indptr.shape[0] - 1
+        return sparse.csc_matrix((data, self.indices, self.indptr),
+                                 shape=(n, n))
+
+
+def _metric_stencil(domain):
+    """The domain's ``_MetricStencil``; ``_polish_metric`` caches it."""
+    cs = domain.cells
+    g = cs.op[cs.count:, domain.interior]
+    n = g.shape[1]
+    per_row = np.diff(g.indptr)
+    row = np.repeat(np.arange(g.shape[0]), per_row)
+    wide = per_row > 4
+    # every two nonzeros of one row r, in columns i and j, add
+    # g[r, i] g[r, j] c[r mod cells] to the entry (i, j)
+    narrow = np.flatnonzero(~wide[row])
+    reps = per_row[row[narrow]]
+    first = np.repeat(narrow, reps)
+    second = np.arange(first.shape[0]) + np.repeat(
+        g.indptr[row[narrow]] - np.cumsum(reps) + reps, reps)
+    ring = np.unique(g.indices[wide[row]])
+    # CSC order: column-major keys col * n + row
+    pair_keys = g.indices[second] * n + g.indices[first]
+    ring_keys = (ring[None, :] * n + ring[:, None]).ravel()
+    diag_keys = np.arange(n) * (n + 1)
+    keys = np.unique(np.concatenate([pair_keys, ring_keys, diag_keys]))
+    fill = sparse.csr_matrix(
+        (g.data[first] * g.data[second],
+         (np.searchsorted(keys, pair_keys), row[first] % cs.count)),
+        shape=(keys.shape[0], cs.count))
+    wide_rows = np.flatnonzero(wide)
+    return _MetricStencil(
+        fill=fill,
+        indices=(keys % n).astype(np.intc),
+        indptr=np.searchsorted(keys // n, np.arange(n + 1)).astype(np.intc),
+        diag=np.searchsorted(keys, diag_keys),
+        block_cells=wide_rows % cs.count,
+        block=g[wide_rows][:, ring].toarray(),
+        block_pos=np.searchsorted(keys, ring_keys))
+
+
+def _metric_coefficients(model, values):
+    """Cell coefficients of the Picard metric: the quadrature weight times
+    j_t/t frozen at ``values``, clamped to [1e-6, 1e6] times the median
+    positive value (j_t/t blows up at flat cells for p < 2)."""
+    avg, t, _ = grid.cell_values(model.domain, values)
+    t_floor = 1e-8 * (1.0 + float(t.max(initial=0.0)))
+    t_eff = np.maximum(t, t_floor)
+    a = model.integrand.j_t(avg, t_eff) / t_eff
+    positive = a[a > 0]
+    med = float(np.median(positive)) if positive.size else 1.0
+    return model.domain.cells.weights * np.clip(a, 1e-6 * med, 1e6 * med)
+
+
 def _polish_metric(model, values):
     """Solve with the SPD Picard metric, or None when assembly fails.
 
     G^T diag(c) G + M on the interior nodes: G the gradient rows of the
-    cell map, c the cell coefficient j_t/t frozen at the current point
-    (clamped, as it blows up at flat cells for p < 2) and M the mass.
-    The ray stage applies it to the residual; the polish applies it on
-    both sides of the merit gradient, to match the squared stiffness of
-    the merit.  The solve leaves the Dirichlet entries exactly zero.
+    cell map, c the clamped cell coefficients of ``_metric_coefficients``
+    and M the mass.  The entries come from the domain's cached
+    ``_MetricStencil``, so a call costs one product with its fill map and
+    the factorization.  The ray stage applies the metric to the residual;
+    the polish applies it on both sides of the merit gradient, to match
+    the squared stiffness of the merit.  The solve leaves the Dirichlet
+    entries exactly zero.
     """
     dom = model.domain
-    cs = dom.cells
     inner = dom.interior
     try:
-        avg, t, _ = grid.cell_values(dom, values)
-        t_floor = 1e-8 * (1.0 + float(t.max(initial=0.0)))
-        t_eff = np.maximum(t, t_floor)
-        a = model.integrand.j_t(avg, t_eff) / t_eff
-        positive = a[a > 0]
-        med = float(np.median(positive)) if positive.size else 1.0
-        coef = cs.weights * np.clip(a, 1e-6 * med, 1e6 * med)
-
-        g = dom.cached("interior_gradient", lambda: cs.op[cs.count:, inner])
-        c = sparse.diags(np.tile(coef, g.shape[0] // cs.count))
-        metric = g.T @ c @ g + sparse.diags(dom.weights[inner])
-        lu = sparse_linalg.splu(metric.tocsc())
+        coef = _metric_coefficients(model, values)
+        stencil = dom.cached("metric_stencil", lambda: _metric_stencil(dom))
+        lu = sparse_linalg.splu(stencil.matrix(coef, dom.weights[inner]))
     except (RuntimeError, ValueError, np.linalg.LinAlgError):
         return None
 
@@ -525,28 +601,30 @@ def _illinois(g, a, ga, b, gb, rtol):
 
 def _ray_peak(model, u):
     """First local maximum of f on the ray through u and its energy, or
-    None.  A stacked energy scan over (0, 2 ||u||] in ``_SCAN_POINTS``
-    steps (stacks of at most ``_SAMPLE_BLOCK_VALUES`` values) doubles its
-    range while the samples rise, then zooms in until the ray derivative
+    None.  The ray's cell quantities are read once (``functional.ray``)
+    and every value and slope on it is priced from them.  A stacked
+    energy scan of t u over t in (0, 2] in ``_SCAN_POINTS`` steps (stacks
+    of at most ``_SAMPLE_BLOCK_VALUES`` cell values) doubles its range
+    while the samples rise, then zooms in until the ray derivative
     changes sign across the first drop.  Illinois regula falsi on that
     derivative fixes the peak to 1e-15 relative, where energy values
-    alone fix it to sqrt(eps).  Non-finite values raise
+    alone fix it to sqrt(eps).  The peak point's energy is measured from
+    its own nodal values.  Non-finite values raise
     ``FloatingPointError``."""
-    norm = grid.w1p_norms(model.domain, u, model.p)
-    v = u / norm
-    lo, f_lo, hi = 0.0, 0.0, 2.0 * norm
+    ray = functional.ray(model, u)
+    lo, f_lo, hi = 0.0, 0.0, 2.0
 
     def slope(t):
-        g = float(np.sum(functional.residual_of_values(model, t * v) * v))
+        g = ray.slope(t)
         if not math.isfinite(g):
             raise FloatingPointError("residual")
         return g
 
-    rows = max(1, _SAMPLE_BLOCK_VALUES // v.shape[-1])
+    rows = max(1, _SAMPLE_BLOCK_VALUES // ray.avg.shape[-1])
     for _ in range(_MAX_BACKTRACKS):
         ts = np.linspace(lo, hi, _SCAN_POINTS + 1)
         fs = np.concatenate([[f_lo]] + [
-            functional.energy_of_values(model, ts[k:k + rows, None] * v)
+            ray.energies(ts[k:k + rows])
             for k in range(1, _SCAN_POINTS + 1, rows)])
         if not np.all(np.isfinite(fs)):
             raise FloatingPointError("energy")
@@ -559,7 +637,7 @@ def _ray_peak(model, u):
         if a > 0.0:
             g_a, g_b = slope(a), slope(b)
             if g_a >= 0.0 >= g_b:
-                w = _illinois(slope, a, g_a, b, g_b, 1e-15) * v
+                w = _illinois(slope, a, g_a, b, g_b, 1e-15) * u
                 return w, functional.energy_of_values(model, w)
         lo, f_lo, hi = a, fs[k - 1], b
     return None
@@ -751,11 +829,12 @@ def run(model, symmetry, cfg: SolveConfig) -> SolveReport:
     """Mountain-pass solve; returns a report (non-convergence included).
 
     The ray stage starts from the direction of the maximum-energy sample
-    of a seeded noisy path from 0 to e.  Direct mode always polishes and
-    then sweeps: far from the solution a sweep and the contraction fight
-    each other, near the symmetric limit they cooperate.  The sweep runs
-    until the swept segment owns the final quartile of the record, so the
-    tail statistics are measured on iterates that follow it.
+    of a seeded noisy path from 0 to e; the polish runs only after it
+    stalls.  Direct mode then sweeps from the converged point: far from
+    the solution a sweep and the contraction fight each other, near the
+    symmetric limit they cooperate.  The sweep runs until the swept
+    segment owns the final quartile of the record, so the tail statistics
+    are measured on iterates that follow it.
     """
     t_start = time.perf_counter()
     domain = model.domain
@@ -799,8 +878,9 @@ def run(model, symmetry, cfg: SolveConfig) -> SolveReport:
     if st.it < cfg.max_iterations \
             and (status == "stalled" or mode == "direct"):
         snaps = _snap_groups(domain, project)
-        level = _polish_stage(st, st.u, snaps)
-        stages["polish"] = st.it - stages["ray"]
+        if status == "stalled":
+            level = _polish_stage(st, st.u, snaps)
+            stages["polish"] = st.it - stages["ray"]
         if level is not None and mode == "direct":
             sweep_start = len(st.record)
             swept = symmetrize.schwarz_values(domain, st.u)

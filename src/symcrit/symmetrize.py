@@ -205,31 +205,6 @@ def schwarz(u: GridFunction) -> GridFunction:
     return GridFunction(u.domain, schwarz_values(u.domain, u.values))
 
 
-def _pava_decreasing(values):
-    """Euclidean projection onto non-increasing sequences (pool adjacent
-    violators; classes have equal quadrature weights, so plain means)."""
-    n = len(values)
-    means = list(values)
-    counts = [1] * n
-    k = 0
-    for i in range(1, n):
-        means[k + 1] = values[i]
-        counts[k + 1] = 1
-        k += 1
-        while k > 0 and means[k - 1] < means[k]:
-            total = counts[k - 1] + counts[k]
-            means[k - 1] = (counts[k - 1] * means[k - 1]
-                            + counts[k] * means[k]) / total
-            counts[k - 1] = total
-            k -= 1
-    out = np.empty(n)
-    pos = 0
-    for j in range(k + 1):
-        out[pos:pos + counts[j]] = means[j]
-        pos += counts[j]
-    return out
-
-
 def cone_project(u: GridFunction) -> GridFunction:
     """Metric projection onto the fixed cone of the rearrangement.
 
@@ -243,8 +218,16 @@ def cone_project(u: GridFunction) -> GridFunction:
     out = np.zeros(u.domain.n_nodes)
     for block in _class_blocks(u.domain):
         rows = u.values[block]
-        if block.shape[1] > 1:
-            rows = np.array([_pava_decreasing(row) for row in rows])
+        # only rows out of order are fitted: the fit pools runs of equal
+        # values too, and their recomputed mean may move by an ulp
+        bad = np.flatnonzero(np.any(rows[:, 1:] > rows[:, :-1], axis=1))
+        if bad.size:
+            # imported here: scipy.optimize costs about 16 MB of resident
+            # memory, and one-node classes never get here (classes have
+            # equal quadrature weights, so the fit is unweighted)
+            from scipy.optimize import isotonic_regression
+            for i in bad:
+                rows[i] = isotonic_regression(rows[i], increasing=False).x
         out[block] = np.maximum(rows, 0.0)
     return GridFunction(u.domain, out)
 

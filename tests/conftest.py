@@ -46,6 +46,26 @@ def poison_residual(monkeypatch, bad_call):
     monkeypatch.setattr(functional, "residual_of_values", poisoned)
 
 
+def poison_ray(monkeypatch, part, bad_ray):
+    """Make ``part`` ("energies" or "slope") NaN on the bad_ray-th
+    ``functional.ray`` and every later one."""
+    clean = functional.ray
+    rays = []
+
+    class Poisoned(functional.Ray):
+        pass
+
+    good = getattr(functional.Ray, part)
+    setattr(Poisoned, part, lambda self, *args: np.nan * good(self, *args))
+
+    def poisoned(model, values):
+        rays.append(1)
+        ray = clean(model, values)
+        return ray if len(rays) < bad_ray else Poisoned(**vars(ray))
+
+    monkeypatch.setattr(functional, "ray", poisoned)
+
+
 def random_function(domain, rng, scale=1.0):
     """Random interior values, zero boundary."""
     vals = scale * rng.standard_normal(domain.n_nodes)

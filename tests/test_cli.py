@@ -9,7 +9,7 @@ import pytest
 import symcrit
 from symcrit import cli, grid
 
-from conftest import poison_residual
+from conftest import poison_ray, poison_residual
 
 SMALL_SOLVE = """\
 domain.kind = square
@@ -100,11 +100,19 @@ def test_solve_report_names_the_stages(solved):
         assert ray["residual"] <= 1e-8
 
 
-def test_solve_keeps_scipy_optimize_unloaded(tmp_path):
+@pytest.mark.parametrize("mode", ["plain", "direct"])
+def test_solve_keeps_scipy_optimize_unloaded(tmp_path, mode):
     # importing scipy.optimize costs about 16 MB of resident memory, more
-    # than a solve at desk scale needs for everything else
-    cfg = write_cfg(tmp_path, TOY_BALL.replace("max_iterations = 10",
-                                               "max_iterations = 5000"))
+    # than a solve at desk scale needs for everything else; the direct
+    # sweep's cone projection needs it only for classes of several nodes,
+    # and the ball has none (its gate passes on the modulated res-30 ball)
+    text = TOY_BALL.replace("max_iterations = 10", "max_iterations = 5000")
+    if mode == "direct":
+        text = (text.replace("resolution = 2", "resolution = 30")
+                .replace("plaplace", "modulated")
+                .replace("mode = plain", "mode = direct")
+                + "model.positivity = true\n")
+    cfg = write_cfg(tmp_path, text)
     code = ("import sys; from symcrit import cli; "
             f"rc = cli.main(['solve', '--config', {cfg!r}, '--out', "
             f"{str(tmp_path / 'o')!r}, '--quiet']); "
@@ -251,9 +259,9 @@ TOY_BALL = ("domain.kind = radial-ball-1d\n"
 
 
 def test_numerical_failure_exits_two_with_report(tmp_path, monkeypatch):
-    # residual calls 1-11 price the starting peak and call 12 measures
-    # iteration 1, so call 14 falls inside iteration 1's peak search
-    poison_residual(monkeypatch, 14)
+    # ray 1 prices the starting peak and ray 2 is iteration 1's first
+    # trial step, so a NaN ray slope fails inside iteration 1's peak search
+    poison_ray(monkeypatch, "slope", 2)
     cfg = write_cfg(tmp_path, TOY_BALL)
     out = str(tmp_path / "o")
     rc = cli.main(["solve", "--config", cfg, "--out", out, "--quiet"])

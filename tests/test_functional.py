@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from symcrit import functional, grid, group, integrand
 from symcrit.errors import DomainMismatchError, ParameterError
@@ -103,6 +101,40 @@ def test_stacked_energy_is_rowwise_bitwise(name, positivity, rng):
         assert energies.shape == (40,)
         for row, f in zip(stack, energies):
             assert f == functional.energy_of_values(model, row)
+
+
+@pytest.mark.parametrize("positivity", [False, True])
+@pytest.mark.parametrize("name", ["plaplace", "modulated"])
+def test_ray_matches_energy_and_derivative(name, positivity, rng):
+    # the ray prices f(t v) and d/dt f(t v) from the cell quantities of v,
+    # which those of t v equal times t up to roundoff
+    domains = (grid.build_domain("square", side=4.0, resolution=7),
+               grid.build_domain("disk-polar", radius=3.0, resolution=5,
+                                 angular_resolution=16),
+               grid.build_domain("annulus-polar", inner_radius=1.0,
+                                 outer_radius=3.0, resolution=4,
+                                 angular_resolution=8),
+               grid.build_domain("radial-ball-1d", dimension=3, radius=6.0,
+                                 resolution=24))
+    ts = np.geomspace(1e-3, 30.0, 25)
+    p, q = 1.8, 3.0
+    for dom in domains:
+        model = make_model(dom, name=name, p=p, q=q, positivity=positivity)
+        v = random_function(dom, rng)
+        ray = functional.ray(model, v.values)
+        energies = ray.energies(ts)
+        for t, f in zip(ts, energies):
+            tv = grid.GridFunction(dom, t * v.values)
+            # roundoff scales with the cell terms, which cancel at large t;
+            # each term of the slope is at most q/t times its energy term
+            avg, grad, _ = grid.cell_values(dom, tv.values)
+            terms = float(np.sum(dom.cells.weights * (
+                model.integrand.j(avg, grad) + np.abs(avg) ** p / p
+                + np.abs(avg) ** q / q)))
+            want = functional.energy_of_values(model, tv.values)
+            assert abs(f - want) <= 1e-13 * terms
+            want = functional.directional_derivative(model, tv, v)
+            assert abs(ray.slope(t) - want) <= 1e-13 * q * terms / t
 
 
 def test_zero_function_has_zero_energy(ball_model, square_model):
@@ -253,62 +285,3 @@ def test_residual_equivariance(rng):
             expected[g.perms[e]] = r
             scale = 1 + float(np.max(np.abs(r)))
             assert np.max(np.abs(r_gu - expected)) <= 1e-12 * scale
-
-
-# ---------------------------------------------------------------------------
-# truncations and certificates
-
-
-def test_truncate_basics():
-    s = np.array([-5.0, -0.5, 0.0, 2.0, 9.0])
-    out = functional.truncate(s, 2.0)
-    assert np.array_equal(out, [-2.0, -0.5, 0.0, 2.0, 2.0])
-    with pytest.raises(ParameterError):
-        functional.truncate(s, 0.0)
-
-
-@given(st.floats(min_value=-10, max_value=10, allow_nan=False))
-@settings(max_examples=300, deadline=None)
-def test_cutoff_profile(s):
-    h = float(functional.cutoff(s))
-    if abs(s) <= 1:
-        assert h == 1.0
-    elif abs(s) >= 2:
-        assert h == 0.0
-    else:
-        assert 0.0 < h < 1.0
-
-
-def test_cutoff_slope_bound():
-    s = np.linspace(-3, 3, 20001)
-    h = functional.cutoff(s)
-    slope = np.diff(h) / np.diff(s)
-    assert np.max(np.abs(slope)) <= 2.0
-
-
-def test_clamped_ramp():
-    s = np.array([-4.0, -1.0, 0.0, 0.5, 3.0])
-    out = functional.clamped_ramp(s, slope=2.0, radius=1.5)
-    assert np.allclose(out, [3.0, 2.0, 0.0, 1.0, 3.0])
-
-
-def test_certificate_on_negative_bump():
-    dom = grid.build_domain("radial-ball-1d", dimension=3, radius=6.0,
-                            resolution=48)
-    model = make_model(dom, name="modulated", positivity=True)
-    vals = -np.exp(-dom.coords[:, 0] ** 2)
-    vals[dom.boundary] = 0.0
-    u = grid.GridFunction(dom, vals)
-    cert = functional.positivity_certificate(model, u)
-    assert cert.value > 0.0
-    assert cert.value >= cert.cell_lower_bound * (1 - 1e-12)
-    assert cert.negative_part_norm > 0.1
-
-
-def test_certificate_vanishes_on_nonnegative(ball_model, rng):
-    dom = ball_model.domain
-    u = random_function(dom, rng)
-    u = grid.GridFunction(dom, np.abs(u.values))
-    cert = functional.positivity_certificate(ball_model, u)
-    assert cert.value == 0.0
-    assert cert.negative_part_norm == 0.0

@@ -4,16 +4,18 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from symcrit import functional, grid, group, integrand, symmetrize, verify
 from symcrit.errors import NumericalFailureError, ParameterError
 from symcrit.grid import GridFunction
 from symcrit.solver import (PS_CSV_HEADER, TAIL_RETENTION, PSRecord,
-                            SolveConfig, _SCAN_POINTS, _ray_peak,
+                            SolveConfig, _metric_coefficients,
+                            _metric_stencil, _ray_peak,
                             compare_levels, config_digest, default_psi,
                             init_endpoints, ps_diagnostics, run)
 
-from conftest import poison_residual
+from conftest import poison_ray, poison_residual
 
 
 def make_model(kind, dom_kw, name="plaplace", p=2.0, q=4.0, positivity=False):
@@ -86,22 +88,26 @@ def test_restricted_mode_requires_group(toy_model):
         run(toy_model, None, cfg)
 
 
-@pytest.mark.parametrize("mode, bad_call, where, iteration", [
-    # on the toy ball residual calls 1-11 price the starting peak and
-    # call 12 measures iteration 1, so call 14 falls inside the peak
-    # search of iteration 1's first trial step
-    ("plain", 14, "in the ray stage", 1),
-    # the ray stage on the direct-mode ball converges in 66 iterations
-    # and 715 residual calls, so call 716 is the first polish measurement
-    ("direct", 716, "during polishing", 67),
+@pytest.mark.parametrize("mode, part, bad_call, where, iteration", [
+    # on the toy ball ray 1 prices the starting peak and ray 2 is iteration
+    # 1's first trial step, so a NaN ray slope fails inside its peak search
+    ("plain", "slope", 2, "in the ray stage", 1),
+    # the ray stage on the direct-mode ball converges in 66 iterations and
+    # 71 residual calls (its peak searches make none), so call 72 is the
+    # first measurement of the sweep, a polish from the rearranged point
+    ("direct", "residual", 72, "during polishing", 67),
 ])
 def test_nonfinite_residual_names_the_stage(toy_model, monkeypatch, mode,
-                                            bad_call, where, iteration):
+                                            part, bad_call, where,
+                                            iteration):
     # the direct-mode gate passes on the modulated ball at res 30
     model = toy_model if mode == "plain" else make_model(
         "radial-ball-1d", dict(dimension=3, radius=12.0, resolution=30),
         name="modulated", positivity=True)
-    poison_residual(monkeypatch, bad_call)
+    if part == "slope":
+        poison_ray(monkeypatch, part, bad_call)
+    else:
+        poison_residual(monkeypatch, bad_call)
     cfg = SolveConfig(mode=mode,
                       max_iterations=10 if mode == "plain" else 20000)
     with pytest.raises(NumericalFailureError,
@@ -116,20 +122,9 @@ def test_nonfinite_residual_names_the_stage(toy_model, monkeypatch, mode,
 
 def test_nonfinite_energy_in_peak_search_names_the_stage(toy_model,
                                                         monkeypatch):
-    # only the peak scans price stacks of _SCAN_POINTS rows: the first
-    # scan finds the starting peak, the second belongs to iteration 1
-    clean = functional.energy_of_values
-    scans = []
-
-    def poisoned(model, values):
-        f = clean(model, values)
-        if np.ndim(values) == 2 and len(values) == _SCAN_POINTS:
-            scans.append(1)
-            if len(scans) >= 2:
-                return np.full_like(f, np.nan)
-        return f
-
-    monkeypatch.setattr(functional, "energy_of_values", poisoned)
+    # the peak scans price their energies from the ray: ray 1 finds the
+    # starting peak, ray 2 belongs to iteration 1
+    poison_ray(monkeypatch, "energies", 2)
     with pytest.raises(NumericalFailureError,
                        match="energy became non-finite in the ray stage "
                              "at iteration 1") as err:
@@ -367,6 +362,55 @@ def test_ray_peak_matches_closed_form(kind, dom_kw, p, q, scale):
     assert abs(ray_slope) <= 1e-13 * p * a * t_want ** (p - 1.0)
 
 
+def test_ray_peak_reads_the_ray_once(monkeypatch):
+    # the scans and the Illinois slopes are priced from one product with
+    # the cell map; only the peak point's own energy takes a second one
+    model = make_model("square", dict(side=6.0, resolution=9), p=1.8, q=3.0)
+    v = default_psi(model.domain).values
+    products = []
+    cell_values = grid.cell_values
+
+    def counted(domain, values):
+        products.append(1)
+        return cell_values(domain, values)
+
+    def residual(model, values):
+        raise AssertionError("the peak search called the residual")
+
+    monkeypatch.setattr(grid, "cell_values", counted)
+    monkeypatch.setattr(functional, "cell_values", counted)
+    monkeypatch.setattr(functional, "residual_of_values", residual)
+    peak, f = _ray_peak(model, v)
+    assert len(products) <= 2
+    assert f == functional.energy_of_values(model, peak)
+
+
+@pytest.mark.parametrize("kind, dom_kw", [
+    ("square", dict(side=6.0, resolution=9)),
+    ("disk-polar", dict(radius=6.0, resolution=10, angular_resolution=16)),
+    ("annulus-polar", dict(inner_radius=1.0, outer_radius=3.0, resolution=4,
+                           angular_resolution=8)),
+    ("radial-ball-1d", dict(dimension=3, radius=12.0, resolution=30)),
+])
+def test_metric_stencil_matches_sparse_assembly(kind, dom_kw):
+    model = make_model(kind, dom_kw, p=1.8, q=3.0)
+    dom = model.domain
+    cs, inner = dom.cells, dom.interior
+    g = cs.op[cs.count:, inner]
+    stencil = _metric_stencil(dom)
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal(dom.n_nodes)
+    # rounded values leave flat cells, where j_t/t is clamped
+    for values in (v, np.round(v)):
+        values[dom.boundary] = 0.0
+        coef = _metric_coefficients(model, values)
+        want = (g.T @ sparse.diags(np.tile(coef, g.shape[0] // cs.count))
+                @ g + sparse.diags(dom.weights[inner])).toarray()
+        got = stencil.matrix(coef, dom.weights[inner]).toarray()
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.any(grid.cell_values(dom, values)[1] == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # solve runs
 
@@ -464,6 +508,19 @@ def test_direct_mode_sweeps_onto_cone():
     assert diag.dist_v_final <= 1e-9
     assert diag.dist_v_monotone is True
     assert diag.cauchy_tail <= 1e-6
+
+
+def test_direct_mode_sweeps_straight_from_a_converged_ray():
+    # a ray stage that met the tolerance hands its point to the sweep; no
+    # polish iteration re-measures it as a second record row
+    model = make_model("radial-ball-1d",
+                       dict(dimension=3, radius=12.0, resolution=30),
+                       name="modulated", positivity=True)
+    rep = run(model, None, SolveConfig(mode="direct", max_iterations=20000))
+    assert rep.converged
+    assert rep.ray_exit["status"] == "converged"
+    assert rep.stage_iterations["polish"] == 0
+    assert rep.sweep_start == rep.stage_iterations["ray"]
 
 
 def test_returned_point_is_the_measured_point():
