@@ -64,9 +64,10 @@ class CellSet:
 class Domain:
     """A discretized symmetric domain.
 
-    Treat instances as immutable; all arrays are set once by build_domain.
-    Geometry derived from them is built on first use and kept per instance
-    (see ``cached``), so ``dataclasses.replace`` starts a fresh cache.
+    Treat instances as immutable; all arrays are set once by build_domain
+    or group.quotient.  Geometry derived from them is built on first use
+    and kept per instance (see ``cached``), so ``dataclasses.replace``
+    starts a fresh cache.
     """
 
     kind: str

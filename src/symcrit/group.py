@@ -8,6 +8,13 @@ SymmetryCompatibilityError instead of returning an approximation.
 
 The action on functions follows (g u)(x) = u(g^{-1} x): if ``perm`` sends
 node i to node perm[i] geometrically, then ``(g u)[perm] = u``.
+
+A G-invariant function is fixed by its values on the node orbits
+(``fix_basis``), and ``quotient`` turns the domain into one whose nodes
+are those orbits and whose energy is the energy of the invariant
+function.  By the principle of symmetric criticality (Palais 1979) a
+critical point of f restricted to Fix(G) is critical for f, so restricted
+solves run on the quotient and need no projection.
 """
 
 from __future__ import annotations
@@ -16,9 +23,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sparse
 
 from .errors import DomainMismatchError, SymmetryCompatibilityError
-from .grid import Domain, GridFunction, is_edge
+from .grid import CellSet, Domain, GridFunction, cell_values, is_edge
 
 _SQUARE_TABLE = {
     "trivial": ("id",),
@@ -52,17 +60,35 @@ class SymmetryGroup:
         return self.perms.shape[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class FixBasis:
-    """Orbit decomposition of the interior nodes under a group."""
+    """The node orbits of a group: the coordinates of Fix(G).
+
+    ``orbit[i]`` numbers the orbit of node i, ``reps`` holds the smallest
+    node of each orbit (ascending, so orbits are numbered in the order of
+    their representatives) and ``sizes`` the orbit sizes.  An invariant
+    function is ``x[orbit]`` for its orbit values ``x = u[reps]``; that is
+    B x for the n x k orbit-indicator matrix B.  Boundary orbits are kept,
+    so every node has an orbit.
+    """
 
     group: SymmetryGroup
-    orbit_id: np.ndarray    # (n_nodes,) orbit label per node, -1 on boundary
-    orbits: list            # list of int arrays, interior orbits only
+    orbit: np.ndarray       # (n_nodes,) orbit number of each node
+    reps: np.ndarray        # (k,) smallest node of each orbit
+    sizes: np.ndarray       # (k,) nodes per orbit
 
     @property
     def dim(self) -> int:
-        return len(self.orbits)
+        """dim Fix(G): the number of interior orbits."""
+        return int(np.count_nonzero(~self.group.domain.boundary[self.reps]))
+
+    @property
+    def orbits(self) -> list:
+        """Member nodes of each interior orbit."""
+        members = np.split(np.argsort(self.orbit, kind="stable"),
+                           np.cumsum(self.sizes)[:-1])
+        inner = ~self.group.domain.boundary[self.reps]
+        return [m for m, keep in zip(members, inner) if keep]
 
 
 def _square_index_maps(domain):
@@ -244,15 +270,104 @@ def average(g: SymmetryGroup, u: GridFunction) -> GridFunction:
 
 
 def fix_basis(g: SymmetryGroup) -> FixBasis:
-    """Orbit partition of the interior nodes; dim Fix(G) = number of orbits."""
-    n = g.domain.n_nodes
-    orbit_id = np.full(n, -1, dtype=np.int64)
-    orbits = []
-    interior = np.nonzero(~g.domain.boundary)[0]
-    for i in interior:
-        if orbit_id[i] != -1:
-            continue
-        members = np.unique(g.perms[:, i])
-        orbit_id[members] = len(orbits)
-        orbits.append(members)
-    return FixBasis(group=g, orbit_id=orbit_id, orbits=orbits)
+    """The orbit map of g, built once per (domain, group).
+
+    The orbit of node i is the column ``perms[:, i]``, so its smallest
+    member is the column minimum.
+    """
+    def build():
+        reps, orbit, sizes = np.unique(g.perms.min(axis=0),
+                                       return_inverse=True,
+                                       return_counts=True)
+        return FixBasis(group=g, orbit=orbit, reps=reps, sizes=sizes)
+
+    return g.domain.cached(("fix_basis", g.perms.tobytes()), build)
+
+
+def quotient(g: SymmetryGroup) -> Domain:
+    """The orbit domain of g: the energy of Fix(G) in orbit coordinates.
+
+    Its nodes are the node orbits of ``fix_basis`` and its cells one
+    representative per cell orbit.  With B the orbit-indicator matrix, the
+    cell map is the representative rows of the domain's map times B, and
+    node and cell weights are the representatives' weights times the
+    orbit size.  An invariant u = B x has equal cell averages and |Du| on
+    every cell of an orbit, so the quotient energy F(x) equals f(B x) and
+    its residual is B^T f'(B x): by the principle of symmetric
+    criticality a critical point of F is a critical point of f.  The
+    trivial group's quotient is the domain itself.  Raises
+    SymmetryCompatibilityError when an element does not map cells to
+    cells of equal weight and equal |Du| for invariant functions.
+    """
+    if g.order == 1:
+        return g.domain
+    return g.domain.cached(("quotient", g.perms.tobytes()),
+                           lambda: _build_quotient(g))
+
+
+def _cell_maps(g: SymmetryGroup) -> np.ndarray:
+    """(order, cells) image of every cell under every element.
+
+    An element sends the cell whose average row is a_c to the cell whose
+    row is a_c with column j moved to perm[j]; applied to node values z
+    that row gives a_c @ z[perm].  Two seeded random value columns key
+    the cells, and each image key is matched to the nearest cell key.
+    """
+    dom = g.domain
+    cs = dom.cells
+    avg = cs.op[:cs.count]
+    z = np.random.default_rng(0).uniform(1.0, 2.0, size=(dom.n_nodes, 2))
+    keys = avg @ z
+    images = (avg @ z[g.perms.T].reshape(dom.n_nodes, -1)).reshape(
+        cs.count, g.order, 2).transpose(1, 0, 2)
+    order = np.argsort(keys[:, 0])
+    sorted_keys = keys[order, 0]
+    pos = np.clip(np.searchsorted(sorted_keys, images[..., 0]), 1,
+                  cs.count - 1)
+    left = np.abs(images[..., 0] - sorted_keys[pos - 1]) \
+        < np.abs(images[..., 0] - sorted_keys[pos])
+    cmap = order[pos - left]
+    bad = (np.abs(keys[cmap] - images) > 1e-12 * np.max(keys)).any(axis=-1)
+    bad |= ~np.isclose(cs.weights[cmap], cs.weights, rtol=1e-12, atol=0.0)
+    # an invariant function must have one |Du| on all cells of an orbit
+    fb = fix_basis(g)
+    grad = cell_values(dom, z[fb.reps[fb.orbit], 0])[1]
+    bad |= ~np.isclose(grad[cmap], grad, rtol=1e-12, atol=0.0)
+    if bad.any():
+        e, c = (int(i[0]) for i in np.nonzero(bad))
+        raise SymmetryCompatibilityError(
+            f"element {e} of {g.label!r} maps cell {c} onto no cell of "
+            "equal weight and gradient")
+    return cmap
+
+
+def _build_quotient(g: SymmetryGroup) -> Domain:
+    dom, fb = g.domain, fix_basis(g)
+    cs = dom.cells
+    cell_reps, cell_sizes = np.unique(_cell_maps(g).min(axis=0),
+                                      return_counts=True)
+    blocks = cs.op.shape[0] // cs.count
+    rows = (np.arange(blocks)[:, None] * cs.count + cell_reps).ravel()
+    n, k = dom.n_nodes, fb.reps.shape[0]
+    lift = sparse.csr_matrix((np.ones(n), (np.arange(n), fb.orbit)),
+                             shape=(n, k))
+    op = (cs.op[rows] @ lift).tocsr()
+    op.eliminate_zeros()
+    op.sort_indices()
+    # grid edges between two distinct orbits
+    ends = np.sort(fb.orbit[dom.edges], axis=1)
+    edge_keys = np.unique(ends[:, 0] * k + ends[:, 1])
+    edge_keys = edge_keys[edge_keys // k != edge_keys % k]
+    return Domain(
+        kind=f"{dom.kind}/{g.label}",
+        dim=dom.dim,
+        extents=dom.extents,
+        resolution=dom.resolution,
+        coords=dom.coords[fb.reps],
+        radius2=dom.radius2[fb.reps],
+        weights=dom.weights[fb.reps] * fb.sizes,
+        boundary=dom.boundary[fb.reps],
+        cells=CellSet(op=op, weights=cs.weights[cell_reps] * cell_sizes),
+        edges=np.column_stack([edge_keys // k, edge_keys % k]),
+        volume=dom.volume,
+    )

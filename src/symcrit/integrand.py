@@ -261,29 +261,3 @@ def check_conditions(J: Integrand, q: float, s_max: float = 8.0,
     return ConditionReport(integrand=J.name, p=p, q=q, delta=delta,
                            s_max=s_max, t_max=t_max, density=density,
                            checks=checks)
-
-
-def consistency_check(J: Integrand, s_max: float = 4.0, t_max: float = 4.0,
-                      density: int = 25, h: float = 1e-4) -> dict:
-    """Compare j_s and j_t against Richardson-extrapolated differences of j.
-
-    Returns the worst absolute mismatch per partial; a wrong derivative
-    implementation shows up at the size of the derivative itself rather
-    than at the O(h^4) + roundoff floor.
-    """
-    s_grid = np.linspace(-s_max, s_max, 2 * density + 1)
-    t_grid = np.linspace(max(4 * h, t_max / density), t_max, density)
-    S = s_grid[:, None]
-    T = t_grid[None, :]
-
-    def richardson(f, x_plus, x_minus, step):
-        d1 = (f(*x_plus(step)) - f(*x_minus(step))) / (2 * step)
-        d2 = (f(*x_plus(step / 2)) - f(*x_minus(step / 2))) / step
-        return (4.0 * d2 - d1) / 3.0
-
-    ds = richardson(J.j, lambda e: (S + e, T), lambda e: (S - e, T), h)
-    dt = richardson(J.j, lambda e: (S, T + e), lambda e: (S, T - e), h)
-    s_mismatch = float(np.max(np.abs(ds - J.j_s(S, T))))
-    t_mismatch = float(np.max(np.abs(dt - J.j_t(S, T))))
-    return {"s_mismatch": s_mismatch, "t_mismatch": t_mismatch,
-            "max_mismatch": max(s_mismatch, t_mismatch), "h": h}

@@ -8,8 +8,16 @@ so no iterate can fall to u = 0.  If it stalls, the polish stage
 contracts from its last peak by conjugate gradient on the squared dual
 residual norm; in direct mode the cone sweep, the same polish run from
 the rearranged converged point, keeps every trial on the rearrangement
-cone.  Restricted mode projects every direction onto the invariant
-subspace.
+cone.
+
+Restricted mode runs the same stages as a plain solve of the quotient
+model (``group.quotient``): the unknowns are the values on the node
+orbits, and the energy of orbit values x is f(B x), B the orbit-indicator
+matrix.  By the principle of symmetric criticality (Palais 1979) applied
+to Fix(G), a critical point of that energy is a critical point of f, so
+no direction needs projecting.  The iterate is expanded to all nodes only
+where a full vector is read: record rows, the rearrangement distances,
+snap proposals, a failure's last state and the returned point.
 """
 
 from collections import deque
@@ -43,7 +51,7 @@ PS_CSV_HEADER = "iteration,f,grad_norm,w1p_norm,dist_vstar_V,dist_vstar_W"
 TAIL_RETENTION = 600
 
 # relative size of the seeded symmetry-breaking perturbation applied to
-# the initial path (projected away again in restricted mode)
+# the initial path (averaged away again in restricted mode)
 _INIT_NOISE = 0.05
 
 # sphere samples and ray scans are priced in stacks of about this many
@@ -218,6 +226,16 @@ def _alpha_at(j, s: float) -> float:
     return float(np.max(np.asarray(j.j(s_arr, t)) / t ** j.p))
 
 
+def _orbit_coordinates(model, symmetry):
+    """The model of the invariant functions in orbit coordinates (on
+    ``group.quotient``) and the orbit map back to the nodes; the model
+    itself and None without a group or with the trivial one."""
+    if symmetry is None or symmetry.order == 1:
+        return model, None
+    return (replace(model, domain=group_mod.quotient(symmetry)),
+            group_mod.fix_basis(symmetry))
+
+
 def init_endpoints(model, symmetry=None, psi: GridFunction | None = None,
                    sphere_samples: int = 200, seed: int = 0) -> EndpointData:
     """Construct the mountain-pass geometry data for one model.
@@ -261,7 +279,8 @@ def init_endpoints(model, symmetry=None, psi: GridFunction | None = None,
     r_cert = (m_coer * p / k_emb) ** (1.0 / (q - p))
 
     rng = np.random.default_rng(seed)
-    project = symmetry is not None and symmetry.order > 1
+    # invariant samples are priced in orbit coordinates
+    sampled, basis = _orbit_coordinates(model, symmetry)
     rho = min(r_cert, psi_w1p)
     rho0 = sigma0 = None
     history = []
@@ -273,12 +292,13 @@ def init_endpoints(model, symmetry=None, psi: GridFunction | None = None,
             noise = rng.standard_normal(
                 (min(block, sphere_samples - start), domain.n_nodes))
             noise[:, domain.boundary] = 0.0
-            if project:
-                noise = group_mod.average_values(symmetry, noise)
-            nrm = grid.w1p_norms(domain, noise, p)
+            if basis is not None:
+                noise = group_mod.average_values(symmetry, noise)[
+                    :, basis.reps]
+            nrm = grid.w1p_norms(sampled.domain, noise, p)
             live = nrm != 0.0
             f_samples = functional.energy_of_values(
-                model, (rho / nrm[live])[:, None] * noise[live])
+                sampled, (rho / nrm[live])[:, None] * noise[live])
             inf_f = min([inf_f, *f_samples.tolist()])
         history.append((rho, inf_f))
         if inf_f > 0.0:
@@ -346,12 +366,10 @@ def _dist_to_rearranged(domain, values, p, q):
     return dist_v, dist_w
 
 
-def _slope_parts(model, values, w, project):
-    """Preconditioned (projected) direction, slope, dual norm."""
+def _slope_parts(model, values, w):
+    """Preconditioned direction, slope, dual norm."""
     r = functional.residual_of_values(model, values)
     d = r / w
-    if project is not None:
-        d = group_mod.average_values(project, d)
     slope = float(np.sum(r * d))
     return d, slope, math.sqrt(max(slope, 0.0))
 
@@ -489,7 +507,11 @@ def _snap_groups(domain, symmetry):
     For p < 2 the integrand kink at flat cells walls off the last digits
     of an almost-symmetric iterate; averaging over a bigger group jumps
     the wall in one move.  Proposals are only ever accepted on a strict
-    merit decrease, so an unsuitable candidate costs one evaluation.
+    merit decrease, so an unsuitable candidate costs one evaluation.  The
+    average is invariant under every group the domain realizes (the
+    square's full dihedral group contains them all; the polar grid's full
+    rotation group leaves ring-constant values, which every polar element
+    fixes), so in restricted mode its orbit values are exact.
     """
     if domain.kind in ("disk-polar", "annulus-polar"):
         label = "rotations_%d" % domain.meta["n_theta"]
@@ -516,15 +538,18 @@ def _merit_directions(metric, w, gm):
 
 
 class _Solve:
-    """State the stages of one run share: model, config and projector,
-    record and iteration counters, the current iterate ``u`` and, from
-    the first ``restart`` on, the polish's conjugate-gradient memory and
-    Picard metric."""
+    """State the stages of one run share: the model solved (in restricted
+    mode the quotient's, so ``u`` holds orbit values), config, the orbit
+    map ``basis`` back to the full domain (None when the model is the
+    full one), record and iteration counters, the current iterate ``u``
+    and, from the first ``restart`` on, the polish's conjugate-gradient
+    memory and Picard metric."""
 
-    def __init__(self, model, cfg, project, trivial_level):
+    def __init__(self, model, cfg, basis, trivial_level):
         self.model = model
         self.cfg = cfg
-        self.project = project
+        self.basis = basis
+        self.domain = model.domain if basis is None else basis.group.domain
         self.w = model.domain.weights
         self.trivial_level = trivial_level
         self.record = PSRecord()
@@ -532,10 +557,15 @@ class _Solve:
         self.polish_it = 0
         self.u = None
 
+    def full(self, values):
+        """Nodal values on the full domain: orbit values expanded."""
+        return values if self.basis is None else values[self.basis.orbit]
+
     def fail(self, msg):
         raise NumericalFailureError(
             f"{msg} at iteration {self.it}",
-            last_state={"iteration": self.it, "u": self.u.copy()})
+            last_state={"iteration": self.it,
+                        "u": np.array(self.full(self.u))})
 
     def measure(self, values, f_val, where):
         """Check the iterate, log its row (every row with log_iterations,
@@ -543,19 +573,19 @@ class _Solve:
         direction, slope and dual residual norm."""
         if not math.isfinite(f_val):
             self.fail(f"energy became non-finite {where}")
-        d, slope, grad_norm = _slope_parts(self.model, values, self.w,
-                                           self.project)
+        d, slope, grad_norm = _slope_parts(self.model, values, self.w)
         if not math.isfinite(slope):
             self.fail(f"residual became non-finite {where}")
         cfg = self.cfg
         if cfg.log_iterations or grad_norm <= cfg.grad_tol \
                 or self.it == cfg.max_iterations:
-            domain, p = self.model.domain, self.model.p
-            dist_v, dist_w = _dist_to_rearranged(domain, values, p,
+            full = self.full(values)
+            domain, p = self.domain, self.model.p
+            dist_v, dist_w = _dist_to_rearranged(domain, full, p,
                                                  self.model.q)
             self.record.append(self.it, f_val, grad_norm,
-                               grid.w1p_norms(domain, values, p),
-                               dist_v, dist_w, values)
+                               grid.w1p_norms(domain, full, p),
+                               dist_v, dist_w, full)
         return d, slope, grad_norm
 
     def restart(self, u):
@@ -569,12 +599,14 @@ class _Solve:
 
 def _snap_restart(st, snaps, merit):
     """Restart from the first higher-symmetry average of the iterate that
-    lowers the merit; False when none does."""
+    lowers the merit; False when none does.  The average is taken of the
+    expanded iterate, and in orbit coordinates its representative values
+    are the candidate."""
     for g_big in snaps:
-        cand = group_mod.average_values(g_big, st.u)
-        if st.project is not None:
-            cand = group_mod.average_values(st.project, cand)
-        _, m_s, _ = _slope_parts(st.model, cand, st.w, st.project)
+        cand = group_mod.average_values(g_big, st.full(st.u))
+        if st.basis is not None:
+            cand = cand[st.basis.reps]
+        _, m_s, _ = _slope_parts(st.model, cand, st.w)
         if math.isfinite(m_s) and m_s < merit:
             st.restart(cand)
             return True
@@ -647,14 +679,14 @@ def _ray_stage(st, u0):
     """Descend the peak energy f(t*(v) v) over unit directions v,
     starting from the direction of u0.
 
-    A step moves the peak point along its Picard-metric gradient
-    (projected in restricted mode) and takes the peak of the new ray.  It
-    is accepted by Armijo on the peak energy or, once the energy change
-    is below roundoff, by a smaller dual residual.  Returns the status,
-    "converged", "stalled" (no step left, or the residual did not halve
-    in ``_RAY_PATIENCE`` iterations) or "budget", and the last residual.
+    A step moves the peak point along its Picard-metric gradient and
+    takes the peak of the new ray.  It is accepted by Armijo on the peak
+    energy or, once the energy change is below roundoff, by a smaller
+    dual residual.  Returns the status, "converged", "stalled" (no step
+    left, or the residual did not halve in ``_RAY_PATIENCE`` iterations)
+    or "budget", and the last residual.
     """
-    model, cfg, w, project = st.model, st.cfg, st.w, st.project
+    model, cfg, w = st.model, st.cfg, st.w
     where = "in the ray stage"
 
     def peak_of(u):
@@ -683,8 +715,6 @@ def _ray_stage(st, u0):
         if st.it % _RAY_METRIC_REFRESH == 1:
             metric = _polish_metric(model, st.u)
         grad = d if metric is None else metric(covector)
-        if project is not None:
-            grad = group_mod.average_values(project, grad)
         slope = float(np.sum(covector * grad))
         s = s_mem
         for _ in range(_MAX_BACKTRACKS):
@@ -692,7 +722,7 @@ def _ray_stage(st, u0):
             if cand is not None and (
                     cand[1] <= f_u - cfg.armijo * s * slope
                     or abs(cand[1] - f_u) <= 1e-14 * (1.0 + abs(f_u))
-                    and _slope_parts(model, cand[0], w, project)[2]
+                    and _slope_parts(model, cand[0], w)[2]
                     < grad_norm):
                 break
             s *= cfg.step_shrink
@@ -726,7 +756,7 @@ def _line_search(st, direction, gm, mslope, merit, t, cone):
                 t *= cfg.step_shrink
                 continue
         if np.all(np.isfinite(cand)):
-            _, m_c, _ = _slope_parts(model, cand, st.w, st.project)
+            _, m_c, _ = _slope_parts(model, cand, st.w)
             if math.isfinite(m_c) \
                     and m_c <= merit + cfg.armijo * step_slope \
                     and (not cone or functional.energy_of_values(model, cand)
@@ -748,7 +778,7 @@ def _polish_stage(st, start, snaps, sweep_quota=None):
     has logged that many rows.  Returns the energy where the residual
     tolerance was met, or None when the budget ran out or no step was left.
     """
-    model, cfg, w, project = st.model, st.cfg, st.w, st.project
+    model, cfg, w = st.model, st.cfg, st.w
     sweeping = sweep_quota is not None
     first_row = len(st.record)
     st.restart(start)
@@ -772,8 +802,6 @@ def _polish_stage(st, start, snaps, sweep_quota=None):
             st.metric = _polish_metric(model, u)
         gm = _hess_dir(model, u, d)
         for pm in _merit_directions(st.metric, w, gm):
-            if project is not None:
-                pm = group_mod.average_values(project, pm)
             denom = float(np.sum(gm * pm))
             if math.isfinite(denom) and denom > 0.0:
                 break
@@ -861,17 +889,20 @@ def run(model, symmetry, cfg: SolveConfig) -> SolveReport:
     noise[:, domain.boundary] = 0.0
     path = (np.linspace(0.0, 1.0, cfg.path_points)[1:-1, None] * e_vals
             + _INIT_NOISE * float(np.max(np.abs(e_vals))) * noise)
-    if project is not None:
-        path = group_mod.average_values(project, path)
+    # restricted mode solves on the quotient: the stages see orbit values
+    # only, and every iterate is invariant by construction
+    solved, basis = _orbit_coordinates(model, project)
+    if basis is not None:
+        path = group_mod.average_values(project, path)[:, basis.reps]
     # a point polished down to the zero local minimum is not a pass; the
     # sampled sigma0 overestimates the true sphere infimum, so only a
     # scale-relative zero test is safe as the triviality gate
-    st = _Solve(model, cfg, project,
+    st = _Solve(solved, cfg, basis,
                 trivial_level=1e-10 * (1.0 + abs(endpoints.f_e)))
 
-    u0 = path[int(np.argmax(functional.energy_of_values(model, path)))]
+    u0 = path[int(np.argmax(functional.energy_of_values(solved, path)))]
     status, residual = _ray_stage(st, u0)
-    level = (functional.energy_of_values(model, st.u)
+    level = (functional.energy_of_values(solved, st.u)
              if status == "converged" else None)
     stages = {"ray": st.it, "polish": 0, "sweep": 0}
     sweep_start = None
@@ -889,7 +920,7 @@ def run(model, symmetry, cfg: SolveConfig) -> SolveReport:
             stages["sweep"] = st.it - stages["ray"] - stages["polish"]
     converged = level is not None and level > st.trivial_level
 
-    u_final = GridFunction(domain, st.u)
+    u_final = GridFunction(domain, st.full(st.u))
     return SolveReport(
         mode=mode,
         requested_mode=cfg.mode,
@@ -921,8 +952,14 @@ class LevelComparison:
     c_restricted: float | None
     ordered: bool | None
     tolerance: float
-    plain_report: SolveReport
-    restricted_report: SolveReport
+    # per mode, of each solve that returned a report
+    iterations: dict
+    stage_iterations: dict
+    # the numerical failure that ended the comparison: its mode, message
+    # and iteration
+    failure: dict | None
+    plain_report: SolveReport | None
+    restricted_report: SolveReport | None
 
     def to_dict(self) -> dict:
         return {k: v for k, v in vars(self).items()
@@ -931,19 +968,41 @@ class LevelComparison:
 
 def compare_levels(model, symmetry, cfg: SolveConfig,
                    level_tolerance: float = 1e-4) -> LevelComparison:
-    """Run plain and restricted solves and compare minimax levels."""
-    plain = run(model, symmetry, replace(cfg, mode="plain"))
-    restricted = run(model, symmetry, replace(cfg, mode="restricted"))
-    bad = [name for name, rep in (("plain", plain), ("restricted", restricted))
-           if not rep.converged]
+    """Run plain and restricted solves and compare minimax levels.
+
+    A numerical failure of either solve declines the comparison and is
+    reported with its mode; the restricted solve does not run after a
+    failed plain one.
+    """
+    reports, failure = {}, None
+    for mode in ("plain", "restricted"):
+        try:
+            reports[mode] = run(model, symmetry, replace(cfg, mode=mode))
+        except NumericalFailureError as exc:
+            failure = {"mode": mode, "message": str(exc),
+                       "iteration": exc.last_state["iteration"]}
+            break
+    plain, restricted = reports.get("plain"), reports.get("restricted")
+    bad = [mode for mode, rep in reports.items() if not rep.converged]
+    if failure is not None:
+        reason = f"numerical failure: {failure['mode']}"
+    elif bad:
+        reason = f"non-converged: {', '.join(bad)}"
+    else:
+        reason = None
     return LevelComparison(
-        declined=bool(bad),
-        reason=f"non-converged: {', '.join(bad)}" if bad else None,
-        c_plain=plain.level if plain.converged else None,
-        c_restricted=restricted.level if restricted.converged else None,
-        ordered=None if bad else
+        declined=reason is not None,
+        reason=reason,
+        c_plain=plain.level if plain and plain.converged else None,
+        c_restricted=(restricted.level
+                      if restricted and restricted.converged else None),
+        ordered=None if reason else
         plain.level <= restricted.level + level_tolerance,
         tolerance=level_tolerance,
+        iterations={mode: rep.iterations for mode, rep in reports.items()},
+        stage_iterations={mode: rep.stage_iterations
+                          for mode, rep in reports.items()},
+        failure=failure,
         plain_report=plain, restricted_report=restricted)
 
 

@@ -23,8 +23,6 @@ from .grid import Domain, GridFunction
 from . import functional
 
 
-PLAN_HEADER = "# symcrit-plan v1"
-
 # relative slack for float comparisons of quantities that are exact
 # rearrangements in real arithmetic
 _REL_EPS = 1e-12
@@ -291,16 +289,6 @@ def apply_plan(p: SymmetrizationPlan, u: GridFunction,
     if record_distance:
         return result, np.array(distances)
     return result
-
-
-def write_plan(p: SymmetrizationPlan, path):
-    """Export the swap list for audit: one step per row."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(PLAN_HEADER + "\n")
-        fh.write("step,positive,negative\n")
-        for k, h in enumerate(p.polarizers):
-            for pos, neg in h.pairs:
-                fh.write(f"{k},{pos},{neg}\n")
 
 
 def edge_dirichlet_energy(domain: Domain, values: np.ndarray,

@@ -247,7 +247,7 @@ def test_nonconverged_solve_exits_two(tmp_path, capsys):
     assert man["stages"]["solve"] == "not-converged"
 
 
-# the toy ball of test_solver: residual call 7 is the first polish residual
+# the toy ball of test_solver: residual call 7 is iteration 7 of the ray stage
 TOY_BALL = ("domain.kind = radial-ball-1d\n"
             "domain.dimension = 3\ndomain.radius = 12.0\n"
             "domain.resolution = 2\n"
@@ -350,6 +350,40 @@ def test_compare_levels_declines_exits_two(tmp_path, capsys):
     rc = cli.main(["compare-levels", "--config", cfg])
     assert rc == 2
     assert json.loads(capsys.readouterr().out)["declined"] is True
+
+
+def test_compare_levels_numerical_failure_exits_two_with_report(
+        tmp_path, monkeypatch):
+    # residual call 7 belongs to iteration 7 of the plain solve's ray
+    # stage; the restricted solve then does not run
+    poison_residual(monkeypatch, 7)
+    cfg = write_cfg(tmp_path, TOY_BALL)
+    out = str(tmp_path / "o")
+    rc = cli.main(["compare-levels", "--config", cfg, "--out", out,
+                   "--quiet"])
+    assert rc == 2
+    rep = read_json(os.path.join(out, "compare_levels.json"))
+    assert rep["declined"] is True
+    assert rep["ordered"] is None
+    assert rep["failure"]["mode"] == "plain"
+    assert "in the ray stage" in rep["failure"]["message"]
+    assert rep["failure"]["iteration"] == 7
+    assert rep["iterations"] == {} and rep["stage_iterations"] == {}
+
+
+def test_compare_levels_reports_both_solves_cost(tmp_path):
+    cfg = write_cfg(tmp_path, TOY_BALL.replace(
+        "solver.max_iterations = 10", "solver.max_iterations = 5000"))
+    out = str(tmp_path / "o")
+    rc = cli.main(["compare-levels", "--config", cfg, "--out", out,
+                   "--quiet"])
+    assert rc == 0
+    rep = read_json(os.path.join(out, "compare_levels.json"))
+    assert rep["failure"] is None
+    assert set(rep["iterations"]) == {"plain", "restricted"}
+    for mode, stages in rep["stage_iterations"].items():
+        assert set(stages) == {"ray", "polish", "sweep"}
+        assert sum(stages.values()) == rep["iterations"][mode] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
+from dataclasses import replace
 import itertools
 
 import numpy as np
 import pytest
 
-from symcrit import grid, group
+from symcrit import functional, grid, group, integrand
 from symcrit.errors import SymmetryCompatibilityError
 
 from conftest import random_function
@@ -192,3 +193,105 @@ def test_trivial_group_orbit_count(ball_small):
     g = group.build_group(ball_small, "trivial")
     fb = group.fix_basis(g)
     assert fb.dim == int(np.sum(~ball_small.boundary))
+
+
+# ---------------------------------------------------------------------------
+# quotient domain
+
+
+QUOTIENT_CASES = [
+    ("square", dict(side=6.0, resolution=9), "dihedral_4"),
+    ("square", dict(side=6.0, resolution=8), "dihedral_4"),
+    ("square", dict(side=6.0, resolution=9), "rotations_4"),
+    ("square", dict(side=6.0, resolution=9), "dihedral_1"),
+    ("disk-polar", dict(radius=6.0, resolution=10, angular_resolution=16),
+     "rotations_8"),
+    ("disk-polar", dict(radius=6.0, resolution=10, angular_resolution=16),
+     "dihedral_8"),
+    ("annulus-polar", dict(inner_radius=1.0, outer_radius=3.0, resolution=4,
+                           angular_resolution=8), "dihedral_2"),
+]
+
+
+def quotient_case(kind, dom_kw, label, name="modulated"):
+    dom = grid.build_domain(kind, **dom_kw)
+    g = group.build_group(dom, label)
+    j = integrand.builtin(name, p=1.8)
+    model = functional.EnergyModel(domain=dom, integrand=j, q=3.0)
+    return g, model, replace(model, domain=group.quotient(g))
+
+
+def invariant_pair(quot, basis, rng):
+    """Random orbit values x (zero on the boundary) and u = B x."""
+    x = rng.standard_normal(quot.n_nodes)
+    x[quot.boundary] = 0.0
+    return x, x[basis.orbit]
+
+
+@pytest.mark.parametrize("kind, dom_kw, label", QUOTIENT_CASES)
+@pytest.mark.parametrize("name", ["plaplace", "modulated"])
+def test_quotient_energy_and_residual_match_full(kind, dom_kw, label, name,
+                                                 rng):
+    # F(x) = f(B x) and F'(x) = B^T f'(B x) for every orbit vector x
+    g, model, qmodel = quotient_case(kind, dom_kw, label, name)
+    basis = group.fix_basis(g)
+    for _ in range(5):
+        x, u = invariant_pair(qmodel.domain, basis, rng)
+        f = functional.energy_of_values(model, u)
+        assert abs(functional.energy_of_values(qmodel, x) - f) \
+            <= 1e-13 * abs(f)
+        r = functional.residual_of_values(model, u)
+        r_q = functional.residual_of_values(qmodel, x)
+        want = np.bincount(basis.orbit, weights=r,
+                           minlength=basis.reps.shape[0])
+        assert np.max(np.abs(r_q - want)) <= 1e-13 * np.max(np.abs(r))
+
+
+@pytest.mark.parametrize("kind, dom_kw, label", QUOTIENT_CASES)
+def test_quotient_weights_and_norms(kind, dom_kw, label, rng):
+    g, model, qmodel = quotient_case(kind, dom_kw, label)
+    quot, dom = qmodel.domain, model.domain
+    basis = group.fix_basis(g)
+    assert quot.weights.sum() == pytest.approx(dom.volume, rel=1e-12)
+    assert quot.cells.weights.sum() == pytest.approx(dom.volume, rel=1e-12)
+    assert np.array_equal(quot.boundary, dom.boundary[basis.reps])
+    # the per-node loop the orbit map replaced: node i's orbit is the set
+    # of its images
+    for i in range(dom.n_nodes):
+        members = np.flatnonzero(basis.orbit == basis.orbit[i])
+        assert np.array_equal(members, np.unique(g.perms[:, i]))
+    x, u = invariant_pair(quot, basis, rng)
+    assert grid.w1p_norms(quot, x, 1.8) == pytest.approx(
+        grid.w1p_norms(dom, u, 1.8), rel=1e-13)
+
+
+@pytest.mark.parametrize("kind, dom_kw, label, nodes, cells", [
+    ("square", dict(side=6.0, resolution=23), "dihedral_4", 91, 78),
+    ("disk-polar", dict(radius=6.0, resolution=20, angular_resolution=32),
+     "rotations_8", 84, 84),
+])
+def test_quotient_sizes(kind, dom_kw, label, nodes, cells):
+    dom = grid.build_domain(kind, **dom_kw)
+    quot = group.quotient(group.build_group(dom, label))
+    assert (quot.n_nodes, quot.cells.count) == (nodes, cells)
+    assert quot.cells.op.shape == (3 * cells, nodes)
+
+
+def test_quotient_is_cached_and_trivial_is_the_domain(square_small):
+    g = group.build_group(square_small, "dihedral_4")
+    assert group.quotient(g) is group.quotient(
+        group.build_group(square_small, "dihedral_4"))
+    trivial = group.build_group(square_small, "trivial")
+    assert group.quotient(trivial) is square_small
+
+
+def test_quotient_rejects_element_that_breaks_cells(square_small):
+    # swapping two neighboring interior nodes keeps weights and the
+    # boundary, but the cells around them map onto no cell
+    a = 2 * 7 + 2
+    swap = np.arange(square_small.n_nodes)
+    swap[[a, a + 1]] = swap[[a + 1, a]]
+    g = group.SymmetryGroup(domain=square_small, label="swap",
+                            perms=np.stack([np.arange(swap.shape[0]), swap]))
+    with pytest.raises(SymmetryCompatibilityError, match="onto no cell"):
+        group.quotient(g)

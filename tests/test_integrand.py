@@ -112,30 +112,3 @@ def test_report_serializes():
     d = integrand.check_conditions(J, q=4.0).to_dict()
     assert d["all_passed"] is True
     assert set(d["checks"]) == {"j1", "j2", "j3", "j3t", "j4", "j5", "j6"}
-
-
-# ---------------------------------------------------------------------------
-# derivative consistency
-
-
-def test_consistency_plaplace():
-    J = integrand.builtin("plaplace", p=2.0)
-    result = integrand.consistency_check(J)
-    assert result["max_mismatch"] <= 1e-10
-
-
-def test_consistency_modulated():
-    J = integrand.builtin("modulated", p=2.0)
-    result = integrand.consistency_check(J)
-    assert result["max_mismatch"] <= 1e-7
-
-
-def test_consistency_flags_corrupted_partial():
-    J = integrand.builtin("modulated", p=2.0)
-    honest_jt = J.j_t
-    J.j_t = lambda s, t: 1.01 * honest_jt(s, t)
-    result = integrand.consistency_check(J)
-    # mismatch lands at about 1e-2 of the partial's own size
-    peak = float(np.max(np.abs(honest_jt(0.0, 4.0))))
-    assert result["t_mismatch"] >= 5e-3 * peak
-    assert result["t_mismatch"] <= 2e-2 * np.max(np.abs(honest_jt(4.0, 4.0)))

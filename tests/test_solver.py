@@ -11,7 +11,7 @@ from symcrit.errors import NumericalFailureError, ParameterError
 from symcrit.grid import GridFunction
 from symcrit.solver import (PS_CSV_HEADER, TAIL_RETENTION, PSRecord,
                             SolveConfig, _metric_coefficients,
-                            _metric_stencil, _ray_peak,
+                            _metric_stencil, _polish_metric, _ray_peak,
                             compare_levels, config_digest, default_psi,
                             init_endpoints, ps_diagnostics, run)
 
@@ -462,6 +462,89 @@ def test_report_carries_run_metadata(square_run):
     assert rep.wall_time > 0.0
     assert rep.endpoints.f_e < 0.0
     assert rep.config is cfg or rep.config == cfg
+
+
+@pytest.mark.parametrize("kind, dom_kw, p, q, positivity", [
+    ("radial-ball-1d", dict(dimension=3, radius=12.0, resolution=30),
+     2.0, 4.0, True),
+    # the square's plain polish proposes dihedral snaps
+    ("square", dict(side=6.0, resolution=9), 1.8, 3.0, False),
+])
+def test_restricted_trivial_group_reproduces_plain_bitwise(kind, dom_kw, p,
+                                                           q, positivity):
+    # the trivial group's quotient is the domain itself, so restricted
+    # mode runs the plain solve's arithmetic
+    model = make_model(kind, dom_kw, p=p, q=q, positivity=positivity)
+    sym = group.build_group(model.domain, "trivial")
+    cfg = SolveConfig(mode="plain", path_points=12, max_iterations=20000,
+                      grad_tol=1e-8, seed=0)
+    plain = run(model, sym, cfg)
+    restricted = run(model, sym, replace(cfg, mode="restricted"))
+    assert plain.converged and restricted.mode == "restricted"
+    assert restricted.level == plain.level
+    assert np.array_equal(restricted.u.values, plain.u.values)
+    assert restricted.stage_iterations == plain.stage_iterations
+    for name in ("iteration", "f", "grad_norm", "w1p_norm", "dist_vstar_V",
+                 "dist_vstar_W"):
+        assert getattr(restricted.record, name) \
+            == getattr(plain.record, name), name
+
+
+def test_restricted_stages_never_project(monkeypatch):
+    # the stages solve in orbit coordinates: the only averages over the
+    # solve's own group are the endpoint samples and the initial path, so
+    # their number does not depend on how many iterations run
+    model = make_model("disk-polar", dict(radius=6.0, resolution=10,
+                                          angular_resolution=16),
+                       p=1.8, q=3.0)
+    sym = group.build_group(model.domain, "rotations_8")
+    average = group.average_values
+    calls = []
+
+    def counted(g, values):
+        calls.append(g is sym)
+        return average(g, values)
+
+    monkeypatch.setattr(group, "average_values", counted)
+    counts = []
+    for budget in (1, 20000):
+        calls.clear()
+        rep = run(model, sym, SolveConfig(mode="restricted", seed=0,
+                                          max_iterations=budget))
+        counts.append(sum(calls))
+    assert rep.converged and rep.stage_iterations["polish"] > 0
+    assert counts[0] == counts[1]
+    # u is B x for the orbit values x, so it is exactly invariant
+    assert np.array_equal(rep.u.values[sym.perms], np.broadcast_to(
+        rep.u.values, sym.perms.shape))
+
+
+@pytest.mark.parametrize("kind, dom_kw, label", [
+    ("square", dict(side=6.0, resolution=9), "dihedral_4"),
+    ("square", dict(side=6.0, resolution=9), "rotations_4"),
+    ("square", dict(side=6.0, resolution=9), "dihedral_1"),
+    ("disk-polar", dict(radius=6.0, resolution=10, angular_resolution=16),
+     "rotations_8"),
+    ("disk-polar", dict(radius=6.0, resolution=10, angular_resolution=16),
+     "dihedral_8"),
+    ("annulus-polar", dict(inner_radius=1.0, outer_radius=3.0, resolution=4,
+                           angular_resolution=8), "dihedral_2"),
+])
+def test_quotient_metric_solve_matches_full(kind, dom_kw, label):
+    # for an invariant covector c the full Picard-metric solve of c is
+    # invariant and equals B times the quotient solve of B^T c
+    model = make_model(kind, dom_kw, p=1.8, q=3.0)
+    sym = group.build_group(model.domain, label)
+    basis = group.fix_basis(sym)
+    qmodel = replace(model, domain=group.quotient(sym))
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(qmodel.domain.n_nodes)
+    y = rng.standard_normal(qmodel.domain.n_nodes)
+    x[qmodel.domain.boundary] = y[qmodel.domain.boundary] = 0.0
+    c = y[basis.orbit]
+    want = _polish_metric(model, x[basis.orbit])(c)
+    got = _polish_metric(qmodel, x)(basis.sizes * y)[basis.orbit]
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_direct_mode_downgrades_on_failed_gate(toy_model):

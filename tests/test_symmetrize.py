@@ -355,19 +355,6 @@ def test_plan_distance_monotone(square_dom, disk_dom, rng):
             assert dists[-1] <= 1e-13
 
 
-def test_plan_export(tmp_path, disk_dom):
-    p = symmetrize.plan(disk_dom)
-    path = tmp_path / "plan.csv"
-    symmetrize.write_plan(p, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == symmetrize.PLAN_HEADER
-    assert lines[1] == "step,positive,negative"
-    assert len(lines) == 2 + p.swap_count
-    step, pos, neg = map(int, lines[2].split(","))
-    assert step == 0
-    assert [pos, neg] == list(p.polarizers[0].pairs[0])
-
-
 def test_schwarz_commutes_with_polarization(square_dom, rng):
     # (u^H)* = u* and (u*)^H = u*, exactly
     for h in symmetrize.reflection_polarizers(square_dom):
