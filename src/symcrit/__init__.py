@@ -23,7 +23,7 @@ from .group import SymmetryGroup, average, build_group
 from .integrand import Integrand, builtin, check_conditions
 from .solver import SolveConfig, SolveReport, compare_levels, init_endpoints, run
 from .symmetrize import check_axioms, cone_project, polarize, schwarz
-from .verify import check_assumption_A, dense_test_sweep, palais_check
+from .verify import dense_test_sweep, palais_check
 
 __version__ = "0.1.0"
 
@@ -48,7 +48,6 @@ __all__ = [
     "build_domain",
     "build_group",
     "builtin",
-    "check_assumption_A",
     "check_axioms",
     "check_conditions",
     "cli",

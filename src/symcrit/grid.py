@@ -552,22 +552,36 @@ def write_gridfunction(u: GridFunction, path, extra_comments=()):
 
 
 def read_gridfunction(domain: Domain, path) -> GridFunction:
-    """Read the CSV format back onto an existing domain."""
+    """Read the CSV format back onto an existing domain.
+
+    The rows must list nodes 0 .. n-1 once each, in order, at the domain's
+    own coordinates (``write_gridfunction`` writes them with %.17g, which
+    round-trips), so a file written on another grid of the same size is
+    refused.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline().rstrip("\n")
         if first != GRIDFUNCTION_HEADER:
             raise ConfigurationError(
                 f"not a symcrit grid-function file (header {first!r})")
-        values = np.full(domain.n_nodes, np.nan)
         for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("index,"):
-                continue
-            parts = line.split(",")
-            idx = int(parts[0])
-            if not 0 <= idx < domain.n_nodes:
-                raise ConfigurationError(f"node index {idx} out of range")
-            values[idx] = float(parts[-1])
-    if np.any(np.isnan(values)):
-        raise ConfigurationError("grid-function file does not cover every node")
-    return GridFunction(domain, values)
+            if line.startswith("index,"):
+                break
+        try:
+            rows = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2)
+        except ValueError as exc:
+            raise ConfigurationError(f"malformed grid-function row: {exc}")
+    n, n_coord = domain.coords.shape
+    if rows.shape != (n, n_coord + 2) \
+            or not np.array_equal(rows[:, 0], np.arange(n)):
+        raise ConfigurationError(
+            f"grid-function file must list nodes 0..{n - 1} once each and "
+            f"in order, in {n_coord + 2} columns; got {rows.shape[0]} rows")
+    moved = np.flatnonzero(np.any(rows[:, 1:-1] != domain.coords, axis=1))
+    if moved.size:
+        i = int(moved[0])
+        raise ConfigurationError(
+            f"node {i} is at {rows[i, 1:-1].tolist()} in the file but at "
+            f"{domain.coords[i].tolist()} on the domain: the file was "
+            "written on a different domain")
+    return GridFunction(domain, rows[:, -1])

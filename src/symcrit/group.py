@@ -10,17 +10,18 @@ The action on functions follows (g u)(x) = u(g^{-1} x): if ``perm`` sends
 node i to node perm[i] geometrically, then ``(g u)[perm] = u``.
 
 A G-invariant function is fixed by its values on the node orbits
-(``fix_basis``), and ``quotient`` turns the domain into one whose nodes
-are those orbits and whose energy is the energy of the invariant
-function.  By the principle of symmetric criticality (Palais 1979) a
-critical point of f restricted to Fix(G) is critical for f, so restricted
-solves run on the quotient and need no projection.
+(``fix_basis``).  That orbit map gives the projector onto Fix(G), orbit
+means expanded (``average_values``), and ``quotient``: a domain whose
+nodes are the orbits and whose energy is that of the invariant function.
+By the principle of symmetric criticality (Palais 1979) a critical point
+of f restricted to Fix(G) is critical for f, so restricted solves run on
+the quotient and need no projection.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sparse
@@ -54,6 +55,8 @@ class SymmetryGroup:
     domain: Domain
     label: str
     perms: np.ndarray       # (order, n_nodes) int, geometric node maps
+    # the orbit map, built on first use by ``fix_basis``
+    _basis: FixBasis | None = field(default=None, init=False, repr=False)
 
     @property
     def order(self) -> int:
@@ -66,29 +69,35 @@ class FixBasis:
 
     ``orbit[i]`` numbers the orbit of node i, ``reps`` holds the smallest
     node of each orbit (ascending, so orbits are numbered in the order of
-    their representatives) and ``sizes`` the orbit sizes.  An invariant
-    function is ``x[orbit]`` for its orbit values ``x = u[reps]``; that is
-    B x for the n x k orbit-indicator matrix B.  Boundary orbits are kept,
-    so every node has an orbit.
+    their representatives), ``sizes`` the orbit sizes and ``interior``
+    marks the orbits off the boundary.  ``sums`` is B^T for the n x k
+    orbit-indicator matrix B: an invariant function is B x = ``x[orbit]``
+    for its orbit values ``x = u[reps]``; the projector onto Fix(G) is
+    B (B^T v / sizes).  Boundary orbits are kept, so every node has one.
+    The group keeps its basis, which refers to no domain or group.
     """
 
-    group: SymmetryGroup
     orbit: np.ndarray       # (n_nodes,) orbit number of each node
     reps: np.ndarray        # (k,) smallest node of each orbit
     sizes: np.ndarray       # (k,) nodes per orbit
+    interior: np.ndarray    # (k,) bool, orbit off the boundary
+    sums: sparse.csr_matrix  # (k, n_nodes) orbit sums B^T
 
     @property
     def dim(self) -> int:
         """dim Fix(G): the number of interior orbits."""
-        return int(np.count_nonzero(~self.group.domain.boundary[self.reps]))
+        return int(np.count_nonzero(self.interior))
 
     @property
     def orbits(self) -> list:
         """Member nodes of each interior orbit."""
         members = np.split(np.argsort(self.orbit, kind="stable"),
                            np.cumsum(self.sizes)[:-1])
-        inner = ~self.group.domain.boundary[self.reps]
-        return [m for m, keep in zip(members, inner) if keep]
+        return [m for m, keep in zip(members, self.interior) if keep]
+
+    def means(self, values: np.ndarray) -> np.ndarray:
+        """Orbit means B^T v / sizes of a vector or of each stacked row."""
+        return (self.sums @ values.T).T / self.sizes
 
 
 def _square_index_maps(domain):
@@ -252,14 +261,10 @@ def apply(g: SymmetryGroup, element: int, u: GridFunction) -> GridFunction:
 
 
 def average_values(g: SymmetryGroup, values: np.ndarray) -> np.ndarray:
-    """Orbit average of a value array (the projector onto Fix(G))."""
-    acc = np.zeros_like(values, dtype=np.float64)
-    for perm in g.perms:
-        if values.ndim == 1:
-            acc[perm] += values
-        else:
-            acc[:, perm] += values
-    return acc / g.order
+    """Orbit average of a vector or of each row of a (k, n) stack: the
+    projector B (B^T v / sizes) onto Fix(G)."""
+    basis = fix_basis(g)
+    return basis.means(values)[..., basis.orbit]
 
 
 def average(g: SymmetryGroup, u: GridFunction) -> GridFunction:
@@ -270,18 +275,21 @@ def average(g: SymmetryGroup, u: GridFunction) -> GridFunction:
 
 
 def fix_basis(g: SymmetryGroup) -> FixBasis:
-    """The orbit map of g, built once per (domain, group).
+    """The orbit map of g, built once per group.
 
     The orbit of node i is the column ``perms[:, i]``, so its smallest
     member is the column minimum.
     """
-    def build():
+    if g._basis is None:
         reps, orbit, sizes = np.unique(g.perms.min(axis=0),
                                        return_inverse=True,
                                        return_counts=True)
-        return FixBasis(group=g, orbit=orbit, reps=reps, sizes=sizes)
-
-    return g.domain.cached(("fix_basis", g.perms.tobytes()), build)
+        n = g.domain.n_nodes
+        sums = sparse.csr_matrix((np.ones(n), (orbit, np.arange(n))),
+                                 shape=(reps.shape[0], n))
+        g._basis = FixBasis(orbit=orbit, reps=reps, sizes=sizes,
+                            interior=~g.domain.boundary[reps], sums=sums)
+    return g._basis
 
 
 def quotient(g: SymmetryGroup) -> Domain:
@@ -348,10 +356,8 @@ def _build_quotient(g: SymmetryGroup) -> Domain:
                                       return_counts=True)
     blocks = cs.op.shape[0] // cs.count
     rows = (np.arange(blocks)[:, None] * cs.count + cell_reps).ravel()
-    n, k = dom.n_nodes, fb.reps.shape[0]
-    lift = sparse.csr_matrix((np.ones(n), (np.arange(n), fb.orbit)),
-                             shape=(n, k))
-    op = (cs.op[rows] @ lift).tocsr()
+    k = fb.reps.shape[0]
+    op = (cs.op[rows] @ fb.sums.T).tocsr()
     op.eliminate_zeros()
     op.sort_indices()
     # grid edges between two distinct orbits

@@ -279,7 +279,7 @@ def init_endpoints(model, symmetry=None, psi: GridFunction | None = None,
     r_cert = (m_coer * p / k_emb) ** (1.0 / (q - p))
 
     rng = np.random.default_rng(seed)
-    # invariant samples are priced in orbit coordinates
+    # invariant samples are orbit means of noise, priced in orbit coordinates
     sampled, basis = _orbit_coordinates(model, symmetry)
     rho = min(r_cert, psi_w1p)
     rho0 = sigma0 = None
@@ -293,8 +293,7 @@ def init_endpoints(model, symmetry=None, psi: GridFunction | None = None,
                 (min(block, sphere_samples - start), domain.n_nodes))
             noise[:, domain.boundary] = 0.0
             if basis is not None:
-                noise = group_mod.average_values(symmetry, noise)[
-                    :, basis.reps]
+                noise = basis.means(noise)
             nrm = grid.w1p_norms(sampled.domain, noise, p)
             live = nrm != 0.0
             f_samples = functional.energy_of_values(
@@ -540,16 +539,16 @@ def _merit_directions(metric, w, gm):
 class _Solve:
     """State the stages of one run share: the model solved (in restricted
     mode the quotient's, so ``u`` holds orbit values), config, the orbit
-    map ``basis`` back to the full domain (None when the model is the
+    map ``basis`` back to the full ``domain`` (None when the model is the
     full one), record and iteration counters, the current iterate ``u``
     and, from the first ``restart`` on, the polish's conjugate-gradient
     memory and Picard metric."""
 
-    def __init__(self, model, cfg, basis, trivial_level):
+    def __init__(self, model, cfg, basis, domain, trivial_level):
         self.model = model
         self.cfg = cfg
         self.basis = basis
-        self.domain = model.domain if basis is None else basis.group.domain
+        self.domain = domain
         self.w = model.domain.weights
         self.trivial_level = trivial_level
         self.record = PSRecord()
@@ -893,11 +892,11 @@ def run(model, symmetry, cfg: SolveConfig) -> SolveReport:
     # only, and every iterate is invariant by construction
     solved, basis = _orbit_coordinates(model, project)
     if basis is not None:
-        path = group_mod.average_values(project, path)[:, basis.reps]
+        path = basis.means(path)
     # a point polished down to the zero local minimum is not a pass; the
     # sampled sigma0 overestimates the true sphere infimum, so only a
     # scale-relative zero test is safe as the triviality gate
-    st = _Solve(solved, cfg, basis,
+    st = _Solve(solved, cfg, basis, domain,
                 trivial_level=1e-10 * (1.0 + abs(endpoints.f_e)))
 
     u0 = path[int(np.argmax(functional.energy_of_values(solved, path)))]

@@ -195,6 +195,24 @@ def test_verify_point_rejects_noninvariant_point(solved, tmp_path, capsys):
     assert "fixed subspace" in err["message"]
 
 
+def test_verify_point_rejects_malformed_row(solved, tmp_path, capsys):
+    _, cfg, out = solved
+    with open(os.path.join(out, "u_final.csv"), encoding="utf-8") as fh:
+        text = fh.read()
+    path = tmp_path / "garbled.csv"
+    path.write_text(text.replace("\n7,", "\n7,?", 1))
+    rc = cli.main(["verify-point", "--config", cfg, str(path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigurationError"
+    assert "malformed" in err["message"]
+
+
+def test_public_names_resolve():
+    for name in symcrit.__all__:
+        assert hasattr(symcrit, name), name
+
+
 # ---------------------------------------------------------------------------
 # failure exits
 

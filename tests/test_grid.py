@@ -268,6 +268,34 @@ def test_gridfunction_header_check(tmp_path, disk_small):
         grid.read_gridfunction(disk_small, path)
 
 
+def test_gridfunction_rejects_a_domain_of_the_same_size(tmp_path, rng):
+    # a side-6 and a side-8 square of one resolution have the same nodes
+    small = grid.build_domain("square", side=6.0, resolution=8)
+    large = grid.build_domain("square", side=8.0, resolution=8)
+    path = tmp_path / "u.csv"
+    grid.write_gridfunction(random_function(small, rng), path)
+    with pytest.raises(ConfigurationError, match="different domain"):
+        grid.read_gridfunction(large, path)
+
+
+def test_gridfunction_rejects_a_repeated_node(tmp_path, disk_small, rng):
+    path = tmp_path / "u.csv"
+    grid.write_gridfunction(random_function(disk_small, rng), path)
+    lines = path.read_text().splitlines()
+    row = next(line for line in lines if line.startswith("5,"))
+    path.write_text("\n".join([*lines, row.rsplit(",", 1)[0] + ",7"]) + "\n")
+    with pytest.raises(ConfigurationError, match="once each"):
+        grid.read_gridfunction(disk_small, path)
+
+
+def test_gridfunction_rejects_a_malformed_row(tmp_path, disk_small, rng):
+    path = tmp_path / "u.csv"
+    grid.write_gridfunction(random_function(disk_small, rng), path)
+    path.write_text(path.read_text().replace("\n5,", "\n5,x", 1))
+    with pytest.raises(ConfigurationError, match="malformed"):
+        grid.read_gridfunction(disk_small, path)
+
+
 def test_gridfunction_boundary_clamp(ball_small):
     vals = np.ones(ball_small.n_nodes)
     u = grid.GridFunction(ball_small, vals)

@@ -1,5 +1,7 @@
 from dataclasses import replace
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -245,6 +247,40 @@ def test_quotient_energy_and_residual_match_full(kind, dom_kw, label, name,
         want = np.bincount(basis.orbit, weights=r,
                            minlength=basis.reps.shape[0])
         assert np.max(np.abs(r_q - want)) <= 1e-13 * np.max(np.abs(r))
+
+
+@pytest.mark.parametrize("kind, dom_kw, label", QUOTIENT_CASES)
+def test_average_is_the_mean_of_the_group_action(kind, dom_kw, label, rng):
+    # the orbit-mean projector against (1/|G|) sum_e e u, for one vector
+    # and for each row of a stack
+    dom = grid.build_domain(kind, **dom_kw)
+    g = group.build_group(dom, label)
+    stack = [random_function(dom, rng) for _ in range(4)]
+    want = np.stack([sum(group.apply(g, e, u).values for e in range(g.order))
+                     / g.order for u in stack])
+    got = group.average_values(g, np.stack([u.values for u in stack]))
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= 1e-14 * scale
+    one = group.average_values(g, stack[0].values)
+    assert np.max(np.abs(one - want[0])) <= 1e-14 * scale
+
+
+def test_domain_is_freed_without_the_cycle_collector(rng):
+    # the group keeps the orbit map and the domain caches the quotient;
+    # neither may refer back to the domain, or every domain would wait
+    # for a full collection
+    gc.disable()
+    try:
+        dom = grid.build_domain("square", side=6.0, resolution=9)
+        g = group.build_group(dom, "dihedral_4")
+        group.fix_basis(g)
+        group.quotient(g)
+        group.average_values(g, random_function(dom, rng).values)
+        ref = weakref.ref(dom)
+        del dom, g
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("kind, dom_kw, label", QUOTIENT_CASES)

@@ -179,67 +179,3 @@ def test_weak_slope_flags_unbounded_envelope(square_setup, rng):
     assert slope.value > 0.0
     assert slope.to_dict()["formal_only"] is True
 
-
-# ---------------------------------------------------------------------------
-# directional lower-bound sampling
-
-WORST_MARGIN_PLAPLACE = 3.443420e-06
-WORST_MARGIN_MODULATED = 4.277295e-06
-
-
-@pytest.mark.parametrize("name,frozen", [
-    ("plaplace", WORST_MARGIN_PLAPLACE),
-    ("modulated", WORST_MARGIN_MODULATED),
-])
-def test_assumption_margin_stays_bounded(square_setup, converged, name,
-                                         frozen):
-    dom, _, sym = square_setup
-    model = functional.EnergyModel(domain=dom,
-                                   integrand=integrand.builtin(name, p=1.8),
-                                   q=3.0)
-    rpt = verify.check_assumption_A(model, sym, converged.u, converged.u,
-                                    samples=500, rho=0.5, seed=0)
-    assert rpt.used == 500
-    assert not rpt.diverging
-    # transverse directions climb away from a restricted minimax point,
-    # so the sampled lower bound sits at (numerically) zero
-    assert rpt.worst_margin > -1e-3
-    assert rpt.worst_margin == pytest.approx(frozen, rel=1e-3)
-    assert len(rpt.refinement_margins) == 20
-
-
-def test_assumption_is_vacuous_when_group_fixes_everything():
-    dom = grid.build_domain("radial-ball-1d", dimension=3, radius=12.0,
-                            resolution=2)
-    model = functional.EnergyModel(domain=dom,
-                                   integrand=integrand.builtin("plaplace",
-                                                               p=2.0),
-                                   q=4.0)
-    triv = group.build_group(dom, "trivial")
-    u = GridFunction(dom, np.zeros(3))
-    rpt = verify.check_assumption_A(model, triv, u, u, samples=40, rho=0.5,
-                                    seed=0)
-    assert rpt.degenerate_skipped == 40
-    assert rpt.used == 0
-    assert rpt.vacuous
-    assert rpt.to_dict()["worst_margin"] is None
-    assert not rpt.diverging
-
-
-def test_assumption_rejects_non_invariant_anchors(square_setup, rng):
-    dom, model, sym = square_setup
-    u = GridFunction(dom, np.zeros(dom.n_nodes))
-    noisy = random_function(dom, rng)
-    with pytest.raises(HypothesisViolationError):
-        verify.check_assumption_A(model, sym, u, noisy, samples=10)
-    with pytest.raises(HypothesisViolationError):
-        verify.check_assumption_A(model, sym, noisy, u, samples=10)
-
-
-def test_assumption_validates_parameters(square_setup):
-    dom, model, sym = square_setup
-    u = GridFunction(dom, np.zeros(dom.n_nodes))
-    with pytest.raises(ParameterError):
-        verify.check_assumption_A(model, sym, u, u, samples=0)
-    with pytest.raises(ParameterError):
-        verify.check_assumption_A(model, sym, u, u, samples=10, rho=0.0)
