@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -568,7 +569,12 @@ def read_gridfunction(domain: Domain, path) -> GridFunction:
             if line.startswith("index,"):
                 break
         try:
-            rows = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2)
+            with warnings.catch_warnings():
+                # a file without rows is refused below, without numpy's
+                # warning on stderr first
+                warnings.filterwarnings("ignore", "loadtxt: input contained "
+                                        "no data", UserWarning)
+                rows = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2)
         except ValueError as exc:
             raise ConfigurationError(f"malformed grid-function row: {exc}")
     n, n_coord = domain.coords.shape

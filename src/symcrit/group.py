@@ -238,17 +238,53 @@ def _check_element(dom: Domain, perm: np.ndarray, who: str):
 
 
 def _validate_group(g: SymmetryGroup):
-    keys = {}
-    for e, perm in enumerate(g.perms):
+    """Every element passes ``_check_element``, the identity is one of
+    them, and the elements are closed under composition.
+
+    Closure is checked on generators: if x[t] (t applied first) is an
+    element for every element x and every generator t, and products of
+    generators reach every element, then so is every product x[y].  The
+    generators are taken from the elements not reached yet, so a cyclic
+    or dihedral group costs one or two vectorized compositions of all
+    elements instead of |G|^2 single ones.
+    """
+    perms = g.perms.astype(np.int64)
+    for e, perm in enumerate(perms):
         _check_element(g.domain, perm, f"element {e} of {g.label!r}")
-        keys[perm.tobytes()] = e
-    if np.arange(g.domain.n_nodes, dtype=np.int64).tobytes() not in keys:
+    # rows are looked up by a random integer key (products wrap exactly)
+    # and count as an element only if they equal the element found
+    weights = np.random.default_rng(0).integers(1, 1 << 62, perms.shape[1])
+    keys = perms @ weights
+    order = np.argsort(keys)
+    keys = keys[order]
+
+    def index(rows):
+        """The element equal to each row, or -1."""
+        found = order[np.minimum(np.searchsorted(keys, rows @ weights),
+                                 order.shape[0] - 1)]
+        return np.where(np.all(perms[found] == rows, axis=1), found, -1)
+
+    identity = index(np.arange(perms.shape[1])[None, :])[0]
+    if identity < 0:
         raise SymmetryCompatibilityError("identity element missing")
-    for pa in g.perms:
-        for pb in g.perms:
-            if pb[pa].astype(np.int64).tobytes() not in keys:
-                raise SymmetryCompatibilityError(
-                    f"group {g.label!r} is not closed under composition")
+    reached = np.zeros(perms.shape[0], dtype=bool)
+    reached[identity] = True
+    steps = []
+    while not reached.all():
+        t = np.argmin(reached)
+        # the element x[t] of every element x
+        step = index(perms[:, perms[t]])
+        if np.any(step < 0):
+            raise SymmetryCompatibilityError(
+                f"group {g.label!r} is not closed under composition")
+        steps.append(step)
+        # t itself, which the lookup finds as its first copy if listed twice
+        reached[t] = True
+        count = 0
+        while count < reached.sum():
+            count = reached.sum()
+            for s in steps:
+                reached[s[reached]] = True
 
 
 def apply(g: SymmetryGroup, element: int, u: GridFunction) -> GridFunction:

@@ -4,11 +4,11 @@
 The ray stage is the local minimax method of Li and Zhou: it descends the
 peak energy max_t f(t v) over directions v on the unit W^{1,p} sphere.
 Every ray crosses the sphere on which ``init_endpoints`` certifies f > 0,
-so no iterate can fall to u = 0.  If it stalls, the polish stage
-contracts from its last peak by conjugate gradient on the squared dual
-residual norm; in direct mode the cone sweep, the same polish run from
-the rearranged converged point, keeps every trial on the rearrangement
-cone.
+so no iterate can fall to u = 0.  It is the only descent loop: after a
+stall the iterate is averaged over a larger symmetry group and the ray
+stage runs again from there (the "polish" iterations), and in direct
+mode the cone sweep is the ray stage run from the rearranged converged
+point with every trial projected onto the rearrangement cone.
 
 Restricted mode runs the same stages as a plain solve of the quotient
 model (``group.quotient``): the unknowns are the values on the node
@@ -62,14 +62,10 @@ _SAMPLE_BLOCK_VALUES = 1 << 14
 _MAX_BACKTRACKS = 60
 
 # ray stage: energy samples per peak scan, iterations the dual residual
-# may go without halving before the polish takes over, metric refresh
+# may go without halving before the stage stalls, metric refresh
 _SCAN_POINTS = 24
 _RAY_PATIENCE = 20
 _RAY_METRIC_REFRESH = 5
-
-# polish cadences: metric refresh and higher-symmetry proposals
-_METRIC_REFRESH = 100
-_SNAP_EVERY = 50
 
 
 @dataclass
@@ -188,8 +184,8 @@ class SolveReport:
     downgrade_reason: str | None = None
     # record row of the first polarization sweep (direct mode only)
     sweep_start: int | None = None
-    # iterations per stage ("ray", "polish", "sweep") and the ray stage's
-    # exit: its status and the dual residual it ended at
+    # iterations per stage ("ray", "polish", "sweep") and the first ray
+    # stage's exit: its status and the dual residual it ended at
     stage_iterations: dict | None = None
     ray_exit: dict | None = None
 
@@ -373,22 +369,6 @@ def _slope_parts(model, values, w):
     return d, slope, math.sqrt(max(slope, 0.0))
 
 
-def _hess_dir(model, values, d):
-    """Hessian of f applied to d, by central differences of the residual.
-
-    The direction is normalized before differencing so the assembly
-    roundoff in the residual does not swamp the difference near a
-    critical point.
-    """
-    d_inf = float(np.max(np.abs(d)))
-    if d_inf == 0.0:
-        return np.zeros_like(d)
-    eps = 1e-5 * (1.0 + float(np.max(np.abs(values)))) / d_inf
-    rp = functional.residual_of_values(model, values + eps * d)
-    rm = functional.residual_of_values(model, values - eps * d)
-    return (rp - rm) / (2.0 * eps)
-
-
 @dataclass(frozen=True)
 class _MetricStencil:
     """The fixed sparsity pattern of the Picard metric G^T diag(c) G + M
@@ -478,10 +458,8 @@ def _polish_metric(model, values):
     cell map, c the clamped cell coefficients of ``_metric_coefficients``
     and M the mass.  The entries come from the domain's cached
     ``_MetricStencil``, so a call costs one product with its fill map and
-    the factorization.  The ray stage applies the metric to the residual;
-    the polish applies it on both sides of the merit gradient, to match
-    the squared stiffness of the merit.  The solve leaves the Dirichlet
-    entries exactly zero.
+    the factorization.  The ray stage applies the metric to the residual.
+    The solve leaves the Dirichlet entries exactly zero.
     """
     dom = model.domain
     inner = dom.interior
@@ -501,12 +479,13 @@ def _polish_metric(model, values):
 
 
 def _snap_groups(domain, symmetry):
-    """Strictly larger symmetry realizations worth proposing during polish.
+    """Strictly larger symmetry realizations to average a stalled
+    iterate over.
 
     For p < 2 the integrand kink at flat cells walls off the last digits
     of an almost-symmetric iterate; averaging over a bigger group jumps
-    the wall in one move.  Proposals are only ever accepted on a strict
-    merit decrease, so an unsuitable candidate costs one evaluation.  The
+    the wall in one move.  A snap is only taken on a strictly smaller
+    dual residual, so an unsuitable candidate costs one evaluation.  The
     average is invariant under every group the domain realizes (the
     square's full dihedral group contains them all; the polar grid's full
     rotation group leaves ring-constant values, which every polar element
@@ -526,23 +505,11 @@ def _snap_groups(domain, symmetry):
     return [g] if g.order > current else []
 
 
-def _merit_directions(metric, w, gm):
-    """Preconditioned merit gradients to try: the Picard-metric sandwich
-    when it is finite, then the diagonal fallback gm / w."""
-    if metric is not None:
-        sandwich = metric(w * metric(gm))
-        if np.all(np.isfinite(sandwich)):
-            yield sandwich
-    yield gm / w
-
-
 class _Solve:
     """State the stages of one run share: the model solved (in restricted
     mode the quotient's, so ``u`` holds orbit values), config, the orbit
     map ``basis`` back to the full ``domain`` (None when the model is the
-    full one), record and iteration counters, the current iterate ``u``
-    and, from the first ``restart`` on, the polish's conjugate-gradient
-    memory and Picard metric."""
+    full one), record, iteration counter and the current iterate ``u``."""
 
     def __init__(self, model, cfg, basis, domain, trivial_level):
         self.model = model
@@ -553,7 +520,6 @@ class _Solve:
         self.trivial_level = trivial_level
         self.record = PSRecord()
         self.it = 0
-        self.polish_it = 0
         self.u = None
 
     def full(self, values):
@@ -586,30 +552,6 @@ class _Solve:
                                grid.w1p_norms(domain, full, p),
                                dist_v, dist_w, full)
         return d, slope, grad_norm
-
-    def restart(self, u):
-        """Make u the current iterate and start the conjugate-gradient
-        memory afresh, with the Picard metric frozen at u."""
-        self.u = u
-        self.s_dir = self.gm_prev = self.pm_prev = None
-        self.since_restart = 0
-        self.metric = _polish_metric(self.model, u)
-
-
-def _snap_restart(st, snaps, merit):
-    """Restart from the first higher-symmetry average of the iterate that
-    lowers the merit; False when none does.  The average is taken of the
-    expanded iterate, and in orbit coordinates its representative values
-    are the candidate."""
-    for g_big in snaps:
-        cand = group_mod.average_values(g_big, st.full(st.u))
-        if st.basis is not None:
-            cand = cand[st.basis.reps]
-        _, m_s, _ = _slope_parts(st.model, cand, st.w)
-        if math.isfinite(m_s) and m_s < merit:
-            st.restart(cand)
-            return True
-    return False
 
 
 def _illinois(g, a, ga, b, gb, rtol):
@@ -674,7 +616,7 @@ def _ray_peak(model, u):
     return None
 
 
-def _ray_stage(st, u0):
+def _ray_stage(st, u0, where="in the ray stage", sweep_rows=None):
     """Descend the peak energy f(t*(v) v) over unit directions v,
     starting from the direction of u0.
 
@@ -684,9 +626,16 @@ def _ray_stage(st, u0):
     dual residual.  Returns the status, "converged", "stalled" (no step
     left, or the residual did not halve in ``_RAY_PATIENCE`` iterations)
     or "budget", and the last residual.
+
+    With ``sweep_rows`` set this is the direct-mode cone sweep: the start
+    and every trial point are projected onto the rearrangement cone
+    (``symmetrize.cone_project``; the cone is closed under scaling, so
+    every peak stays on it), Armijo reads the projected displacement, and
+    a point that meets the tolerance is measured again until the record
+    holds ``sweep_rows`` rows.
     """
     model, cfg, w = st.model, st.cfg, st.w
-    where = "in the ray stage"
+    cone = sweep_rows is not None
 
     def peak_of(u):
         try:
@@ -694,8 +643,13 @@ def _ray_stage(st, u0):
         except FloatingPointError as exc:
             st.fail(f"{exc} became non-finite {where}")
 
+    def on_cone(values):
+        return symmetrize.cone_project(
+            GridFunction(model.domain, values)).values if cone else values
+
+    it0 = st.it
     st.u = u0
-    first = peak_of(u0)
+    first = peak_of(on_cone(u0))
     if first is None:
         st.fail(f"no energy peak along the starting ray {where}")
     st.u, f_u = first
@@ -705,21 +659,27 @@ def _ray_stage(st, u0):
         st.it += 1
         d, _, grad_norm = st.measure(st.u, f_u, where)
         if grad_norm <= cfg.grad_tol:
-            return "converged", grad_norm
+            if not cone or len(st.record) >= sweep_rows:
+                return "converged", grad_norm
+            continue
         if grad_norm <= 0.5 * g_ref:
             g_ref, it_ref = grad_norm, st.it
         elif st.it - it_ref >= _RAY_PATIENCE:
             return "stalled", grad_norm
         covector = w * d
-        if st.it % _RAY_METRIC_REFRESH == 1:
+        if (st.it - it0) % _RAY_METRIC_REFRESH == 1:
             metric = _polish_metric(model, st.u)
         grad = d if metric is None else metric(covector)
         slope = float(np.sum(covector * grad))
         s = s_mem
         for _ in range(_MAX_BACKTRACKS):
-            cand = peak_of(st.u - s * grad)
+            trial = on_cone(st.u - s * grad)
+            bound = (f_u + cfg.armijo
+                     * float(np.sum(covector * (trial - st.u)))
+                     if cone else f_u - cfg.armijo * s * slope)
+            cand = peak_of(trial)
             if cand is not None and (
-                    cand[1] <= f_u - cfg.armijo * s * slope
+                    cand[1] <= bound
                     or abs(cand[1] - f_u) <= 1e-14 * (1.0 + abs(f_u))
                     and _slope_parts(model, cand[0], w)[2]
                     < grad_norm):
@@ -732,136 +692,39 @@ def _ray_stage(st, u0):
     return "budget", grad_norm
 
 
-def _line_search(st, direction, gm, mslope, merit, t, cone):
-    """Armijo backtracking on the merit from ``st.u`` along ``direction``;
-    returns the accepted point, step and merit, or None.  On the cone the
-    step is capped at the iterate's scale (an uncapped projected trial can
-    land on the trivial critical point in one jump), every trial is
-    projected, the slope test uses the projected displacement, and a
-    trial must keep a nontrivial level."""
-    model, cfg, u = st.model, st.cfg, st.u
-    if cone:
-        s_inf = float(np.max(np.abs(direction)))
-        if s_inf > 0.0:
-            t = min(t, (1.0 + float(np.max(np.abs(u)))) / s_inf)
-    for _ in range(_MAX_BACKTRACKS):
-        cand = u + t * direction
-        step_slope = t * mslope
-        if cone and np.all(np.isfinite(cand)):
-            cand = symmetrize.cone_project(
-                GridFunction(model.domain, cand)).values
-            step_slope = float(np.sum(gm * (cand - u)))
-            if not (math.isfinite(step_slope) and step_slope < 0.0):
-                t *= cfg.step_shrink
-                continue
-        if np.all(np.isfinite(cand)):
-            _, m_c, _ = _slope_parts(model, cand, st.w)
-            if math.isfinite(m_c) \
-                    and m_c <= merit + cfg.armijo * step_slope \
-                    and (not cone or functional.energy_of_values(model, cand)
-                         > st.trivial_level):
-                return cand, t, m_c
-        t *= cfg.step_shrink
-    return None
-
-
-def _polish_stage(st, start, snaps, sweep_quota=None):
-    """Contract from start to the critical point.
-
-    Nonlinear conjugate gradient on the squared dual residual norm, run
-    in the Picard metric: plain descent on that merit squares the
-    stiffness of the problem, and sandwiching the merit gradient between
-    two inverse applications of the frozen-coefficient operator squares
-    the metric to match.  ``snaps`` come from ``_snap_groups``.  With
-    ``sweep_quota`` set this is the cone sweep, which stops only once it
-    has logged that many rows.  Returns the energy where the residual
-    tolerance was met, or None when the budget ran out or no step was left.
-    """
-    model, cfg, w = st.model, st.cfg, st.w
-    sweeping = sweep_quota is not None
-    first_row = len(st.record)
-    st.restart(start)
-    t_mem = cfg.step_init
-    micro_steps = 0
-    while st.it < cfg.max_iterations:
-        st.it += 1
-        st.polish_it += 1
-        u = st.u
-        f_u = functional.energy_of_values(model, u)
-        d, merit, grad_norm = st.measure(u, f_u, "during polishing")
-        if grad_norm <= cfg.grad_tol and (
-                not sweeping or len(st.record) - first_row >= sweep_quota):
-            return f_u
-        if snaps and not sweeping \
-                and (st.polish_it % _SNAP_EVERY == 1
-                     or grad_norm <= 1e3 * cfg.grad_tol) \
-                and _snap_restart(st, snaps, merit):
-            continue
-        if st.metric is not None and st.polish_it % _METRIC_REFRESH == 0:
-            st.metric = _polish_metric(model, u)
-        gm = _hess_dir(model, u, d)
-        for pm in _merit_directions(st.metric, w, gm):
-            denom = float(np.sum(gm * pm))
-            if math.isfinite(denom) and denom > 0.0:
+def _snap_stalls(st, status, residual, symmetry, sweep_rows=None):
+    """After each stall, average the expanded iterate over the first group
+    of ``_snap_groups`` (built at the first stall) whose average has a
+    smaller dual residual, and rerun the ray stage from there; in orbit
+    coordinates the average's representative values are the new start.
+    Returns the last status, which stays "stalled" once no snap helps."""
+    snaps = None
+    while status == "stalled" and st.it < st.cfg.max_iterations:
+        if snaps is None:
+            snaps = _snap_groups(st.domain, symmetry)
+        for g_big in snaps:
+            cand = group_mod.average_values(g_big, st.full(st.u))
+            if st.basis is not None:
+                cand = cand[st.basis.reps]
+            if _slope_parts(st.model, cand, st.w)[2] < residual:
                 break
         else:
-            return None
-        beta = 0.0
-        if st.s_dir is not None and st.since_restart < 50:
-            num = float(np.sum((gm - st.gm_prev) * pm))
-            prev = float(np.sum(st.gm_prev * st.pm_prev))
-            if math.isfinite(num) and prev > 0.0:
-                beta = max(0.0, num / prev)
-        s_cand = -pm + beta * (st.s_dir if st.s_dir is not None else 0.0)
-        mslope = float(np.sum(gm * s_cand))
-        if not (math.isfinite(mslope) and mslope < 0.0):
-            # not a descent direction: fall back to steepest descent
-            s_cand = -pm
-            mslope = -denom
-            st.since_restart = 0
-        step = _line_search(st, s_cand, gm, mslope, merit, t_mem, sweeping)
-        if step is None:
-            if sweeping and grad_norm <= cfg.grad_tol:
-                # settled on the cone at the residual floor; the record
-                # keeps the point until the quota is met
-                continue
-            if not _snap_restart(st, snaps, merit):
-                return None
-            t_mem = cfg.step_init
-            continue
-        cand, t, m_c = step
-        # a merit plateau with a large residual is a spurious stationary
-        # point of the merit, not a solution; stop instead of looping on
-        # no-op steps.  Near the tolerance the same step sizes are the
-        # legitimate endgame, so the guard only fires while the residual
-        # is still far out.
-        if merit - m_c <= 1e-18 * (1.0 + merit) \
-                and grad_norm > 100.0 * cfg.grad_tol:
-            micro_steps += 1
-            if micro_steps >= 10:
-                if not _snap_restart(st, snaps, merit):
-                    return None
-                micro_steps = 0
-                continue
-        else:
-            micro_steps = 0
-        st.u = cand
-        t_mem = min(cfg.step_init, t / cfg.step_shrink)
-        st.s_dir, st.gm_prev, st.pm_prev = s_cand, gm, pm
-        st.since_restart += 1
-    return None
+            break
+        status, residual = _ray_stage(st, cand, "during polishing",
+                                      sweep_rows)
+    return status
 
 
 def run(model, symmetry, cfg: SolveConfig) -> SolveReport:
     """Mountain-pass solve; returns a report (non-convergence included).
 
     The ray stage starts from the direction of the maximum-energy sample
-    of a seeded noisy path from 0 to e; the polish runs only after it
-    stalls.  Direct mode then sweeps from the converged point: far from
-    the solution a sweep and the contraction fight each other, near the
-    symmetric limit they cooperate.  The sweep runs until the swept
-    segment owns the final quartile of the record, so the tail statistics
-    are measured on iterates that follow it.
+    of a seeded noisy path from 0 to e; after a stall it runs again from
+    a symmetry snap (``_snap_stalls``).  Direct mode then sweeps from the
+    converged point: far from the solution a sweep and the descent fight
+    each other, near the symmetric limit they cooperate.  The sweep runs
+    until the swept segment owns the final quartile of the record, so the
+    tail statistics are measured on iterates that follow it.
     """
     t_start = time.perf_counter()
     domain = model.domain
@@ -893,7 +756,7 @@ def run(model, symmetry, cfg: SolveConfig) -> SolveReport:
     solved, basis = _orbit_coordinates(model, project)
     if basis is not None:
         path = basis.means(path)
-    # a point polished down to the zero local minimum is not a pass; the
+    # a point that descended to the zero local minimum is not a pass; the
     # sampled sigma0 overestimates the true sphere infimum, so only a
     # scale-relative zero test is safe as the triviality gate
     st = _Solve(solved, cfg, basis, domain,
@@ -901,23 +764,23 @@ def run(model, symmetry, cfg: SolveConfig) -> SolveReport:
 
     u0 = path[int(np.argmax(functional.energy_of_values(solved, path)))]
     status, residual = _ray_stage(st, u0)
-    level = (functional.energy_of_values(solved, st.u)
-             if status == "converged" else None)
+    ray_exit = {"status": status, "residual": residual}
     stages = {"ray": st.it, "polish": 0, "sweep": 0}
+    status = _snap_stalls(st, status, residual, project)
+    stages["polish"] = st.it - stages["ray"]
     sweep_start = None
-    if st.it < cfg.max_iterations \
-            and (status == "stalled" or mode == "direct"):
-        snaps = _snap_groups(domain, project)
-        if status == "stalled":
-            level = _polish_stage(st, st.u, snaps)
-            stages["polish"] = st.it - stages["ray"]
-        if level is not None and mode == "direct":
-            sweep_start = len(st.record)
-            swept = symmetrize.schwarz_values(domain, st.u)
-            level = _polish_stage(st, swept, snaps,
-                                  sweep_quota=max(1, -(-sweep_start // 3)))
-            stages["sweep"] = st.it - stages["ray"] - stages["polish"]
-    converged = level is not None and level > st.trivial_level
+    if status == "converged" and mode == "direct" \
+            and st.it < cfg.max_iterations:
+        sweep_start = len(st.record)
+        # the swept segment owns the final quartile of the record
+        rows = sweep_start + max(1, -(-sweep_start // 3))
+        status, residual = _ray_stage(
+            st, symmetrize.schwarz_values(domain, st.u), "during polishing",
+            rows)
+        status = _snap_stalls(st, status, residual, project, rows)
+        stages["sweep"] = st.it - stages["ray"] - stages["polish"]
+    converged = status == "converged" \
+        and functional.energy_of_values(solved, st.u) > st.trivial_level
 
     u_final = GridFunction(domain, st.full(st.u))
     return SolveReport(
@@ -935,7 +798,7 @@ def run(model, symmetry, cfg: SolveConfig) -> SolveReport:
         downgrade_reason=downgrade_reason,
         sweep_start=sweep_start,
         stage_iterations=stages,
-        ray_exit={"status": status, "residual": residual},
+        ray_exit=ray_exit,
     )
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -294,6 +295,21 @@ def test_gridfunction_rejects_a_malformed_row(tmp_path, disk_small, rng):
     path.write_text(path.read_text().replace("\n5,", "\n5,x", 1))
     with pytest.raises(ConfigurationError, match="malformed"):
         grid.read_gridfunction(disk_small, path)
+
+
+def test_gridfunction_without_rows_is_refused_without_warning(
+        tmp_path, disk_small, rng):
+    # the header and the column names, but no node rows
+    path = tmp_path / "u.csv"
+    grid.write_gridfunction(random_function(disk_small, rng), path)
+    lines = path.read_text().splitlines()
+    names = next(i for i, line in enumerate(lines)
+                 if line.startswith("index,"))
+    path.write_text("\n".join(lines[:names + 1]) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match="got 0 rows"):
+            grid.read_gridfunction(disk_small, path)
 
 
 def test_gridfunction_boundary_clamp(ball_small):

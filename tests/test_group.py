@@ -48,6 +48,39 @@ def test_group_closure_exhaustive(square_dihedral):
         assert pb[pa].tobytes() in keys
 
 
+def test_validation_agrees_with_the_composition_table(square_dihedral):
+    # every nonempty subset of the dihedral elements: the generator-based
+    # closure check raises exactly when some product of two is missing
+    dom, g = square_dihedral
+    identity = np.arange(dom.n_nodes, dtype=g.perms.dtype).tobytes()
+    outcomes = set()
+    for mask in itertools.product([False, True], repeat=g.order):
+        perms = g.perms[list(mask)]
+        if perms.shape[0] == 0:
+            continue
+        keys = {p.tobytes() for p in perms}
+        if identity not in keys:
+            message = "identity element missing"
+        elif all(pb[pa].tobytes() in keys
+                 for pa, pb in itertools.product(perms, repeat=2)):
+            message = None
+        else:
+            message = "not closed under composition"
+        outcomes.add(message)
+        partial = group.SymmetryGroup(domain=dom, label="partial",
+                                      perms=perms)
+        if message is None:
+            group._validate_group(partial)
+        else:
+            with pytest.raises(SymmetryCompatibilityError, match=message):
+                group._validate_group(partial)
+    assert len(outcomes) == 3
+    # an element listed twice is still one element
+    group._validate_group(group.SymmetryGroup(
+        domain=dom, label="repeated",
+        perms=np.concatenate([g.perms, g.perms[:1]])))
+
+
 def test_incompatible_rotation_rejected():
     dom = grid.build_domain("disk-polar", radius=1.0, resolution=4,
                             angular_resolution=12, max_rotation_order=4)

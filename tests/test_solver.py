@@ -606,6 +606,35 @@ def test_direct_mode_sweeps_straight_from_a_converged_ray():
     assert rep.sweep_start == rep.stage_iterations["ray"]
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_direct_mode_sweeps_the_disk_to_the_restricted_level(seed):
+    # the sweep is the ray stage with every trial projected onto the cone;
+    # the disk's cone holds the rotation-invariant pass, so the sweep
+    # reaches the restricted level of desk disk_modulated
+    model = make_model("disk-polar", dict(radius=6.0, resolution=10,
+                                          angular_resolution=16),
+                       name="modulated", p=1.8, q=3.0)
+    rep = run(model, None, SolveConfig(mode="direct", max_iterations=2000,
+                                       seed=seed))
+    assert rep.mode == "direct" and rep.converged
+    assert abs(rep.level - 15.5398239474) <= 1e-9
+    dist = np.array(rep.record.dist_vstar_V)
+    assert rep.sweep_start is not None
+    assert np.all(dist[rep.sweep_start:] == 0.0)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_plain_square_stall_is_finished_by_a_snap(square_model, seed):
+    # the plain ray stage stalls near the dihedral pass; one average over
+    # the square's dihedral group and a second ray stage finish it
+    sym = group.build_group(square_model.domain, "dihedral_4")
+    cmp = compare_levels(square_model, sym, SolveConfig(
+        mode="plain", max_iterations=20000, seed=seed))
+    assert not cmp.declined
+    assert abs(cmp.c_plain - cmp.c_restricted) <= 1e-9
+    assert cmp.stage_iterations["plain"]["polish"] < 60
+
+
 def test_returned_point_is_the_measured_point():
     # the polish solve must leave Dirichlet entries exactly zero, or the
     # boundary clamp of the returned point moves it off the point whose
