@@ -58,7 +58,8 @@ _SOLVER_FIELDS = [f for f in dataclasses.fields(solver.SolveConfig)
 _KNOWN_KEYS = (
     {f"domain.{k}" for k in _DOMAIN_KEYS}
     | {f"solver.{f.name}" for f in _SOLVER_FIELDS}
-    | {"group.label", "model.q", "model.positivity",
+    | {"group.label", "integrand.name", "integrand.p",
+       "model.q", "model.positivity",
        "verify.tau_tan", "verify.tau_trans", "verify.j_max",
        "verify.level_tolerance",
        "run.seed", "output.dir"}
@@ -113,9 +114,8 @@ def _write_json(payload: dict, path):
 
 def _reject_unknown_keys(cfg: dict):
     for key in cfg:
-        if key in _KNOWN_KEYS or key.startswith("integrand."):
-            continue
-        raise ConfigurationError(f"unknown config key {key!r}")
+        if key not in _KNOWN_KEYS:
+            raise ConfigurationError(f"unknown config key {key!r}")
 
 
 def build_domain(cfg: dict):
@@ -133,10 +133,7 @@ def build_domain(cfg: dict):
 def build_integrand(cfg: dict):
     name = config_mod.take(cfg, "integrand.name", "str")
     p = config_mod.take(cfg, "integrand.p", "float")
-    params = {key.split(".", 1)[1]: cfg[key] for key in cfg
-              if key.startswith("integrand.")
-              and key not in ("integrand.name", "integrand.p")}
-    return integrand_mod.builtin(name, p=p, **params)
+    return integrand_mod.builtin(name, p=p)
 
 
 def build_model(cfg: dict):

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sparse
 
 from .errors import DomainMismatchError, ParameterError
 from .grid import Domain, GridFunction, cell_values
@@ -108,6 +109,52 @@ def residual_of_values(model: EnergyModel, values: np.ndarray) -> np.ndarray:
     r = cs.op_t @ np.concatenate([s_part, (ratio * grads).reshape(-1)])
     r[dom.boundary] = 0.0
     return r
+
+
+def hessian_of_values(model: EnergyModel, values: np.ndarray):
+    """The Hessian of f at one nodal vector on the interior nodes, a CSC
+    matrix; the density must have its second partials.
+
+    With op the cell map on the interior columns it is op^T B op, where B
+    holds one (1+d) x (1+d) block per cell in the order (average,
+    gradient components): rho_ss, then rho_st n, then (rho_t/t)(I - n n^T)
+    + rho_tt n n^T, times the cell weight.  rho is the density with the
+    |s|^p/p and q terms and n = Du/|Du|.  As in the Picard metric, |Du| is
+    clamped at 1e-8 (1 + max |Du|) so flat cells stay finite for p < 2,
+    and |s| is floored the same way in the |s|^{p-2} and |s|^{q-2} terms.
+    Off those floors the matrix is the exact derivative of
+    ``residual_of_values``.
+    """
+    dom, J = model.domain, model.integrand
+    if not J.second_partials:
+        raise ParameterError(f"density {J.name!r} has no second partials")
+    cs = dom.cells
+    p, q = model.p, model.q
+    avg, t, grads = cell_values(dom, values)
+    t = np.maximum(t, 1e-8 * (1.0 + float(t.max(initial=0.0))))
+    s = np.abs(avg)
+    s = np.maximum(s, 1e-8 * (1.0 + float(s.max(initial=0.0))))
+    q_ss = (q - 1.0) * s ** (q - 2.0)
+    if model.positivity:
+        q_ss = np.where(avg > 0.0, q_ss, 0.0)
+    w = cs.weights
+    n = grads / t
+    tangent = w * J.j_t(avg, t) / t
+    d = n.shape[0]
+    block = np.empty((d + 1, d + 1, cs.count))
+    block[0, 0] = w * (J.j_ss(avg, t) + (p - 1.0) * s ** (p - 2.0) - q_ss)
+    block[0, 1:] = block[1:, 0] = w * J.j_st(avg, t) * n
+    block[1:, 1:] = (w * J.j_tt(avg, t) - tangent) * n[:, None] * n[None] \
+        + tangent * np.eye(d)[:, :, None]
+    rows = np.arange(d + 1)[:, None, None] * cs.count + np.arange(cs.count)
+    cols = np.swapaxes(rows, 0, 1)
+    size = (d + 1) * cs.count
+    b = sparse.csr_matrix(
+        (block.ravel(), (np.broadcast_to(rows, block.shape).ravel(),
+                         np.broadcast_to(cols, block.shape).ravel())),
+        shape=(size, size))
+    op = dom.cached("interior_op", lambda: cs.op[:, dom.interior].tocsr())
+    return (op.T @ (b @ op)).tocsc()
 
 
 def directional_derivative(model: EnergyModel, u: GridFunction,

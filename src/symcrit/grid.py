@@ -137,8 +137,8 @@ def _sphere_area(n: int) -> float:
 
 def _edge_keys(pairs, n: int) -> np.ndarray:
     """Order-free int64 key ``a * n + b`` (a < b) of each node pair."""
-    ab = np.asarray(pairs, dtype=np.int64)
-    return ab.min(axis=1) * n + ab.max(axis=1)
+    a, b = np.asarray(pairs, dtype=np.int64).T
+    return np.minimum(a, b) * n + np.maximum(a, b)
 
 
 def _quad_edges(nodes, n: int) -> np.ndarray:

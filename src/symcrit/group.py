@@ -41,6 +41,10 @@ _SQUARE_TABLE = {
 
 _POLAR_KINDS = ("disk-polar", "annulus-polar")
 
+# elements are validated in stacks of about this many node or edge
+# entries, so a large group never holds all its edge images at once
+_CHECK_BLOCK = 1 << 14
+
 # labels that name an element set already in a grid's table
 _ALIASES = {
     "square": {"reflections": "dihedral_2", "block_product": "dihedral_2"},
@@ -208,37 +212,59 @@ def mirrors(domain: Domain) -> list:
         perms = []
     else:
         raise SymmetryCompatibilityError(f"unsupported domain kind {domain.kind!r}")
-    for perm in perms:
-        _check_element(domain, perm, "mirror")
+    _check_elements(domain, perms, lambda e: "mirror")
     return perms
 
 
-def _check_element(dom: Domain, perm: np.ndarray, who: str):
-    """An element must permute nodes of equal weight, the boundary mask
-    and the grid edges."""
-    if not np.array_equal(np.sort(perm), np.arange(dom.n_nodes)):
-        raise SymmetryCompatibilityError(f"{who} is not a node permutation")
-    bad = np.nonzero(~np.isclose(dom.weights[perm], dom.weights,
-                                 rtol=1e-12, atol=0.0))[0]
-    if bad.size:
-        i = int(bad[0])
+def _check_elements(dom: Domain, perms, who):
+    """Each element must permute nodes of equal weight, the boundary mask
+    and the grid edges; ``who(e)`` names element e in the error.
+
+    The elements are checked in stacks of about ``_CHECK_BLOCK`` node or
+    edge entries, with one ``is_edge`` lookup per stack.  The first
+    element that fails is reported by its first failed check, as if the
+    elements were checked one at a time.
+    """
+    n = dom.n_nodes
+    nodes = np.arange(n)
+    block = max(1, _CHECK_BLOCK // max(n, dom.edges.shape[0]))
+    for start in range(0, len(perms), block):
+        stack = np.asarray(perms[start:start + block])
+        is_perm = np.all(np.sort(stack, axis=1) == nodes, axis=1)
+        # rows that are no permutation fail first; index with the identity
+        safe = np.where(is_perm[:, None], stack, nodes)
+        heavy = ~np.isclose(dom.weights[safe], dom.weights, rtol=1e-12,
+                            atol=0.0)
+        moved = dom.boundary[safe] != dom.boundary
+        mapped = safe[:, dom.edges]
+        torn = ~is_edge(dom, mapped.reshape(-1, 2)).reshape(
+            mapped.shape[:2])
+        failed = ~is_perm | heavy.any(axis=1) | moved.any(axis=1) \
+            | torn.any(axis=1)
+        if not failed.any():
+            continue
+        e = int(np.argmax(failed))
+        name, perm = who(start + e), stack[e]
+        if not is_perm[e]:
+            raise SymmetryCompatibilityError(
+                f"{name} is not a node permutation")
+        if heavy[e].any():
+            i = int(np.argmax(heavy[e]))
+            raise SymmetryCompatibilityError(
+                f"{name} maps node {i} (weight {dom.weights[i]!r}) to node "
+                f"{int(perm[i])} (weight {dom.weights[perm[i]]!r})")
+        if moved[e].any():
+            raise SymmetryCompatibilityError(
+                f"{name} does not preserve the boundary mask")
+        k = int(np.argmax(torn[e]))
+        (a, b), (ia, ib) = dom.edges[k], mapped[e, k]
         raise SymmetryCompatibilityError(
-            f"{who} maps node {i} (weight {dom.weights[i]!r}) to node "
-            f"{int(perm[i])} (weight {dom.weights[perm[i]]!r})")
-    if not np.array_equal(dom.boundary[perm], dom.boundary):
-        raise SymmetryCompatibilityError(
-            f"{who} does not preserve the boundary mask")
-    mapped = perm[dom.edges]
-    bad = np.flatnonzero(~is_edge(dom, mapped))
-    if bad.size:
-        (a, b), (ia, ib) = dom.edges[bad[0]], mapped[bad[0]]
-        raise SymmetryCompatibilityError(
-            f"{who} maps edge ({int(a)}, {int(b)}) to "
+            f"{name} maps edge ({int(a)}, {int(b)}) to "
             f"({int(ia)}, {int(ib)}), which is not a grid edge")
 
 
 def _validate_group(g: SymmetryGroup):
-    """Every element passes ``_check_element``, the identity is one of
+    """Every element passes ``_check_elements``, the identity is one of
     them, and the elements are closed under composition.
 
     Closure is checked on generators: if x[t] (t applied first) is an
@@ -249,8 +275,7 @@ def _validate_group(g: SymmetryGroup):
     elements instead of |G|^2 single ones.
     """
     perms = g.perms.astype(np.int64)
-    for e, perm in enumerate(perms):
-        _check_element(g.domain, perm, f"element {e} of {g.label!r}")
+    _check_elements(g.domain, perms, lambda e: f"element {e} of {g.label!r}")
     # rows are looked up by a random integer key (products wrap exactly)
     # and count as an element only if they equal the element found
     weights = np.random.default_rng(0).integers(1, 1 << 62, perms.shape[1])

@@ -10,7 +10,7 @@ sampled tail is too short to judge a limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +26,9 @@ class Integrand:
     closed form (None means the checker fits an empirical one).
     sign_radius and superlinear_radius are the thresholds beyond which the
     sign condition j_s(s,t)*s >= 0 and the q-superlinearity hold.
+    j_ss, j_st and j_tt are the second partials; when all three are given
+    the solver finishes its ray stage with Newton steps on the exact
+    Hessian, and without them it never tries one.
     """
 
     name: str
@@ -39,10 +42,17 @@ class Integrand:
     sign_radius: float = 0.0
     superlinear_radius: float = 0.0
     delta: float = None
-    params: dict = field(default_factory=dict)
+    j_ss: callable = None
+    j_st: callable = None
+    j_tt: callable = None
+
+    @property
+    def second_partials(self) -> bool:
+        """Whether j_ss, j_st and j_tt are all given."""
+        return None not in (self.j_ss, self.j_st, self.j_tt)
 
 
-def builtin(name: str, p: float, **params) -> Integrand:
+def builtin(name: str, p: float) -> Integrand:
     """Construct a built-in density: ``plaplace`` or ``modulated``."""
     if p <= 1:
         raise ParameterError(f"growth exponent must satisfy p > 1, got {p}")
@@ -57,7 +67,9 @@ def builtin(name: str, p: float, **params) -> Integrand:
             alpha0=1.0 / p,
             alpha=lambda s: np.full(np.shape(s) or (), 1.0 / p),
             alpha_bounded=True,
-            params=params,
+            j_ss=lambda s, t: np.zeros(np.broadcast(s, t).shape),
+            j_st=lambda s, t: np.zeros(np.broadcast(s, t).shape),
+            j_tt=lambda s, t: (p - 1.0) * t ** (p - 2.0),
         )
 
     if name == "modulated":
@@ -71,6 +83,10 @@ def builtin(name: str, p: float, **params) -> Integrand:
         def a_prime(s):
             return 2.0 * s / np.square(1.0 + np.square(s))
 
+        def a_second(s):
+            s2 = np.square(s)
+            return (2.0 - 6.0 * s2) / (1.0 + s2) ** 3
+
         return Integrand(
             name="modulated",
             p=p,
@@ -80,7 +96,9 @@ def builtin(name: str, p: float, **params) -> Integrand:
             alpha0=1.0 / p,
             alpha=lambda s: a(s) / p,
             alpha_bounded=True,
-            params=params,
+            j_ss=lambda s, t: a_second(s) * t ** p / p,
+            j_st=lambda s, t: a_prime(s) * t ** (p - 1.0),
+            j_tt=lambda s, t: (p - 1.0) * a(s) * t ** (p - 2.0),
         )
 
     raise ParameterError(f"unknown built-in integrand {name!r}")

@@ -30,7 +30,6 @@ import warnings
 
 import numpy as np
 import scipy.sparse as sparse
-import scipy.sparse.linalg as sparse_linalg
 
 from .errors import (
     GeometryError,
@@ -66,6 +65,27 @@ _MAX_BACKTRACKS = 60
 _SCAN_POINTS = 24
 _RAY_PATIENCE = 20
 _RAY_METRIC_REFRESH = 5
+
+# Newton finish of the ray stage: the first trial waits until the dual
+# residual is this fraction of the run's first one, a trial is kept
+# only if it cuts the residual to this share, and after a rejection the
+# next one waits until the residual has fallen by this factor
+_NEWTON_START = 1e-3
+_NEWTON_GAIN = 0.25
+_NEWTON_BACKOFF = 0.1
+
+# relative peak-energy decrease over a stalled ray stage above which the
+# stage reruns from its last point when no symmetry snap helps
+_RESUME_PROGRESS = 1e-12
+
+
+def __getattr__(name):
+    # ``solver.sparse_linalg`` stays readable (callers patch its splu)
+    # although the module is imported only when a solve factorizes
+    if name == "sparse_linalg":
+        import scipy.sparse.linalg as sparse_linalg
+        return sparse_linalg
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -361,6 +381,13 @@ def _dist_to_rearranged(domain, values, p, q):
     return dist_v, dist_w
 
 
+def _factorize(matrix):
+    """LU factors of a sparse CSC matrix.  scipy.sparse.linalg is imported
+    on the first call, so commands that never factorize skip it."""
+    import scipy.sparse.linalg as sparse_linalg
+    return sparse_linalg.splu(matrix)
+
+
 def _slope_parts(model, values, w):
     """Preconditioned direction, slope, dual norm."""
     r = functional.residual_of_values(model, values)
@@ -466,7 +493,7 @@ def _polish_metric(model, values):
     try:
         coef = _metric_coefficients(model, values)
         stencil = dom.cached("metric_stencil", lambda: _metric_stencil(dom))
-        lu = sparse_linalg.splu(stencil.matrix(coef, dom.weights[inner]))
+        lu = _factorize(stencil.matrix(coef, dom.weights[inner]))
     except (RuntimeError, ValueError, np.linalg.LinAlgError):
         return None
 
@@ -476,6 +503,25 @@ def _polish_metric(model, values):
         return out
 
     return solve
+
+
+def _newton_point(model, values, covector):
+    """values minus the exact-Hessian Newton step for the residual
+    ``covector`` (``functional.hessian_of_values``, interior nodes), or
+    None when the factorization or the solve fails.  The Hessian is
+    indefinite at a mountain pass, so it is factored by LU."""
+    dom = model.domain
+    inner = dom.interior
+    try:
+        step = _factorize(functional.hessian_of_values(model, values)) \
+            .solve(covector[inner])
+    except (RuntimeError, ValueError, np.linalg.LinAlgError):
+        return None
+    if not np.all(np.isfinite(step)):
+        return None
+    out = np.array(values, dtype=np.float64, copy=True)
+    out[inner] -= step
+    return out
 
 
 def _snap_groups(domain, symmetry):
@@ -521,6 +567,9 @@ class _Solve:
         self.record = PSRecord()
         self.it = 0
         self.u = None
+        # dual residual at or below which the ray stage tries its next
+        # Newton step; set from the run's first residual
+        self.newton_gate = None
 
     def full(self, values):
         """Nodal values on the full domain: orbit values expanded."""
@@ -532,13 +581,15 @@ class _Solve:
             last_state={"iteration": self.it,
                         "u": np.array(self.full(self.u))})
 
-    def measure(self, values, f_val, where):
+    def measure(self, values, f_val, where, parts=None):
         """Check the iterate, log its row (every row with log_iterations,
         else only at the tolerance and the budget end) and return its
-        direction, slope and dual residual norm."""
+        direction, slope and dual residual norm: ``parts`` when the caller
+        has them from ``_slope_parts`` already."""
         if not math.isfinite(f_val):
             self.fail(f"energy became non-finite {where}")
-        d, slope, grad_norm = _slope_parts(self.model, values, self.w)
+        d, slope, grad_norm = parts or _slope_parts(self.model, values,
+                                                    self.w)
         if not math.isfinite(slope):
             self.fail(f"residual became non-finite {where}")
         cfg = self.cfg
@@ -623,19 +674,28 @@ def _ray_stage(st, u0, where="in the ray stage", sweep_rows=None):
     A step moves the peak point along its Picard-metric gradient and
     takes the peak of the new ray.  It is accepted by Armijo on the peak
     energy or, once the energy change is below roundoff, by a smaller
-    dual residual.  Returns the status, "converged", "stalled" (no step
-    left, or the residual did not halve in ``_RAY_PATIENCE`` iterations)
-    or "budget", and the last residual.
+    dual residual.  Once the dual residual is ``_NEWTON_START`` times the
+    run's first one, an iteration first tries a Newton step on the exact
+    Hessian (``_newton_point``) and takes it in place of the ray step if
+    it cuts the residual to ``_NEWTON_GAIN`` of the current one and
+    leaves the energy finite and above the trivial level.  After a
+    rejected or failed trial the next waits until the residual has
+    fallen by ``_NEWTON_BACKOFF``; the gate (``st.newton_gate``) carries
+    over to the stages that rerun after a stall.  Returns the status,
+    "converged", "stalled" (no step left, or the residual did not halve
+    in ``_RAY_PATIENCE`` iterations) or "budget", the last residual and
+    the relative decrease of the peak energy over the stage.
 
     With ``sweep_rows`` set this is the direct-mode cone sweep: the start
     and every trial point are projected onto the rearrangement cone
     (``symmetrize.cone_project``; the cone is closed under scaling, so
-    every peak stays on it), Armijo reads the projected displacement, and
-    a point that meets the tolerance is measured again until the record
-    holds ``sweep_rows`` rows.
+    every peak stays on it), Armijo reads the projected displacement, a
+    point that meets the tolerance is measured again until the record
+    holds ``sweep_rows`` rows, and no Newton step is tried.
     """
     model, cfg, w = st.model, st.cfg, st.w
     cone = sweep_rows is not None
+    newton = not cone and model.integrand.second_partials
 
     def peak_of(u):
         try:
@@ -647,57 +707,83 @@ def _ray_stage(st, u0, where="in the ray stage", sweep_rows=None):
         return symmetrize.cone_project(
             GridFunction(model.domain, values)).values if cone else values
 
-    it0 = st.it
+    def progress():
+        return (f_0 - f_u) / abs(f_0) if f_0 else 0.0
+
     st.u = u0
     first = peak_of(on_cone(u0))
     if first is None:
         st.fail(f"no energy peak along the starting ray {where}")
     st.u, f_u = first
+    f_0 = f_u
     s_mem = cfg.step_init
     g_ref, it_ref = math.inf, 0
+    metric_it = -math.inf
+    # the residual parts of st.u when a test of it computed them already
+    parts = None
     while st.it < cfg.max_iterations:
         st.it += 1
-        d, _, grad_norm = st.measure(st.u, f_u, where)
+        d, _, grad_norm = st.measure(st.u, f_u, where, parts)
+        parts = None
         if grad_norm <= cfg.grad_tol:
             if not cone or len(st.record) >= sweep_rows:
-                return "converged", grad_norm
+                return "converged", grad_norm, progress()
             continue
         if grad_norm <= 0.5 * g_ref:
             g_ref, it_ref = grad_norm, st.it
         elif st.it - it_ref >= _RAY_PATIENCE:
-            return "stalled", grad_norm
+            return "stalled", grad_norm, progress()
         covector = w * d
-        if (st.it - it0) % _RAY_METRIC_REFRESH == 1:
-            metric = _polish_metric(model, st.u)
+        if st.newton_gate is None:
+            st.newton_gate = _NEWTON_START * grad_norm
+        if newton and grad_norm <= st.newton_gate:
+            trial = _newton_point(model, st.u, covector)
+            if trial is not None:
+                f_trial = functional.energy_of_values(model, trial)
+                parts = _slope_parts(model, trial, w)
+                if parts[2] <= _NEWTON_GAIN * grad_norm \
+                        and math.isfinite(f_trial) \
+                        and f_trial > st.trivial_level:
+                    st.u, f_u = trial, f_trial
+                    continue
+            st.newton_gate = _NEWTON_BACKOFF * grad_norm
+        if st.it - metric_it >= _RAY_METRIC_REFRESH:
+            metric, metric_it = _polish_metric(model, st.u), st.it
         grad = d if metric is None else metric(covector)
         slope = float(np.sum(covector * grad))
         s = s_mem
         for _ in range(_MAX_BACKTRACKS):
+            parts = None
             trial = on_cone(st.u - s * grad)
             bound = (f_u + cfg.armijo
                      * float(np.sum(covector * (trial - st.u)))
                      if cone else f_u - cfg.armijo * s * slope)
             cand = peak_of(trial)
-            if cand is not None and (
-                    cand[1] <= bound
-                    or abs(cand[1] - f_u) <= 1e-14 * (1.0 + abs(f_u))
-                    and _slope_parts(model, cand[0], w)[2]
-                    < grad_norm):
-                break
+            if cand is not None:
+                if cand[1] <= bound:
+                    break
+                if abs(cand[1] - f_u) <= 1e-14 * (1.0 + abs(f_u)):
+                    parts = _slope_parts(model, cand[0], w)
+                    if parts[2] < grad_norm:
+                        break
             s *= cfg.step_shrink
         else:
-            return "stalled", grad_norm
+            return "stalled", grad_norm, progress()
         st.u, f_u = cand
         s_mem = min(cfg.step_init, s / cfg.step_shrink)
-    return "budget", grad_norm
+    return "budget", grad_norm, progress()
 
 
-def _snap_stalls(st, status, residual, symmetry, sweep_rows=None):
+def _snap_stalls(st, status, residual, progress, symmetry,
+                 sweep_rows=None):
     """After each stall, average the expanded iterate over the first group
     of ``_snap_groups`` (built at the first stall) whose average has a
     smaller dual residual, and rerun the ray stage from there; in orbit
     coordinates the average's representative values are the new start.
-    Returns the last status, which stays "stalled" once no snap helps."""
+    When no snap helps but the stalled stage still lowered the peak
+    energy by more than ``_RESUME_PROGRESS`` (relative), the stage reruns
+    from its last point instead, with its patience and step reset.
+    Returns the last status, which stays "stalled" once neither applies."""
     snaps = None
     while status == "stalled" and st.it < st.cfg.max_iterations:
         if snaps is None:
@@ -709,9 +795,11 @@ def _snap_stalls(st, status, residual, symmetry, sweep_rows=None):
             if _slope_parts(st.model, cand, st.w)[2] < residual:
                 break
         else:
-            break
-        status, residual = _ray_stage(st, cand, "during polishing",
-                                      sweep_rows)
+            if not progress > _RESUME_PROGRESS:
+                break
+            cand = st.u
+        status, residual, progress = _ray_stage(st, cand, "during polishing",
+                                                sweep_rows)
     return status
 
 
@@ -763,10 +851,10 @@ def run(model, symmetry, cfg: SolveConfig) -> SolveReport:
                 trivial_level=1e-10 * (1.0 + abs(endpoints.f_e)))
 
     u0 = path[int(np.argmax(functional.energy_of_values(solved, path)))]
-    status, residual = _ray_stage(st, u0)
+    status, residual, progress = _ray_stage(st, u0)
     ray_exit = {"status": status, "residual": residual}
     stages = {"ray": st.it, "polish": 0, "sweep": 0}
-    status = _snap_stalls(st, status, residual, project)
+    status = _snap_stalls(st, status, residual, progress, project)
     stages["polish"] = st.it - stages["ray"]
     sweep_start = None
     if status == "converged" and mode == "direct" \
@@ -774,10 +862,10 @@ def run(model, symmetry, cfg: SolveConfig) -> SolveReport:
         sweep_start = len(st.record)
         # the swept segment owns the final quartile of the record
         rows = sweep_start + max(1, -(-sweep_start // 3))
-        status, residual = _ray_stage(
+        status, residual, progress = _ray_stage(
             st, symmetrize.schwarz_values(domain, st.u), "during polishing",
             rows)
-        status = _snap_stalls(st, status, residual, project, rows)
+        status = _snap_stalls(st, status, residual, progress, project, rows)
         stages["sweep"] = st.it - stages["ray"] - stages["polish"]
     converged = status == "converged" \
         and functional.energy_of_values(solved, st.u) > st.trivial_level

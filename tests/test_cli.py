@@ -124,6 +124,22 @@ def test_solve_keeps_scipy_optimize_unloaded(tmp_path, mode):
     assert out == ["0", "False"]
 
 
+def test_verify_point_keeps_sparse_linalg_unloaded(solved, tmp_path):
+    # only the solves factorize, so verify-point never needs
+    # scipy.sparse.linalg (about 0.14 s of import)
+    _, cfg, out = solved
+    code = ("import sys; from symcrit import cli; "
+            f"rc = cli.main(['verify-point', '--config', {cfg!r}, "
+            f"{os.path.join(out, 'u_final.csv')!r}, '--quiet', '--out', "
+            f"{str(tmp_path / 'o')!r}]); "
+            "print(rc, 'scipy.sparse.linalg' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out == ["0", "False"]
+
+
 def test_manifest_inventories_payloads(solved):
     _, _, out = solved
     man = read_json(os.path.join(out, "manifest.json"))
@@ -234,6 +250,17 @@ def test_unknown_key_exits_one(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigurationError"
     assert "solver.newton" in err["message"]
+
+
+def test_unknown_integrand_key_exits_one(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, ("integrand.name = plaplace\n"
+                               "integrand.p = 1.8\nmodel.q = 3.0\n"
+                               "integrand.bogus = 7\n"))
+    rc = cli.main(["check-integrand", "--config", cfg])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigurationError"
+    assert "integrand.bogus" in err["message"]
 
 
 def test_missing_required_key_exits_one(tmp_path, capsys):

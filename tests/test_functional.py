@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -135,6 +136,56 @@ def test_ray_matches_energy_and_derivative(name, positivity, rng):
             assert abs(f - want) <= 1e-13 * terms
             want = functional.directional_derivative(model, tv, v)
             assert abs(ray.slope(t) - want) <= 1e-13 * q * terms / t
+
+
+@pytest.mark.parametrize("positivity", [False, True])
+@pytest.mark.parametrize("name", ["plaplace", "modulated"])
+def test_hessian_matches_residual_differences(name, positivity, rng):
+    # at a point with no flat cells and no zero cell average the Hessian is
+    # the exact derivative of the residual; the quotient Hessian is that of
+    # the orbit-coordinate energy.  The point changes sign, so the
+    # positivity branch of the q term is exercised on both sides.
+    cases = (("square", dict(side=4.0, resolution=7), "dihedral_4"),
+             ("disk-polar", dict(radius=3.0, resolution=5,
+                                 angular_resolution=16), "rotations_8"),
+             ("radial-ball-1d", dict(dimension=3, radius=6.0,
+                                     resolution=24), None))
+    h = 1e-6
+    for kind, kw, label in cases:
+        dom = grid.build_domain(kind, **kw)
+        full = make_model(dom, name=name, p=1.8, q=3.0, positivity=positivity)
+        models = [(full, lambda v: v)]
+        if label is not None:
+            g = group.build_group(dom, label)
+            quot = functional.EnergyModel(
+                domain=group.quotient(g), integrand=full.integrand, q=3.0,
+                positivity=positivity)
+            basis = group.fix_basis(g)
+            models.append((quot, lambda v, b=basis: b.means(v[None])[0]))
+        for model, reduce in models:
+            qd = model.domain
+            u = reduce(2.0 * random_function(dom, rng).values + 0.5)
+            u[qd.boundary] = 0.0
+            avg, t, _ = grid.cell_values(qd, u)
+            assert t.min() > 1e-3 and np.abs(avg).min() > 1e-6
+            hess = functional.hessian_of_values(model, u)
+            inner = qd.interior
+            assert hess.shape == (int(inner.sum()),) * 2
+            v = np.zeros(qd.n_nodes)
+            v[inner] = rng.standard_normal(int(inner.sum()))
+            diff = (functional.residual_of_values(model, u + h * v)
+                    - functional.residual_of_values(model, u - h * v)) \
+                / (2 * h)
+            scale = np.max(np.abs(diff))
+            assert np.max(np.abs(hess @ v[inner] - diff[inner])) \
+                <= 1e-6 * scale, (kind, label)
+
+
+def test_hessian_needs_second_partials(square_model):
+    bare = dataclasses.replace(square_model.integrand, j_tt=None)
+    model = dataclasses.replace(square_model, integrand=bare)
+    with pytest.raises(ParameterError, match="no second partials"):
+        functional.hessian_of_values(model, np.zeros(model.domain.n_nodes))
 
 
 def test_zero_function_has_zero_energy(ball_model, square_model):

@@ -81,6 +81,65 @@ def test_validation_agrees_with_the_composition_table(square_dihedral):
         perms=np.concatenate([g.perms, g.perms[:1]])))
 
 
+def _check_one(dom, perm, who):
+    """The element checks one element at a time, as the stacked
+    ``group._check_elements`` must report them."""
+    if not np.array_equal(np.sort(perm), np.arange(dom.n_nodes)):
+        raise SymmetryCompatibilityError(f"{who} is not a node permutation")
+    bad = np.nonzero(~np.isclose(dom.weights[perm], dom.weights,
+                                 rtol=1e-12, atol=0.0))[0]
+    if bad.size:
+        i = int(bad[0])
+        raise SymmetryCompatibilityError(
+            f"{who} maps node {i} (weight {dom.weights[i]!r}) to node "
+            f"{int(perm[i])} (weight {dom.weights[perm[i]]!r})")
+    if not np.array_equal(dom.boundary[perm], dom.boundary):
+        raise SymmetryCompatibilityError(
+            f"{who} does not preserve the boundary mask")
+    mapped = perm[dom.edges]
+    bad = np.flatnonzero(~grid.is_edge(dom, mapped))
+    if bad.size:
+        (a, b), (ia, ib) = dom.edges[bad[0]], mapped[bad[0]]
+        raise SymmetryCompatibilityError(
+            f"{who} maps edge ({int(a)}, {int(b)}) to "
+            f"({int(ia)}, {int(ib)}), which is not a grid edge")
+
+
+@pytest.mark.parametrize("block", [1, 3, 1 << 19])
+def test_stacked_element_checks_report_the_first_offender(
+        disk_rotations, monkeypatch, block):
+    # a node map that is no permutation, one that swaps rings of unequal
+    # weight, one that swaps an interior and a boundary node and one that
+    # swaps two neighbours of a ring; on the uniform-weight copy of the
+    # disk the last two reach the boundary and the edge checks
+    disk, g = disk_rotations
+    monkeypatch.setattr(group, "_CHECK_BLOCK", block * disk.edges.shape[0])
+    ident = np.arange(disk.n_nodes)
+
+    def swap(a, b):
+        perm = ident.copy()
+        perm[[a, b]] = perm[[b, a]]
+        return perm
+
+    dup = ident.copy()
+    dup[0] = 1
+    outer = int(np.flatnonzero(disk.boundary)[0])
+    bad = [dup, swap(0, 16), swap(0, outer), swap(0, 1)]
+    uniform = replace(disk, weights=np.ones(disk.n_nodes))
+    for dom in (disk, uniform):
+        for combo in ([0], [1], [2], [3], [3, 1], [2, 0], [1, 3, 2]):
+            perms = np.concatenate([g.perms[:3], [bad[k] for k in combo],
+                                    g.perms[3:]])
+            names = [f"element {e}" for e in range(len(perms))]
+            with pytest.raises(SymmetryCompatibilityError) as want:
+                for name, perm in zip(names, perms):
+                    _check_one(dom, perm, name)
+            with pytest.raises(SymmetryCompatibilityError) as got:
+                group._check_elements(dom, perms, names.__getitem__)
+            assert str(got.value) == str(want.value)
+    group._check_elements(disk, g.perms, str)
+
+
 def test_incompatible_rotation_rejected():
     dom = grid.build_domain("disk-polar", radius=1.0, resolution=4,
                             angular_resolution=12, max_rotation_order=4)

@@ -35,6 +35,25 @@ def test_rejects_unknown_name():
         integrand.builtin("fancy", p=2.0)
 
 
+@pytest.mark.parametrize("p", [1.8, 2.0, 2.5])
+@pytest.mark.parametrize("name", ["plaplace", "modulated"])
+def test_second_partials_match_central_differences(name, p):
+    J = integrand.builtin(name, p=p)
+    assert J.second_partials
+    s = np.linspace(-3.0, 3.0, 13)[:, None]
+    t = np.linspace(0.2, 4.0, 12)[None, :]
+    h = 1e-6
+    pairs = (
+        (J.j_ss, (J.j_s(s + h, t) - J.j_s(s - h, t)) / (2 * h)),
+        (J.j_st, (J.j_s(s, t + h) - J.j_s(s, t - h)) / (2 * h)),
+        (J.j_st, (J.j_t(s + h, t) - J.j_t(s - h, t)) / (2 * h)),
+        (J.j_tt, (J.j_t(s, t + h) - J.j_t(s, t - h)) / (2 * h)),
+    )
+    for exact, numeric in pairs:
+        got = np.broadcast_to(exact(s, t), (13, 12))
+        assert np.all(np.abs(got - numeric) <= 1e-7 * (1.0 + np.abs(got)))
+
+
 @given(s=FINITE_S, t=POSITIVE_T)
 @settings(max_examples=200, deadline=None)
 def test_modulated_sign_condition(s, t):

@@ -92,10 +92,11 @@ def test_restricted_mode_requires_group(toy_model):
     # on the toy ball ray 1 prices the starting peak and ray 2 is iteration
     # 1's first trial step, so a NaN ray slope fails inside its peak search
     ("plain", "slope", 2, "in the ray stage", 1),
-    # the ray stage on the direct-mode ball converges in 66 iterations and
-    # 71 residual calls (its peak searches make none), so call 72 is the
-    # first measurement of the sweep, a polish from the rearranged point
-    ("direct", "residual", 72, "during polishing", 67),
+    # the ray stage on the direct-mode ball converges in 21 iterations and
+    # 21 residual calls (its peak searches make none, and a measurement
+    # reuses the residual of the Newton trial it follows), so call 22 is
+    # the first measurement of the sweep, a polish from the rearranged point
+    ("direct", "residual", 22, "during polishing", 22),
 ])
 def test_nonfinite_residual_names_the_stage(toy_model, monkeypatch, mode,
                                             part, bad_call, where,
@@ -633,6 +634,64 @@ def test_plain_square_stall_is_finished_by_a_snap(square_model, seed):
     assert not cmp.declined
     assert abs(cmp.c_plain - cmp.c_restricted) <= 1e-9
     assert cmp.stage_iterations["plain"]["polish"] < 60
+
+
+@pytest.mark.parametrize("mode, name, seed, level", [
+    ("plain", "plaplace", 0, 9.7193017086),
+    ("plain", "plaplace", 1, 9.7193017086),
+    ("direct", "modulated", 0, 15.2301456011),
+    ("direct", "modulated", 3, 15.2301456011),
+])
+def test_stall_without_snap_resumes_on_progress(mode, name, seed, level):
+    # on disk 32x64 the first ray stage stalls off-centre, where no
+    # rotation average has a smaller residual; while the stage still
+    # lowers the energy it reruns from its last point and reaches the
+    # rotation-invariant pass (the restricted level)
+    model = make_model("disk-polar", dict(radius=6.0, resolution=32,
+                                          angular_resolution=64),
+                       name=name, p=1.8, q=3.0)
+    rep = run(model, None, SolveConfig(mode=mode, max_iterations=20000,
+                                       seed=seed))
+    assert rep.mode == mode and rep.converged
+    assert rep.ray_exit["status"] == "stalled"
+    assert abs(rep.level - level) <= 1e-9 * level
+
+
+def test_no_newton_trial_without_second_partials(square_model, monkeypatch):
+    # without j_ss, j_st and j_tt the ray stage never assembles a Hessian
+    # and runs exactly as the first-order stage: 48 iterations on the
+    # restricted square at seed 0
+    def no_hessian(*args):
+        raise AssertionError("Newton trial without second partials")
+
+    monkeypatch.setattr(functional, "hessian_of_values", no_hessian)
+    bare = replace(square_model.integrand, j_ss=None, j_st=None, j_tt=None)
+    model = replace(square_model, integrand=bare)
+    sym = group.build_group(model.domain, "dihedral_4")
+    rep = run(model, sym, SolveConfig(mode="restricted",
+                                      max_iterations=20000))
+    assert rep.converged
+    assert rep.iterations == rep.stage_iterations["ray"] == 48
+    assert abs(rep.level - 10.75203566060433) <= 1e-9
+
+
+def test_newton_finishes_the_ray_stage(square_model, monkeypatch):
+    # with the second partials the same solve ends in Newton steps: far
+    # fewer iterations, the same level
+    calls = []
+    original = functional.hessian_of_values
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(functional, "hessian_of_values", counted)
+    sym = group.build_group(square_model.domain, "dihedral_4")
+    rep = run(square_model, sym, SolveConfig(mode="restricted",
+                                             max_iterations=20000))
+    assert rep.converged and calls
+    assert rep.iterations < 48
+    assert abs(rep.level - 10.75203566060433) <= 1e-9
 
 
 def test_returned_point_is_the_measured_point():
