@@ -275,7 +275,7 @@ def cmd_solve(args) -> int:
         "endpoints": rep.endpoints.to_dict(),
     }, os.path.join(outdir, "solve_report.json"))
     written.append("solve_report.json")
-    _write_manifest(outdir, written, stamp, started, t0, stages)
+    _write_manifest(outdir, written, stamp, started, t0, stages, rep.counts)
 
     if not rep.converged:
         code = 2
@@ -288,10 +288,11 @@ def cmd_solve(args) -> int:
     return code
 
 
-def _write_manifest(outdir, names, stamp, started, t0, stages):
+def _write_manifest(outdir, names, stamp, started, t0, stages,
+                    counts=None):
     """sha256 inventory of the payload files this run wrote (``names``;
     files an earlier run left in ``outdir`` are not listed) plus the
-    wall-clock data."""
+    wall-clock data and the solver's work ``counts`` (``SolveReport``)."""
     finished = datetime.datetime.now(datetime.timezone.utc)
     manifest = {
         "artifact_version": ARTIFACT_VERSION,
@@ -303,6 +304,7 @@ def _write_manifest(outdir, names, stamp, started, t0, stages):
             "wall_seconds": time.perf_counter() - t0,
         },
         "stages": stages,
+        "solver_counts": counts,
         "files": {
             name: {
                 "bytes": os.path.getsize(os.path.join(outdir, name)),

@@ -216,9 +216,10 @@ def mirrors(domain: Domain) -> list:
     return perms
 
 
-def _check_elements(dom: Domain, perms, who):
+def _check_elements(dom: Domain, perms, who, edges=True):
     """Each element must permute nodes of equal weight, the boundary mask
-    and the grid edges; ``who(e)`` names element e in the error.
+    and, unless ``edges`` is false, the grid edges; ``who(e)`` names
+    element e in the error.
 
     The elements are checked in stacks of about ``_CHECK_BLOCK`` node or
     edge entries, with one ``is_edge`` lookup per stack.  The first
@@ -236,11 +237,12 @@ def _check_elements(dom: Domain, perms, who):
         heavy = ~np.isclose(dom.weights[safe], dom.weights, rtol=1e-12,
                             atol=0.0)
         moved = dom.boundary[safe] != dom.boundary
-        mapped = safe[:, dom.edges]
-        torn = ~is_edge(dom, mapped.reshape(-1, 2)).reshape(
-            mapped.shape[:2])
-        failed = ~is_perm | heavy.any(axis=1) | moved.any(axis=1) \
-            | torn.any(axis=1)
+        failed = ~is_perm | heavy.any(axis=1) | moved.any(axis=1)
+        if edges:
+            mapped = safe[:, dom.edges]
+            torn = ~is_edge(dom, mapped.reshape(-1, 2)).reshape(
+                mapped.shape[:2])
+            failed |= torn.any(axis=1)
         if not failed.any():
             continue
         e = int(np.argmax(failed))
@@ -272,10 +274,30 @@ def _validate_group(g: SymmetryGroup):
     generators reach every element, then so is every product x[y].  The
     generators are taken from the elements not reached yet, so a cyclic
     or dihedral group costs one or two vectorized compositions of all
-    elements instead of |G|^2 single ones.
+    elements instead of |G|^2 single ones.  Every element is then a
+    product of generators, and a product of permutations that map grid
+    edges to grid edges does too, so the edge check runs on the
+    generators only.  On any failure every element is checked in full
+    first, so the error names the first offender as if each element had
+    been checked before closure.
     """
     perms = g.perms.astype(np.int64)
-    _check_elements(g.domain, perms, lambda e: f"element {e} of {g.label!r}")
+
+    def who(e):
+        return f"element {e} of {g.label!r}"
+
+    try:
+        _check_elements(g.domain, perms, who, edges=False)
+        _check_elements(g.domain, perms[_generators(g.label, perms)], who)
+    except SymmetryCompatibilityError:
+        _check_elements(g.domain, perms, who)
+        raise
+
+
+def _generators(label, perms):
+    """Elements whose products reach every element, taken by the closure
+    walk of ``_validate_group``; raises when the identity is missing or
+    a product is no element."""
     # rows are looked up by a random integer key (products wrap exactly)
     # and count as an element only if they equal the element found
     weights = np.random.default_rng(0).integers(1, 1 << 62, perms.shape[1])
@@ -294,14 +316,15 @@ def _validate_group(g: SymmetryGroup):
         raise SymmetryCompatibilityError("identity element missing")
     reached = np.zeros(perms.shape[0], dtype=bool)
     reached[identity] = True
-    steps = []
+    gens, steps = [], []
     while not reached.all():
         t = np.argmin(reached)
         # the element x[t] of every element x
         step = index(perms[:, perms[t]])
         if np.any(step < 0):
             raise SymmetryCompatibilityError(
-                f"group {g.label!r} is not closed under composition")
+                f"group {label!r} is not closed under composition")
+        gens.append(t)
         steps.append(step)
         # t itself, which the lookup finds as its first copy if listed twice
         reached[t] = True
@@ -310,6 +333,7 @@ def _validate_group(g: SymmetryGroup):
             count = reached.sum()
             for s in steps:
                 reached[s[reached]] = True
+    return gens
 
 
 def apply(g: SymmetryGroup, element: int, u: GridFunction) -> GridFunction:

@@ -208,6 +208,9 @@ class SolveReport:
     # stage's exit: its status and the dual residual it ended at
     stage_iterations: dict | None = None
     ray_exit: dict | None = None
+    # work of the stages: ray-peak searches ("peak_searches") and exact-
+    # Hessian Newton trials ("newton_trials"), accepted or not
+    counts: dict | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -570,6 +573,7 @@ class _Solve:
         # dual residual at or below which the ray stage tries its next
         # Newton step; set from the run's first residual
         self.newton_gate = None
+        self.counts = {"peak_searches": 0, "newton_trials": 0}
 
     def full(self, values):
         """Nodal values on the full domain: orbit values expanded."""
@@ -681,10 +685,14 @@ def _ray_stage(st, u0, where="in the ray stage", sweep_rows=None):
     leaves the energy finite and above the trivial level.  After a
     rejected or failed trial the next waits until the residual has
     fallen by ``_NEWTON_BACKOFF``; the gate (``st.newton_gate``) carries
-    over to the stages that rerun after a stall.  Returns the status,
-    "converged", "stalled" (no step left, or the residual did not halve
-    in ``_RAY_PATIENCE`` iterations) or "budget", the last residual and
-    the relative decrease of the peak energy over the stage.
+    over to the stages that rerun after a stall.  A point reached by a
+    Newton step is not the peak of its own ray, so no ray step from it
+    can pass the peak-energy tests: when its own Newton trial is rejected
+    or fails, the stage stalls at once.  Returns the status, "converged",
+    "stalled" (no step left, a Newton point's trial rejected, or the
+    residual did not halve in ``_RAY_PATIENCE`` iterations) or "budget",
+    the last residual and the relative decrease of the peak energy over
+    the stage.  ``st.counts`` tallies its peak searches and Newton trials.
 
     With ``sweep_rows`` set this is the direct-mode cone sweep: the start
     and every trial point are projected onto the rearrangement cone
@@ -698,6 +706,7 @@ def _ray_stage(st, u0, where="in the ray stage", sweep_rows=None):
     newton = not cone and model.integrand.second_partials
 
     def peak_of(u):
+        st.counts["peak_searches"] += 1
         try:
             return _ray_peak(model, u)
         except FloatingPointError as exc:
@@ -721,6 +730,9 @@ def _ray_stage(st, u0, where="in the ray stage", sweep_rows=None):
     metric_it = -math.inf
     # the residual parts of st.u when a test of it computed them already
     parts = None
+    # st.u came from an accepted Newton step: it is not the peak of its
+    # own ray, so no ray step from it can pass the peak-energy tests
+    newton_point = False
     while st.it < cfg.max_iterations:
         st.it += 1
         d, _, grad_norm = st.measure(st.u, f_u, where, parts)
@@ -737,6 +749,7 @@ def _ray_stage(st, u0, where="in the ray stage", sweep_rows=None):
         if st.newton_gate is None:
             st.newton_gate = _NEWTON_START * grad_norm
         if newton and grad_norm <= st.newton_gate:
+            st.counts["newton_trials"] += 1
             trial = _newton_point(model, st.u, covector)
             if trial is not None:
                 f_trial = functional.energy_of_values(model, trial)
@@ -745,8 +758,11 @@ def _ray_stage(st, u0, where="in the ray stage", sweep_rows=None):
                         and math.isfinite(f_trial) \
                         and f_trial > st.trivial_level:
                     st.u, f_u = trial, f_trial
+                    newton_point = True
                     continue
             st.newton_gate = _NEWTON_BACKOFF * grad_norm
+            if newton_point:
+                return "stalled", grad_norm, progress()
         if st.it - metric_it >= _RAY_METRIC_REFRESH:
             metric, metric_it = _polish_metric(model, st.u), st.it
         grad = d if metric is None else metric(covector)
@@ -782,8 +798,10 @@ def _snap_stalls(st, status, residual, progress, symmetry,
     coordinates the average's representative values are the new start.
     When no snap helps but the stalled stage still lowered the peak
     energy by more than ``_RESUME_PROGRESS`` (relative), the stage reruns
-    from its last point instead, with its patience and step reset.
-    Returns the last status, which stays "stalled" once neither applies."""
+    from the peak of its last point's ray instead, with its patience and
+    step reset.  A stage that stalled at a Newton point whose next Newton
+    trial was rejected is finished the same way.  Returns the last
+    status, which stays "stalled" once neither applies."""
     snaps = None
     while status == "stalled" and st.it < st.cfg.max_iterations:
         if snaps is None:
@@ -887,6 +905,7 @@ def run(model, symmetry, cfg: SolveConfig) -> SolveReport:
         sweep_start=sweep_start,
         stage_iterations=stages,
         ray_exit=ray_exit,
+        counts=st.counts,
     )
 
 

@@ -154,6 +154,18 @@ def test_manifest_inventories_payloads(solved):
     assert man["timestamps"]["wall_seconds"] > 0.0
 
 
+def test_manifest_counts_the_solver_work(solved):
+    # the peak searches and Newton trials of the solve go to the manifest,
+    # not to the payloads, whose bytes stay reproducible
+    _, _, out = solved
+    counts = read_json(os.path.join(out, "manifest.json"))["solver_counts"]
+    assert set(counts) == {"peak_searches", "newton_trials"}
+    assert counts["peak_searches"] >= 1 and counts["newton_trials"] >= 1
+    for name in PAYLOADS:
+        with open(os.path.join(out, name), encoding="utf-8") as fh:
+            assert "peak_searches" not in fh.read(), name
+
+
 def test_all_payloads_carry_config_hash(solved):
     _, _, out = solved
     man = read_json(os.path.join(out, "manifest.json"))

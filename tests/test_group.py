@@ -140,6 +140,61 @@ def test_stacked_element_checks_report_the_first_offender(
     group._check_elements(disk, g.perms, str)
 
 
+def test_group_edges_are_checked_on_generators_only(disk_rotations,
+                                                   monkeypatch):
+    # rotations_8 is generated by its first rotation, and a product of
+    # node maps that keep grid edges keeps them, so only that element's
+    # edges are looked up
+    _, g = disk_rotations
+    assert group._generators(g.label, g.perms) == [1]
+    edge_checked = []
+    original = group._check_elements
+
+    def spy(dom, perms, who, edges=True):
+        if edges:
+            edge_checked.append(len(perms))
+        return original(dom, perms, who, edges)
+
+    monkeypatch.setattr(group, "_check_elements", spy)
+    group._validate_group(g)
+    assert edge_checked == [1]
+
+
+@pytest.mark.parametrize("corruption, check", [
+    ("duplicate", "is not a node permutation"),
+    ("ring swap", "(weight"),
+    ("boundary swap", "does not preserve the boundary mask"),
+    ("neighbour swap", "which is not a grid edge"),
+])
+def test_corrupted_non_generator_keeps_its_message(disk_rotations,
+                                                   corruption, check):
+    # element 5 of rotations_8 is no generator; whichever check it fails,
+    # the error is the one of checking every element in full, one at a
+    # time, before closure
+    disk, g = disk_rotations
+    uniform = replace(disk, weights=np.ones(disk.n_nodes))
+    outer = int(np.flatnonzero(disk.boundary)[0])
+    perm = g.perms[5].copy()
+    dom = disk
+    if corruption == "duplicate":
+        perm[0] = perm[1]
+    else:
+        a, b, dom = {"ring swap": (0, 16, disk),
+                     "boundary swap": (0, outer, uniform),
+                     "neighbour swap": (0, 1, disk)}[corruption]
+        perm[[a, b]] = perm[[b, a]]
+    perms = np.concatenate([g.perms[:5], [perm], g.perms[6:]])
+    with pytest.raises(SymmetryCompatibilityError) as want:
+        for e, one in enumerate(perms):
+            _check_one(dom, one, f"element {e} of 'corrupt'")
+    with pytest.raises(SymmetryCompatibilityError) as got:
+        group._validate_group(group.SymmetryGroup(domain=dom, label="corrupt",
+                                                  perms=perms))
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("element 5 of 'corrupt'")
+    assert check in str(got.value)
+
+
 def test_incompatible_rotation_rejected():
     dom = grid.build_domain("disk-polar", radius=1.0, resolution=4,
                             angular_resolution=12, max_rotation_order=4)

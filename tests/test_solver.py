@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
-from symcrit import functional, grid, group, integrand, symmetrize, verify
+from symcrit import (functional, grid, group, integrand, solver, symmetrize,
+                     verify)
 from symcrit.errors import NumericalFailureError, ParameterError
 from symcrit.grid import GridFunction
 from symcrit.solver import (PS_CSV_HEADER, TAIL_RETENTION, PSRecord,
@@ -692,6 +693,87 @@ def test_newton_finishes_the_ray_stage(square_model, monkeypatch):
     assert rep.converged and calls
     assert rep.iterations < 48
     assert abs(rep.level - 10.75203566060433) <= 1e-9
+
+
+def test_newton_point_ends_the_stage_when_its_retrial_is_rejected(
+        monkeypatch):
+    # refine's disk_res20 at seed 0: a Newton point is not the peak of its
+    # own ray, so after its next Newton trial is rejected the stage stalls
+    # at once and the rotation snap finishes the solve; the parent spent
+    # 60 futile step halvings (73 peak searches) on that stall
+    peaks = []
+    original = solver._ray_peak
+
+    def counted(*args):
+        peaks.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(solver, "_ray_peak", counted)
+    model = make_model("disk-polar", dict(radius=6.0, resolution=20,
+                                          angular_resolution=32),
+                       p=1.8, q=3.0)
+    sym = group.build_group(model.domain, "rotations_8")
+    rep = run(model, sym, SolveConfig(mode="restricted",
+                                      max_iterations=20000))
+    assert rep.converged and rep.ray_exit["status"] == "stalled"
+    assert rep.iterations == 16
+    assert abs(rep.level - 9.765707780737076) <= 1e-15 * rep.level
+    assert rep.counts["peak_searches"] == len(peaks) <= 20
+    assert rep.counts["newton_trials"] > 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_plain_disk_stall_is_finished_after_a_rejected_newton_retrial(seed):
+    # plain disk 32x64: the stage that reaches a Newton point stalls at its
+    # rejected retrial and the rotation snap or a resumed stage finishes
+    # the solve at the restricted level (35-125 iterations without the
+    # early stall)
+    model = make_model("disk-polar", dict(radius=6.0, resolution=32,
+                                          angular_resolution=64),
+                       p=1.8, q=3.0)
+    rep = run(model, None, SolveConfig(mode="plain", max_iterations=20000,
+                                       seed=seed))
+    assert rep.converged
+    assert rep.iterations <= 20
+    assert abs(rep.level - 9.7193017086) <= 1e-9 * rep.level
+
+
+@pytest.mark.parametrize("retrial", ["rejected", "failed"])
+def test_rejected_newton_retrial_stalls_without_a_peak_search(monkeypatch,
+                                                              retrial):
+    # from a Newton point the ray stage returns "stalled" as soon as the
+    # next Newton trial is rejected or fails, before any ray step
+    model = make_model("radial-ball-1d",
+                       dict(dimension=3, radius=12.0, resolution=30),
+                       positivity=True)
+    start = run(model, None, SolveConfig(mode="plain", grad_tol=1e-4)).u
+    trials = []
+    peaks_after = []
+    newton_point, ray_peak = solver._newton_point, solver._ray_peak
+
+    def second_rejected(model, values, covector):
+        trials.append(1)
+        if len(trials) == 1:
+            return newton_point(model, values, covector)
+        # an unchanged point cuts no residual
+        return values.copy() if retrial == "rejected" else None
+
+    def counted(*args):
+        if len(trials) > 1:
+            peaks_after.append(1)
+        return ray_peak(*args)
+
+    monkeypatch.setattr(solver, "_newton_point", second_rejected)
+    monkeypatch.setattr(solver, "_ray_peak", counted)
+    st = solver._Solve(model, SolveConfig(mode="plain", grad_tol=1e-300,
+                                          max_iterations=50),
+                       None, model.domain, trivial_level=0.0)
+    st.newton_gate = math.inf
+    status, residual, _ = solver._ray_stage(st, start.values)
+    assert status == "stalled"
+    assert st.it == 2 and len(trials) == 2 and not peaks_after
+    assert st.counts == {"peak_searches": 1, "newton_trials": 2}
+    assert st.newton_gate == solver._NEWTON_BACKOFF * residual
 
 
 def test_returned_point_is_the_measured_point():
