@@ -730,8 +730,7 @@ def _ray_stage(st, u0, where="in the ray stage", sweep_rows=None):
     metric_it = -math.inf
     # the residual parts of st.u when a test of it computed them already
     parts = None
-    # st.u came from an accepted Newton step: it is not the peak of its
-    # own ray, so no ray step from it can pass the peak-energy tests
+    # st.u came from an accepted Newton step
     newton_point = False
     while st.it < cfg.max_iterations:
         st.it += 1
