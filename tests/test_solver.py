@@ -699,8 +699,8 @@ def test_newton_point_ends_the_stage_when_its_retrial_is_rejected(
         monkeypatch):
     # refine's disk_res20 at seed 0: a Newton point is not the peak of its
     # own ray, so after its next Newton trial is rejected the stage stalls
-    # at once and the rotation snap finishes the solve; the parent spent
-    # 60 futile step halvings (73 peak searches) on that stall
+    # at once and the rotation snap finishes the solve (halving the ray
+    # step 60 times there first would make 73 peak searches)
     peaks = []
     original = solver._ray_peak
 
@@ -726,8 +726,8 @@ def test_newton_point_ends_the_stage_when_its_retrial_is_rejected(
 def test_plain_disk_stall_is_finished_after_a_rejected_newton_retrial(seed):
     # plain disk 32x64: the stage that reaches a Newton point stalls at its
     # rejected retrial and the rotation snap or a resumed stage finishes
-    # the solve at the restricted level (35-125 iterations without the
-    # early stall)
+    # the solve at the restricted level (35-125 iterations when ray steps
+    # are tried from the Newton point)
     model = make_model("disk-polar", dict(radius=6.0, resolution=32,
                                           angular_resolution=64),
                        p=1.8, q=3.0)
