@@ -248,7 +248,7 @@ def cmd_solve(args) -> int:
 
     if len(rep.record) >= 2:
         diag = solver.ps_diagnostics(rep.record, model,
-                                     direct_mode=(rep.mode == "direct"),
+                                     direct_mode=rep.sweep_start is not None,
                                      sweep_start=rep.sweep_start)
         stages["diagnostics"] = ("passed" if diag.passed else
                                  f"{len(diag.violations)} violations")

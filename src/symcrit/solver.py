@@ -58,6 +58,10 @@ _INIT_NOISE = 0.05
 # size (a ray scan that falls out of cache is slower than its row loop)
 _SAMPLE_BLOCK_VALUES = 1 << 14
 
+# ray-stage line search: first step, backtracking factor, Armijo constant
+_STEP_INIT = 1.0
+_STEP_SHRINK = 0.5
+_ARMIJO = 1e-4
 _MAX_BACKTRACKS = 60
 
 # ray stage: energy samples per peak scan, iterations the dual residual
@@ -98,11 +102,7 @@ class SolveConfig:
     path_points: int = 12
     max_iterations: int = 5000
     grad_tol: float = 1e-8
-    step_init: float = 1.0
-    step_shrink: float = 0.5
-    armijo: float = 1e-4
     seed: int = 0
-    log_iterations: bool = True
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -114,12 +114,6 @@ class SolveConfig:
             raise ParameterError("iteration budget must be positive")
         if self.grad_tol <= 0:
             raise ParameterError("gradient tolerance must be positive")
-        if self.step_init <= 0:
-            raise ParameterError("initial step must be positive")
-        if not 0 < self.step_shrink < 1:
-            raise ParameterError("shrink factor must lie in (0, 1)")
-        if not 0 < self.armijo < 1:
-            raise ParameterError("Armijo constant must lie in (0, 1)")
 
 
 def config_digest(cfg: SolveConfig) -> str:
@@ -586,26 +580,21 @@ class _Solve:
                         "u": np.array(self.full(self.u))})
 
     def measure(self, values, f_val, where, parts=None):
-        """Check the iterate, log its row (every row with log_iterations,
-        else only at the tolerance and the budget end) and return its
-        direction, slope and dual residual norm: ``parts`` when the caller
-        has them from ``_slope_parts`` already."""
+        """Check the iterate, log its row and return its direction, slope
+        and dual residual norm: ``parts`` when the caller has them from
+        ``_slope_parts`` already."""
         if not math.isfinite(f_val):
             self.fail(f"energy became non-finite {where}")
         d, slope, grad_norm = parts or _slope_parts(self.model, values,
                                                     self.w)
         if not math.isfinite(slope):
             self.fail(f"residual became non-finite {where}")
-        cfg = self.cfg
-        if cfg.log_iterations or grad_norm <= cfg.grad_tol \
-                or self.it == cfg.max_iterations:
-            full = self.full(values)
-            domain, p = self.domain, self.model.p
-            dist_v, dist_w = _dist_to_rearranged(domain, full, p,
-                                                 self.model.q)
-            self.record.append(self.it, f_val, grad_norm,
-                               grid.w1p_norms(domain, full, p),
-                               dist_v, dist_w, full)
+        full = self.full(values)
+        domain, p = self.domain, self.model.p
+        dist_v, dist_w = _dist_to_rearranged(domain, full, p, self.model.q)
+        self.record.append(self.it, f_val, grad_norm,
+                           grid.w1p_norms(domain, full, p),
+                           dist_v, dist_w, full)
         return d, slope, grad_norm
 
 
@@ -671,7 +660,7 @@ def _ray_peak(model, u):
     return None
 
 
-def _ray_stage(st, u0, where="in the ray stage", sweep_rows=None):
+def _ray_stage(st, u0, where="in the ray stage", cone=False):
     """Descend the peak energy f(t*(v) v) over unit directions v,
     starting from the direction of u0.
 
@@ -694,15 +683,13 @@ def _ray_stage(st, u0, where="in the ray stage", sweep_rows=None):
     the last residual and the relative decrease of the peak energy over
     the stage.  ``st.counts`` tallies its peak searches and Newton trials.
 
-    With ``sweep_rows`` set this is the direct-mode cone sweep: the start
-    and every trial point are projected onto the rearrangement cone
+    With ``cone`` set this is the direct-mode cone sweep: the start and
+    every trial point are projected onto the rearrangement cone
     (``symmetrize.cone_project``; the cone is closed under scaling, so
-    every peak stays on it), Armijo reads the projected displacement, a
-    point that meets the tolerance is measured again until the record
-    holds ``sweep_rows`` rows, and no Newton step is tried.
+    every peak stays on it), Armijo reads the projected displacement,
+    and no Newton step is tried.
     """
     model, cfg, w = st.model, st.cfg, st.w
-    cone = sweep_rows is not None
     newton = not cone and model.integrand.second_partials
 
     def peak_of(u):
@@ -725,7 +712,7 @@ def _ray_stage(st, u0, where="in the ray stage", sweep_rows=None):
         st.fail(f"no energy peak along the starting ray {where}")
     st.u, f_u = first
     f_0 = f_u
-    s_mem = cfg.step_init
+    s_mem = _STEP_INIT
     g_ref, it_ref = math.inf, 0
     metric_it = -math.inf
     # the residual parts of st.u when a test of it computed them already
@@ -737,9 +724,7 @@ def _ray_stage(st, u0, where="in the ray stage", sweep_rows=None):
         d, _, grad_norm = st.measure(st.u, f_u, where, parts)
         parts = None
         if grad_norm <= cfg.grad_tol:
-            if not cone or len(st.record) >= sweep_rows:
-                return "converged", grad_norm, progress()
-            continue
+            return "converged", grad_norm, progress()
         if grad_norm <= 0.5 * g_ref:
             g_ref, it_ref = grad_norm, st.it
         elif st.it - it_ref >= _RAY_PATIENCE:
@@ -770,9 +755,8 @@ def _ray_stage(st, u0, where="in the ray stage", sweep_rows=None):
         for _ in range(_MAX_BACKTRACKS):
             parts = None
             trial = on_cone(st.u - s * grad)
-            bound = (f_u + cfg.armijo
-                     * float(np.sum(covector * (trial - st.u)))
-                     if cone else f_u - cfg.armijo * s * slope)
+            bound = (f_u + _ARMIJO * float(np.sum(covector * (trial - st.u)))
+                     if cone else f_u - _ARMIJO * s * slope)
             cand = peak_of(trial)
             if cand is not None:
                 if cand[1] <= bound:
@@ -781,16 +765,15 @@ def _ray_stage(st, u0, where="in the ray stage", sweep_rows=None):
                     parts = _slope_parts(model, cand[0], w)
                     if parts[2] < grad_norm:
                         break
-            s *= cfg.step_shrink
+            s *= _STEP_SHRINK
         else:
             return "stalled", grad_norm, progress()
         st.u, f_u = cand
-        s_mem = min(cfg.step_init, s / cfg.step_shrink)
+        s_mem = min(_STEP_INIT, s / _STEP_SHRINK)
     return "budget", grad_norm, progress()
 
 
-def _snap_stalls(st, status, residual, progress, symmetry,
-                 sweep_rows=None):
+def _snap_stalls(st, status, residual, progress, symmetry, cone=False):
     """After each stall, average the expanded iterate over the first group
     of ``_snap_groups`` (built at the first stall) whose average has a
     smaller dual residual, and rerun the ray stage from there; in orbit
@@ -816,7 +799,7 @@ def _snap_stalls(st, status, residual, progress, symmetry,
                 break
             cand = st.u
         status, residual, progress = _ray_stage(st, cand, "during polishing",
-                                                sweep_rows)
+                                                cone)
     return status
 
 
@@ -827,9 +810,7 @@ def run(model, symmetry, cfg: SolveConfig) -> SolveReport:
     of a seeded noisy path from 0 to e; after a stall it runs again from
     a symmetry snap (``_snap_stalls``).  Direct mode then sweeps from the
     converged point: far from the solution a sweep and the descent fight
-    each other, near the symmetric limit they cooperate.  The sweep runs
-    until the swept segment owns the final quartile of the record, so the
-    tail statistics are measured on iterates that follow it.
+    each other, near the symmetric limit they cooperate.
     """
     t_start = time.perf_counter()
     domain = model.domain
@@ -877,12 +858,11 @@ def run(model, symmetry, cfg: SolveConfig) -> SolveReport:
     if status == "converged" and mode == "direct" \
             and st.it < cfg.max_iterations:
         sweep_start = len(st.record)
-        # the swept segment owns the final quartile of the record
-        rows = sweep_start + max(1, -(-sweep_start // 3))
         status, residual, progress = _ray_stage(
             st, symmetrize.schwarz_values(domain, st.u), "during polishing",
-            rows)
-        status = _snap_stalls(st, status, residual, progress, project, rows)
+            cone=True)
+        status = _snap_stalls(st, status, residual, progress, project,
+                              cone=True)
         stages["sweep"] = st.it - stages["ray"] - stages["polish"]
     converged = status == "converged" \
         and functional.energy_of_values(solved, st.u) > st.trivial_level
@@ -1004,9 +984,10 @@ def ps_diagnostics(record: PSRecord, model, ceiling: float = 1e3,
                    sweep_start: int | None = None) -> PSDiagnostics:
     """Boundedness, tail Cauchy-in-W, and rearrangement-distance trends.
 
-    ``sweep_start`` anchors the distance-trend check at the record row of
-    the first polarization sweep; without it the trend is taken over the
-    whole record past the initial point.
+    ``sweep_start`` anchors the distance-trend check and the Cauchy tail
+    at the record row of the first polarization sweep: both then read the
+    swept segment.  Without it the trend is taken over the whole record
+    past the initial point and the tail is the record's last quartile.
     """
     n = len(record)
     if n < 2:
@@ -1019,10 +1000,11 @@ def ps_diagnostics(record: PSRecord, model, ceiling: float = 1e3,
             f"iterates unbounded: sup W1p norm {sup_w1p:.6e} "
             f"exceeds ceiling {ceiling:.6e}")
 
-    quartile = max(2, -(-n // 4))
+    start = None if sweep_start is None else min(max(sweep_start, 0), n - 1)
+    window = max(2, -(-n // 4)) if start is None else n - start
     tail = record.tail_values()
-    truncated = quartile > len(tail)
-    pts = tail[-min(quartile, len(tail)):]
+    truncated = window > len(tail)
+    pts = tail[-min(window, len(tail)):]
     # bound the pairwise sweep to 120 points; an even stride (all of them
     # when there are fewer) keeps first and last iterates
     idx = np.linspace(0, len(pts) - 1, min(len(pts), 120)).astype(int)
@@ -1036,8 +1018,7 @@ def ps_diagnostics(record: PSRecord, model, ceiling: float = 1e3,
     dist_v = np.array(record.dist_vstar_V)
     monotone = None
     if direct_mode:
-        start = 1 if sweep_start is None else min(max(sweep_start, 0), n - 1)
-        seg = dist_v[start:]
+        seg = dist_v[1 if start is None else start:]
         steps = np.diff(seg)
         monotone = bool(np.all(steps <= 1e-12 * (1.0 + seg[:-1]))) \
             if seg.shape[0] > 1 else True

@@ -255,13 +255,15 @@ def test_supercritical_exponent_exits_one(tmp_path, capsys):
     assert "p < q < p*" in err["message"]
 
 
-def test_unknown_key_exits_one(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, SMALL_SOLVE + "solver.newton = true\n")
+@pytest.mark.parametrize("key", ["solver.newton", "solver.armijo",
+                                 "solver.log_iterations"])
+def test_unknown_key_exits_one(tmp_path, capsys, key):
+    cfg = write_cfg(tmp_path, SMALL_SOLVE + f"{key} = true\n")
     rc = cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigurationError"
-    assert "solver.newton" in err["message"]
+    assert key in err["message"]
 
 
 def test_unknown_integrand_key_exits_one(tmp_path, capsys):
@@ -302,6 +304,27 @@ def test_nonconverged_solve_exits_two(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "record.csv"))
     man = read_json(os.path.join(out, "manifest.json"))
     assert man["stages"]["solve"] == "not-converged"
+
+
+def test_direct_solve_without_a_sweep_has_no_distance_trend(tmp_path):
+    # 20 iterations end the direct disk solve before its cone sweep, so
+    # its diagnostics check no rearrangement-distance trend
+    cfg = write_cfg(tmp_path, ("domain.kind = disk-polar\n"
+                               "domain.radius = 6.0\ndomain.resolution = 10\n"
+                               "domain.angular_resolution = 16\n"
+                               "group.label = trivial\n"
+                               "integrand.name = modulated\n"
+                               "integrand.p = 1.8\nmodel.q = 3.0\n"
+                               "solver.mode = direct\n"
+                               "solver.max_iterations = 20\n"
+                               "run.seed = 0\n"))
+    out = str(tmp_path / "o")
+    assert cli.main(["solve", "--config", cfg, "--out", out, "--quiet"]) == 2
+    rep = read_json(os.path.join(out, "solve_report.json"))
+    assert rep["mode"] == "direct" and rep["sweep_start"] is None
+    diag = read_json(os.path.join(out, "diagnostics.json"))
+    assert diag["violations"] == []
+    assert diag["dist_v_monotone"] is None
 
 
 # the toy ball of test_solver: residual call 7 is iteration 7 of the ray stage

@@ -56,11 +56,6 @@ def square_run(square_model):
     dict(max_iterations=0),
     dict(grad_tol=0.0),
     dict(grad_tol=-1e-8),
-    dict(step_init=0.0),
-    dict(step_shrink=0.0),
-    dict(step_shrink=1.0),
-    dict(armijo=0.0),
-    dict(armijo=1.0),
 ])
 def test_config_rejects_bad_values(kw):
     with pytest.raises(ParameterError):
@@ -72,15 +67,14 @@ def test_config_digest_tracks_content():
     assert config_digest(a) == config_digest(SolveConfig(seed=3))
     assert len(config_digest(a)) == 64
     changed = dict(mode="plain", path_points=13, max_iterations=5001,
-                   grad_tol=1e-9, step_init=0.5, step_shrink=0.25,
-                   armijo=1e-3, seed=4, log_iterations=False)
+                   grad_tol=1e-9, seed=4)
     assert set(changed) == {f.name for f in fields(SolveConfig)}
     for name, value in changed.items():
         assert config_digest(replace(a, **{name: value})) \
             != config_digest(a), name
     # every payload embeds the digest, so its bytes must not move
     assert config_digest(SolveConfig()) == (
-        "14fd735a03801902228928ba340ccfe6e88b6d87c200a6afe67db2d6abed7f7f")
+        "bd09e0b9c55f2089672888034620a84deadc955f17e973c39f2198264cd11c48")
 
 
 def test_restricted_mode_requires_group(toy_model):
@@ -606,6 +600,11 @@ def test_direct_mode_sweeps_straight_from_a_converged_ray():
     assert rep.ray_exit["status"] == "converged"
     assert rep.stage_iterations["polish"] == 0
     assert rep.sweep_start == rep.stage_iterations["ray"]
+    # the rearranged point already meets the tolerance, so the sweep
+    # measures it once and stops
+    assert rep.stage_iterations["sweep"] == 1
+    assert len(rep.record) == rep.sweep_start + 1
+    assert rep.record.grad_norm[-1] <= 1e-8
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -623,6 +622,10 @@ def test_direct_mode_sweeps_the_disk_to_the_restricted_level(seed):
     dist = np.array(rep.record.dist_vstar_V)
     assert rep.sweep_start is not None
     assert np.all(dist[rep.sweep_start:] == 0.0)
+    # the sweep ends the first time it meets the tolerance
+    swept = np.array(rep.record.grad_norm[rep.sweep_start:])
+    assert swept[-1] <= 1e-8
+    assert np.all(swept[:-1] > 1e-8)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -885,6 +888,21 @@ def test_diagnostics_measure_tail_spread(toy_model):
     want = grid.norm_lm(GridFunction(dom, b - c), toy_model.q)
     assert diag.cauchy_tail == pytest.approx(want, rel=1e-12)
     assert diag.cauchy_points == 2
+
+
+def test_diagnostics_measure_the_swept_segment(toy_model):
+    # with a sweep start the tail is the swept segment, not the quartile
+    vals = [np.array([5.0 * k, 0.0, 0.0]) for k in range(5)] + [
+        np.array([1.0, 0.5, 0.0]), np.array([1.0, 0.0, 0.0]),
+        np.array([1.0, 0.25, 0.0])]
+    rows = [(2.0, 1.0, 5.0, 0.0, 0.0)] * 8
+    diag = ps_diagnostics(synthetic_record(rows, vals), toy_model,
+                          direct_mode=True, sweep_start=5)
+    want = grid.norm_lm(GridFunction(toy_model.domain, vals[5] - vals[6]),
+                        toy_model.q)
+    assert diag.cauchy_points == 3
+    assert diag.cauchy_tail == pytest.approx(want, rel=1e-12)
+    assert diag.passed
 
 
 def test_cauchy_tail_matches_pairwise_definition(square_model):
