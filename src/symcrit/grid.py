@@ -149,8 +149,37 @@ def _quad_edges(nodes, n: int) -> np.ndarray:
     """
     sides = np.vstack([nodes[:, :2], nodes[:, 2:], nodes[:, ::2],
                        nodes[:, 1::2]])
-    keys = np.unique(_edge_keys(sides, n))
+    keys = np.sort(_edge_keys(sides, n))
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     return np.column_stack([keys // n, keys % n])
+
+
+def _fold_core(cols, vals, n_nodes, core):
+    """Rows of the cells with core corners, over the real columns they touch.
+
+    ``cols`` holds those cells' corners and ``vals`` their (blocks, cells,
+    k) coefficients.  Returns the touched columns, in order, and the rows'
+    (blocks, cells, columns) entries: each real corner's coefficient, then,
+    core row by core row, the summed coefficient of the corners naming it
+    times that row.  That is the order in which a product with the stacked
+    map ``[I; core]`` adds them, so the entries match it bitwise.
+    """
+    touched = np.any(core != 0, axis=0)
+    touched[cols[cols < n_nodes]] = True
+    span = np.flatnonzero(touched)
+    slot = np.cumsum(touched) - 1
+    blocks, cells, k = vals.shape
+    fold = np.zeros((blocks, cells, span.shape[0]))
+    center = np.zeros((blocks, cells, core.shape[0]))
+    rows = np.arange(cells)
+    for j in range(k):
+        c = cols[:, j]
+        real = c < n_nodes
+        fold[:, rows[real], slot[c[real]]] += vals[:, real, j]
+        center[:, rows[~real], c[~real] - n_nodes] += vals[:, ~real, j]
+    for m in range(core.shape[0]):
+        fold += center[:, :, m, None] * core[m, span]
+    return span, fold
 
 
 def _cell_operator(nodes, tables, n_nodes, core) -> sparse.csr_matrix:
@@ -161,22 +190,40 @@ def _cell_operator(nodes, tables, n_nodes, core) -> sparse.csr_matrix:
     broadcastable to ``nodes.shape``.  Corner indices from ``n_nodes`` on
     name the rows of ``core`` (reconstructed values such as the polar
     center, or None when there are none), which are folded into the real
-    node columns.
+    node columns.  Cells with core corners come first; a cell's real
+    corners are distinct nodes.
+
+    The CSR arrays are written directly, block by block and cell by cell:
+    a plain cell's row lists its corners in column order, a core cell's
+    row every column ``_fold_core`` gives it.
     """
     count, k = nodes.shape
     blocks = len(tables)
-    data = np.concatenate([np.broadcast_to(t, nodes.shape).reshape(-1)
-                           for t in tables])
-    rows = np.repeat(np.arange(blocks * count), k)
-    cols = np.tile(nodes.reshape(-1), blocks)
-    n_ext = n_nodes if core is None else n_nodes + core.shape[0]
-    op = sparse.csr_matrix((data, (rows, cols)), shape=(blocks * count, n_ext))
-    if core is not None:
-        lift = sparse.vstack([sparse.identity(n_nodes, format="csr"),
-                              sparse.csr_matrix(core)])
-        op = (op @ lift).tocsr()
+    cols = nodes.copy()
+    vals = np.stack([np.broadcast_to(t, nodes.shape) for t in tables])
+    # only cells that close a polar ring or repeat a core corner list
+    # their corners out of order
+    wrap = np.flatnonzero(np.any(nodes[:, 1:] <= nodes[:, :-1], axis=1))
+    order = np.argsort(nodes[wrap], axis=1, kind="stable")
+    cols[wrap] = np.take_along_axis(nodes[wrap], order, axis=1)
+    vals[:, wrap] = np.take_along_axis(vals[:, wrap], order[None], axis=2)
+
+    n_core = int(np.count_nonzero(cols[:, -1] >= n_nodes))
+    span, fold = _fold_core(
+        cols[:n_core], vals[:, :n_core], n_nodes,
+        np.zeros((0, n_nodes)) if core is None else core)
+    fold_cols = np.tile(span, n_core)
+    plain_cols = cols[n_core:].reshape(-1)
+    indices = np.concatenate([part for _ in range(blocks)
+                              for part in (fold_cols, plain_cols)])
+    data = np.concatenate([part for b in range(blocks)
+                           for part in (fold[b].reshape(-1),
+                                        vals[b, n_core:].reshape(-1))])
+    width = np.repeat([span.shape[0], k], [n_core, count - n_core])
+    indptr = np.concatenate(([0], np.cumsum(np.tile(width, blocks))))
+    op = sparse.csr_matrix((data, indices, indptr),
+                           shape=(blocks * count, n_nodes))
     op.eliminate_zeros()
-    op.sort_indices()
     return op
 
 
@@ -514,9 +561,9 @@ def hat_w1p_norms(domain: Domain, p: float) -> np.ndarray:
 
     def build():
         cs = domain.cells
-        sq = cs.op[cs.count:].power(2).tocoo()
-        gsq = sparse.csr_matrix((sq.data, (sq.row % cs.count, sq.col)),
-                                shape=(cs.count, domain.n_nodes))
+        gsq = cs.op[cs.count:2 * cs.count].power(2)
+        for start in range(2 * cs.count, cs.op.shape[0], cs.count):
+            gsq = gsq + cs.op[start:start + cs.count].power(2)
         dup = gsq.power(0.5 * p).T @ cs.weights
         return (domain.weights + dup) ** (1.0 / p)
 
@@ -547,9 +594,10 @@ def write_gridfunction(u: GridFunction, path, extra_comments=()):
         ncoord = dom.coords.shape[1]
         cols = ",".join(f"x{i}" for i in range(ncoord))
         fh.write(f"index,{cols},value\n")
-        for i in range(dom.n_nodes):
-            coord_txt = ",".join(f"{c:.17g}" for c in dom.coords[i])
-            fh.write(f"{i},{coord_txt},{u.values[i]:.17g}\n")
+        row = "%d" + ",%.17g" * (ncoord + 1) + "\n"
+        table = np.column_stack([np.arange(dom.n_nodes), dom.coords,
+                                 u.values])
+        fh.write((row * dom.n_nodes) % tuple(table.reshape(-1).tolist()))
 
 
 def read_gridfunction(domain: Domain, path) -> GridFunction:

@@ -56,9 +56,13 @@ class SlopeValue:
         return {"value": self.value, "formal_only": self.formal_only}
 
 
-def weak_slope(model, u: GridFunction) -> SlopeValue:
-    """Dual-norm gradient magnitude used by the solver's stopping test."""
-    r = functional.residual_of_values(model, u.values)
+def weak_slope(model, u: GridFunction, *, residual=None) -> SlopeValue:
+    """Dual-norm gradient magnitude used by the solver's stopping test.
+
+    ``residual`` is f'(u) when the caller already has it.
+    """
+    r = (functional.residual_of_values(model, u.values)
+         if residual is None else residual)
     return SlopeValue(value=dual_norm(model.domain, r),
                       formal_only=not model.integrand.alpha_bounded)
 
@@ -67,18 +71,21 @@ def weak_slope(model, u: GridFunction) -> SlopeValue:
 # dense direction sweep
 
 
-def dense_test_sweep(model, u: GridFunction, j_max: int) -> list:
+def dense_test_sweep(model, u: GridFunction, j_max: int, *,
+                     residual=None) -> list:
     """Per-level maxima of |f'(u) v| over unit nodal test directions.
 
     Level j admits the hat direction at node i only where |u_i| <= j, a
     growing filtration whose union is every interior direction, so the
     maxima are nondecreasing in j and saturate once j >= max |u|.  Each
-    hat is scaled to unit W^{1,p} norm before testing.
+    hat is scaled to unit W^{1,p} norm before testing.  ``residual`` is
+    f'(u) when the caller already has it.
     """
     if j_max < 1:
         raise ParameterError(f"sweep needs j_max >= 1, got {j_max}")
     dom = model.domain
-    r = functional.residual_of_values(model, u.values)
+    r = (functional.residual_of_values(model, u.values)
+         if residual is None else residual)
     norms = grid.hat_w1p_norms(dom, model.p)
     interior = ~dom.boundary
     slopes = np.abs(r) / norms
@@ -155,8 +162,8 @@ def palais_check(model, symmetry, u: GridFunction, tau_tan: float = 1e-8,
 
     if j_max is None:
         j_max = max(1, int(math.ceil(np.max(np.abs(u.values)))) + 1)
-    sweep = dense_test_sweep(model, u, j_max)
-    slope = weak_slope(model, u)
+    sweep = dense_test_sweep(model, u, j_max, residual=r)
+    slope = weak_slope(model, u, residual=r)
 
     tangential_ok = tangential <= tau_tan
     transverse_ok = transverse <= tau_trans

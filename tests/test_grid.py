@@ -9,6 +9,7 @@ from symcrit import grid
 from symcrit.errors import ConfigurationError, ParameterError
 
 from conftest import random_function
+import grid_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +96,80 @@ def test_polar_excludes_center():
     disk = grid.build_domain("disk-polar", radius=2.0, resolution=5,
                              angular_resolution=8)
     assert np.min(disk.radius2) > 0
+
+
+# ---------------------------------------------------------------------------
+# builders against the COO oracle
+
+ORACLE_DOMAINS = [
+    ("square", {"side": 6.0, "resolution": 9}),
+    ("square", {"side": 6.0, "resolution": 45}),
+    ("disk-polar", {"radius": 3.0, "resolution": 10,
+                    "angular_resolution": 16}),
+    ("disk-polar", {"radius": 3.0, "resolution": 48,
+                    "angular_resolution": 128}),
+    ("disk-polar", {"radius": 3.0, "resolution": 64,
+                    "angular_resolution": 256}),
+    ("annulus-polar", {"inner_radius": 1.0, "outer_radius": 3.0,
+                       "resolution": 4, "angular_resolution": 8}),
+    ("annulus-polar", {"inner_radius": 1.0, "outer_radius": 3.0,
+                       "resolution": 20, "angular_resolution": 64}),
+    ("radial-ball-1d", {"dimension": 3, "radius": 12.0, "resolution": 30}),
+    ("radial-ball-1d", {"dimension": 3, "radius": 12.0, "resolution": 120}),
+]
+
+
+def assert_same_csr(a, b):
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a, part), getattr(b, part)), part
+
+
+@pytest.mark.parametrize(
+    "kind, extents", ORACLE_DOMAINS,
+    ids=[f"{kind}-{extents['resolution']}"
+         for kind, extents in ORACLE_DOMAINS])
+def test_builders_match_the_coo_oracle_bitwise(monkeypatch, kind, extents):
+    seen = {}
+
+    def spy(name):
+        real = getattr(grid, name)
+
+        def recorded(*args):
+            seen[name] = args
+            return real(*args)
+        monkeypatch.setattr(grid, name, recorded)
+
+    spy("_cell_operator")
+    spy("_quad_edges")
+    dom = grid.build_domain(kind, **extents)
+    assert_same_csr(dom.cells.op,
+                    grid_oracle.cell_operator(*seen["_cell_operator"]))
+    # the ball's chain edges are its cells and need no deduplication
+    if kind != "radial-ball-1d":
+        assert np.array_equal(dom.edges,
+                              grid_oracle.quad_edges(*seen["_quad_edges"]))
+    for p in (1.8, 2.0):
+        assert np.array_equal(grid.hat_w1p_norms(dom, p),
+                              grid_oracle.hat_w1p_norms(dom, p))
+
+
+def test_two_row_core_folds_like_the_coo_oracle(rng):
+    # five real nodes and two reconstructed ones (5 and 6): the core cells
+    # come first, repeat a core corner, use both core rows and list their
+    # corners out of order; the last plain cell is out of order too
+    nodes = np.array([[5, 5, 0, 1], [2, 6, 5, 1], [6, 6, 4, 3],
+                      [0, 1, 2, 3], [4, 3, 1, 0]])
+    tables = (0.25, rng.standard_normal(nodes.shape),
+              rng.standard_normal(nodes.shape))
+    core = np.array([[0.2, 0.0, 0.3, 0.0, 0.5],
+                     [0.0, 0.7, 0.1, 0.3, 0.0]])
+    # repeated corners of one core row carry equal coefficients, as the
+    # disk's reconstructed center does
+    for t in tables[1:]:
+        t[0, 1] = t[0, 0]
+        t[2, 1] = t[2, 0]
+    assert_same_csr(grid._cell_operator(nodes, tables, 5, core),
+                    grid_oracle.cell_operator(nodes, tables, 5, core))
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +335,34 @@ def test_gridfunction_roundtrip(tmp_path, disk_small, rng):
     assert text.startswith(grid.GRIDFUNCTION_HEADER + "\n")
     back = grid.read_gridfunction(disk_small, path)
     assert np.array_equal(back.values, u.values)
+
+
+def write_rows_one_by_one(u, path, extra_comments=()):
+    """The grid-function writer formatting one row at a time."""
+    dom = u.domain
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(grid.GRIDFUNCTION_HEADER + "\n")
+        for line in extra_comments:
+            fh.write(f"# {line}\n")
+        cols = ",".join(f"x{i}" for i in range(dom.coords.shape[1]))
+        fh.write(f"index,{cols},value\n")
+        for i in range(dom.n_nodes):
+            coord_txt = ",".join(f"{c:.17g}" for c in dom.coords[i])
+            fh.write(f"{i},{coord_txt},{u.values[i]:.17g}\n")
+
+
+def test_gridfunction_text_matches_the_row_writer(
+        tmp_path, square_small, disk_small, annulus_small, ball_small, rng):
+    for dom in (square_small, disk_small, annulus_small, ball_small):
+        u = random_function(dom, rng, scale=1e-3)
+        u.values[np.flatnonzero(dom.interior)[:2]] = [-0.0, 1e300]
+        comments = ["config_hash = deadbeef", f"kind = {dom.kind}"]
+        grid.write_gridfunction(u, tmp_path / "block.csv",
+                                extra_comments=comments)
+        write_rows_one_by_one(u, tmp_path / "rows.csv",
+                              extra_comments=comments)
+        assert (tmp_path / "block.csv").read_bytes() \
+            == (tmp_path / "rows.csv").read_bytes()
 
 
 def test_gridfunction_header_check(tmp_path, disk_small):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -92,6 +93,27 @@ def test_tolerances_validated(square_setup):
         verify.palais_check(model, sym, u, tau_tan=0.0)
     with pytest.raises(ParameterError):
         verify.palais_check(model, sym, u, tau_trans=-1.0)
+
+
+def test_palais_check_computes_the_residual_once(monkeypatch, square_setup,
+                                                converged):
+    dom, model, sym = square_setup
+    clean = functional.residual_of_values
+    calls = []
+
+    def counted(model, values):
+        calls.append(1)
+        return clean(model, values)
+
+    monkeypatch.setattr(functional, "residual_of_values", counted)
+    rpt = verify.palais_check(model, sym, converged.u)
+    assert len(calls) == 1
+    # the standalone checks compute their own residual and agree exactly
+    alone = dataclasses.replace(
+        rpt, sweep=verify.dense_test_sweep(model, converged.u, len(rpt.sweep)),
+        weak_slope=verify.weak_slope(model, converged.u))
+    assert len(calls) == 3
+    assert alone.to_dict() == rpt.to_dict()
 
 
 def test_report_serializes_to_json(square_setup, converged):
