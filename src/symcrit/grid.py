@@ -302,13 +302,9 @@ def _build_polar(kind: str, resolution: int, angular_resolution: int,
     n_rings = radii.shape[0]
     n_nodes = n_rings * n_theta
     theta = d_theta * np.arange(n_theta)
-    coords = np.empty((n_nodes, 2))
-    radius2 = np.empty(n_nodes)
-    for i, r in enumerate(radii):
-        sl = slice(i * n_theta, (i + 1) * n_theta)
-        coords[sl, 0] = r * np.cos(theta)
-        coords[sl, 1] = r * np.sin(theta)
-        radius2[sl] = r * r
+    coords = np.column_stack([np.outer(radii, np.cos(theta)).reshape(-1),
+                              np.outer(radii, np.sin(theta)).reshape(-1)])
+    radius2 = np.repeat(radii * radii, n_theta)
 
     boundary = np.zeros(n_nodes, dtype=bool)
     for i in boundary_rings:

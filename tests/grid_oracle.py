@@ -1,7 +1,8 @@
 """Reference builders for the tests: the cell map, the edge list and the
 hat norms assembled the plain way, through scipy's COO format and
-``np.unique``.  ``symcrit.grid`` assembles the same arrays in linear
-passes; the tests hold the two to bitwise equality.
+``np.unique``, and polar node coordinates filled ring by ring.
+``symcrit.grid`` builds the same arrays in whole-array passes; the tests
+hold the two to bitwise equality.
 """
 
 import numpy as np
@@ -47,3 +48,16 @@ def hat_w1p_norms(domain, p):
                             shape=(cs.count, domain.n_nodes))
     dup = gsq.power(0.5 * p).T @ cs.weights
     return (domain.weights + dup) ** (1.0 / p)
+
+
+def polar_coords(radii, n_theta, d_theta):
+    """Node coordinates and squared radii of a polar grid, ring by ring."""
+    theta = d_theta * np.arange(n_theta)
+    coords = np.empty((radii.shape[0] * n_theta, 2))
+    radius2 = np.empty(radii.shape[0] * n_theta)
+    for i, r in enumerate(radii):
+        sl = slice(i * n_theta, (i + 1) * n_theta)
+        coords[sl, 0] = r * np.cos(theta)
+        coords[sl, 1] = r * np.sin(theta)
+        radius2[sl] = r * r
+    return coords, radius2

@@ -148,6 +148,11 @@ def test_builders_match_the_coo_oracle_bitwise(monkeypatch, kind, extents):
     if kind != "radial-ball-1d":
         assert np.array_equal(dom.edges,
                               grid_oracle.quad_edges(*seen["_quad_edges"]))
+    if kind.endswith("-polar"):
+        coords, radius2 = grid_oracle.polar_coords(
+            dom.meta["radii"], dom.meta["n_theta"], dom.meta["d_theta"])
+        assert np.array_equal(dom.coords, coords)
+        assert np.array_equal(dom.radius2, radius2)
     for p in (1.8, 2.0):
         assert np.array_equal(grid.hat_w1p_norms(dom, p),
                               grid_oracle.hat_w1p_norms(dom, p))
