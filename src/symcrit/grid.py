@@ -224,6 +224,8 @@ def _cell_operator(nodes, tables, n_nodes, core) -> sparse.csr_matrix:
     op = sparse.csr_matrix((data, indices, indptr),
                            shape=(blocks * count, n_nodes))
     op.eliminate_zeros()
+    # every row was written in column order; say so, or scipy re-checks
+    op.has_sorted_indices = True
     return op
 
 
