@@ -408,28 +408,32 @@ def _build_parser() -> argparse.ArgumentParser:
                     "verification")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("solve", parents=[common],
-                   help="run the full solve/verify/diagnose pipeline") \
-       .set_defaults(func=cmd_solve)
+                   help="run the full solve/verify/diagnose pipeline")
     sub.add_parser("check-integrand", parents=[common],
-                   help="sample the structural conditions of the density") \
-       .set_defaults(func=cmd_check_integrand)
+                   help="sample the structural conditions of the density")
     sub.add_parser("check-axioms", parents=[common],
-                   help="sample the rearrangement axioms on the domain") \
-       .set_defaults(func=cmd_check_axioms)
+                   help="sample the rearrangement axioms on the domain")
     sub.add_parser("compare-levels", parents=[common],
-                   help="compare plain and restricted minimax levels") \
-       .set_defaults(func=cmd_compare_levels)
+                   help="compare plain and restricted minimax levels")
     vp = sub.add_parser("verify-point", parents=[common],
                         help="run the criticality check on a stored point")
     vp.add_argument("ufile", help="grid-function CSV with the point")
-    vp.set_defaults(func=cmd_verify_point)
     return parser
 
 
+# built on the first ``main`` call and reused by every later one
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    args = _PARSER.parse_args(argv)
+    # looked up at call time, so a rebound cmd_* attribute is the one run
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except SymcritError as exc:
         sys.stderr.write(json.dumps(
             {"error": type(exc).__name__, "message": str(exc)}) + "\n")

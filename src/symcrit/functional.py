@@ -176,20 +176,36 @@ def directional_derivative(model: EnergyModel, u: GridFunction,
 class Ray:
     """The energy along the ray t v, t >= 0, priced from v's cell
     quantities alone: the cell averages and |Du| of t v are t times those
-    of v, so no further product with the cell map is needed."""
+    of v, so no further product with the cell map is needed.
+
+    For a homogeneous density (``Integrand.homogeneous``) ``ray`` also
+    sets A = sum w (j(a, |Dv|) + |a|^p/p) and B = sum w Q(a)/q, with a
+    the cell averages and Q(a)/q the q term of ``_density``; then
+    f(t v) = t^p A - t^q B exactly (the fibering map), and the energies
+    and slopes are priced from the two sums with no per-cell work.
+    Otherwise A and B are None and every price is summed over the
+    cells."""
 
     model: EnergyModel
     avg: np.ndarray             # cell averages of v
     grad: np.ndarray            # |Dv| per cell
+    A: float = None             # the t^p coefficient, homogeneous j only
+    B: float = None             # the t^q coefficient, homogeneous j only
 
     def energies(self, ts) -> np.ndarray:
-        """f(t v) for each t of a 1-D array, one (len(ts), cells) stack."""
-        ts = np.asarray(ts, dtype=np.float64)[:, None]
+        """f(t v) for each t of a 1-D array."""
+        ts = np.asarray(ts, dtype=np.float64)
+        if self.A is not None:
+            return ts ** self.model.p * self.A - ts ** self.model.q * self.B
+        ts = ts[:, None]
         density = _density(self.model, ts * self.avg, ts * self.grad)
         return np.sum(self.model.domain.cells.weights * density, axis=-1)
 
     def slope(self, t: float) -> float:
         """d/dt f(t v) = f'(t v) v; flat cells contribute j_t * 0."""
+        if self.A is not None:
+            t, p, q = float(t), self.model.p, self.model.q
+            return p * t ** (p - 1.0) * self.A - q * t ** (q - 1.0) * self.B
         s, g = t * self.avg, t * self.grad
         terms = _value_slope(self.model, s, g) * self.avg \
             + self.model.integrand.j_t(s, g) * self.grad
@@ -198,6 +214,11 @@ class Ray:
 
 def ray(model: EnergyModel, values: np.ndarray) -> Ray:
     """The ray through one nodal vector, from one product with the cell
-    map."""
+    map; for a homogeneous density also its two sums A and B."""
     avg, t, _ = cell_values(model.domain, values)
-    return Ray(model, avg, t)
+    if not model.integrand.homogeneous:
+        return Ray(model, avg, t)
+    w, p = model.domain.cells.weights, model.p
+    a = float(np.sum(w * (model.integrand.j(avg, t) + np.abs(avg) ** p / p)))
+    b = float(np.sum(w * _q_value(model, avg)))
+    return Ray(model, avg, t, a, b)

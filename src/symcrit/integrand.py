@@ -29,6 +29,11 @@ class Integrand:
     j_ss, j_st and j_tt are the second partials; when all three are given
     the solver finishes its ray stage with Newton steps on the exact
     Hessian, and without them it never tries one.
+    homogeneous declares that j is jointly p-homogeneous:
+    j(lambda s, lambda t) = lambda^p j(s, t) for every lambda > 0.  The
+    energy along a ray is then t^p A - t^q B, and ``functional.ray``
+    prices it from those two sums instead of per cell; set it on a
+    density that is not homogeneous and every peak search is wrong.
     """
 
     name: str
@@ -45,6 +50,7 @@ class Integrand:
     j_ss: callable = None
     j_st: callable = None
     j_tt: callable = None
+    homogeneous: bool = False
 
     @property
     def second_partials(self) -> bool:
@@ -70,6 +76,7 @@ def builtin(name: str, p: float) -> Integrand:
             j_ss=lambda s, t: np.zeros(np.broadcast(s, t).shape),
             j_st=lambda s, t: np.zeros(np.broadcast(s, t).shape),
             j_tt=lambda s, t: (p - 1.0) * t ** (p - 2.0),
+            homogeneous=True,
         )
 
     if name == "modulated":

@@ -619,7 +619,9 @@ def _illinois(g, a, ga, b, gb, rtol):
 def _ray_peak(model, u):
     """First local maximum of f on the ray through u and its energy, or
     None.  The ray's cell quantities are read once (``functional.ray``)
-    and every value and slope on it is priced from them.  A stacked
+    and every value and slope on it is priced from them, or, for a
+    homogeneous density, from the two sums of f(t u) = t^p A - t^q B
+    with no per-cell work; the search itself is the same.  A stacked
     energy scan of t u over t in (0, 2] in ``_SCAN_POINTS`` steps (stacks
     of at most ``_SAMPLE_BLOCK_VALUES`` cell values) doubles its range
     while the samples rise, then zooms in until the ray derivative

@@ -387,6 +387,43 @@ def test_check_integrand_both_builtins(tmp_path, capsys):
                                          "j5", "j6"}
 
 
+def test_main_builds_the_parser_once(tmp_path, monkeypatch, capsys):
+    builds = []
+    build = cli._build_parser
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_build_parser", counted)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    cfg = write_cfg(tmp_path, ("integrand.name = plaplace\n"
+                               "integrand.p = 1.8\nmodel.q = 3.0\n"))
+    assert cli.main(["check-integrand", "--config", cfg]) == 0
+    # the command is looked up when main runs, so a rebound one is called
+    monkeypatch.setattr(cli, "cmd_check_integrand", lambda args: 7)
+    assert cli.main(["check-integrand", "--config", cfg]) == 7
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["no-such-command", "--config", cfg])
+    assert exc.value.code == 2
+    assert len(builds) == 1
+    capsys.readouterr()
+
+
+def test_python_m_symcrit_runs_the_cli(tmp_path):
+    cfg = write_cfg(tmp_path, ("integrand.name = plaplace\n"
+                               "integrand.p = 1.8\nmodel.q = 3.0\n"))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "symcrit", "check-integrand", "--config", cfg],
+        cwd=str(tmp_path), env=env, capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["all_passed"] is True
+
+
 def test_check_axioms_writes_report(tmp_path):
     cfg = write_cfg(tmp_path, ("domain.kind = square\ndomain.side = 2.0\n"
                                "domain.resolution = 5\nrun.seed = 7\n"))

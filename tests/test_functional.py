@@ -139,6 +139,36 @@ def test_ray_matches_energy_and_derivative(name, positivity, rng):
 
 
 @pytest.mark.parametrize("positivity", [False, True])
+def test_homogeneous_ray_prices_from_two_sums(positivity, rng):
+    # plaplace is p-homogeneous, so its ray carries the fibering-map sums
+    # and f(t v) = t^p A - t^q B; modulated is not and carries none
+    dom = grid.build_domain("disk-polar", radius=3.0, resolution=5,
+                            angular_resolution=16)
+    p, q = 1.8, 3.0
+    v = random_function(dom, rng).values
+    avg, grad, _ = grid.cell_values(dom, v)
+    w = dom.cells.weights
+    a = float(np.sum(w * (grad ** p + np.abs(avg) ** p))) / p
+    pos = np.maximum(avg, 0.0) if positivity else np.abs(avg)
+    b = float(np.sum(w * pos ** q)) / q
+    ray = functional.ray(make_model(dom, p=p, q=q, positivity=positivity), v)
+    assert ray.A == pytest.approx(a, rel=1e-14)
+    assert ray.B == pytest.approx(b, rel=1e-14)
+    ts = np.geomspace(1e-3, 30.0, 25)
+    want = ts ** p * a - ts ** q * b
+    scale = ts ** p * a + ts ** q * b
+    assert np.all(np.abs(ray.energies(ts) - want) <= 1e-13 * scale)
+    for t, s in zip(ts, scale):
+        slope = p * t ** (p - 1.0) * a - q * t ** (q - 1.0) * b
+        assert abs(ray.slope(t) - slope) <= 1e-13 * q * s / t
+    # the poisoned-ray helper of the solver tests rebuilds a ray this way
+    assert functional.Ray(**vars(ray)) == ray
+    other = functional.ray(make_model(dom, name="modulated", p=p, q=q,
+                                      positivity=positivity), v)
+    assert other.A is None and other.B is None
+
+
+@pytest.mark.parametrize("positivity", [False, True])
 @pytest.mark.parametrize("name", ["plaplace", "modulated"])
 def test_hessian_matches_residual_differences(name, positivity, rng):
     # at a point with no flat cells and no zero cell average the Hessian is

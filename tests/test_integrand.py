@@ -131,3 +131,24 @@ def test_report_serializes():
     d = integrand.check_conditions(J, q=4.0).to_dict()
     assert d["all_passed"] is True
     assert set(d["checks"]) == {"j1", "j2", "j3", "j3t", "j4", "j5", "j6"}
+
+
+@pytest.mark.parametrize("p", [1.5, 1.8, 2.0, 2.5])
+@pytest.mark.parametrize("name, homogeneous", [("plaplace", True),
+                                               ("modulated", False)])
+def test_homogeneous_flag_matches_the_density(name, homogeneous, p):
+    # the flag lets the ray price f(t v) as t^p A - t^q B, so it must be
+    # set exactly when j(lambda s, lambda t) = lambda^p j(s, t)
+    J = integrand.builtin(name, p=p)
+    assert J.homogeneous is homogeneous
+    rng = np.random.default_rng(11)
+    s = rng.uniform(-5.0, 5.0, 400)
+    t = np.concatenate([[0.0], rng.uniform(0.0, 5.0, 399)])
+    base = J.j(s, t)
+    worst = 0.0
+    for lam in (1e-3, 0.3, 2.0, 7.5, 1e3):
+        want = lam ** p * base
+        err = np.abs(J.j(lam * s, lam * t) - want)
+        worst = max(worst, float(np.max(err / np.maximum(np.abs(want),
+                                                         1e-300))))
+    assert (worst <= 1e-13) is homogeneous

@@ -381,6 +381,19 @@ def test_ray_peak_reads_the_ray_once(monkeypatch):
     assert f == functional.energy_of_values(model, peak)
 
 
+@pytest.mark.parametrize("name", ["plaplace", "modulated"])
+def test_ray_without_a_peak_returns_none(name):
+    # under positivity a nonpositive direction has no q term (B = 0), so
+    # the energy rises along the whole ray; the search gives up after its
+    # range doublings instead of raising, on the two-sum pricing of the
+    # homogeneous plaplace and on the per-cell pricing of modulated
+    model = make_model("square", dict(side=6.0, resolution=9), name=name,
+                       p=1.8, q=3.0, positivity=True)
+    v = -default_psi(model.domain).values
+    assert (functional.ray(model, v).A is not None) == (name == "plaplace")
+    assert _ray_peak(model, v) is None
+
+
 @pytest.mark.parametrize("kind, dom_kw", [
     ("square", dict(side=6.0, resolution=9)),
     ("disk-polar", dict(radius=6.0, resolution=10, angular_resolution=16)),
