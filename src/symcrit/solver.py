@@ -3,8 +3,8 @@
 ``run`` builds the endpoints 0 and e and runs stages on one shared state.
 The ray stage is the local minimax method of Li and Zhou: it descends the
 peak energy max_t f(t v) over directions v on the unit W^{1,p} sphere.
-Every ray crosses the sphere on which ``init_endpoints`` certifies f > 0,
-so no iterate can fall to u = 0.  It is the only descent loop: after a
+Every ray crosses the sphere on which ``init_endpoints`` proves f >= sigma0
+> 0, so no iterate can fall to u = 0.  It is the only descent loop: after a
 stall the iterate is averaged over a larger symmetry group and the ray
 stage runs again from there (the "polish" iterations), and in direct
 mode the cone sweep is the ray stage run from the rearranged converged
@@ -53,9 +53,9 @@ TAIL_RETENTION = 600
 # the initial path (averaged away again in restricted mode)
 _INIT_NOISE = 0.05
 
-# sphere samples and ray scans are priced in stacks of about this many
-# nodal or cell values, so the stacked temporaries stay small at any grid
-# size (a ray scan that falls out of cache is slower than its row loop)
+# record rows and per-cell ray scans are priced in stacks of about this
+# many nodal or cell values, so the stacked temporaries stay small at any
+# grid size (a ray scan that falls out of cache is slower than its row loop)
 _SAMPLE_BLOCK_VALUES = 1 << 14
 
 # ray-stage line search: first step, backtracking factor, Armijo constant
@@ -176,7 +176,6 @@ class EndpointData:
     e: GridFunction
     f_zero: float
     f_e: float
-    sphere_samples: int
 
     def to_dict(self) -> dict:
         return {k: v for k, v in vars(self).items() if k not in ("psi", "e")}
@@ -249,14 +248,18 @@ def _orbit_coordinates(model, symmetry):
             group_mod.fix_basis(symmetry))
 
 
-def init_endpoints(model, symmetry=None, psi: GridFunction | None = None,
-                   sphere_samples: int = 200, seed: int = 0) -> EndpointData:
+def init_endpoints(model, symmetry=None,
+                   psi: GridFunction | None = None) -> EndpointData:
     """Construct the mountain-pass geometry data for one model.
 
-    The sphere radius starts at the largest scale where the coercivity
-    certificate already proves the energy infimum positive and is halved
-    until sphere samples confirm it; tau is the smallest scale making the
-    far endpoint provably negative-energy, then doubled for margin.
+    The sphere is measured in the norm the energy reads, N(v)^p = sum_c
+    w_c (|Dv|_c^p + |avg_c|^p) over the cells.  With m = min(alpha0, 1/p)
+    and K = (min_c w_c)^(-(q-p)/p), |avg_c| <= w_c^(-1/p) N gives
+    f(v) >= m N^p - (K/q) N^q.  rho0 is that bound's peak and sigma0 =
+    m (1 - p/q) rho0^p its value there, a proven lower bound of f on the
+    sphere N = rho0.  tau is the smallest scale making the far endpoint
+    provably negative-energy and past that sphere, then doubled for
+    margin.
     """
     domain = model.domain
     j = model.integrand
@@ -277,55 +280,19 @@ def init_endpoints(model, symmetry=None, psi: GridFunction | None = None,
         raise ParameterError("endpoint bump must be nonzero")
     psi_p_p = float(np.sum(domain.weights * np.abs(psi.values) ** p))
     psi_q_q = float(np.sum(domain.weights * np.abs(psi.values) ** q))
-    dpsi = grid.gradient_magnitude(psi)
-    dpsi_p_p = float(np.sum(domain.cells.weights * dpsi ** p))
-    psi_w1p = grid.norm_w1p(psi, p)
+    avg, dpsi, _ = grid.cell_values(domain, psi.values)
+    cw = domain.cells.weights
+    dpsi_p_p = float(np.sum(cw * dpsi ** p))
+    psi_n = (dpsi_p_p + float(np.sum(cw * np.abs(avg) ** p))) ** (1.0 / p)
 
-    # Certificate: f(v) >= m r^p - (K/q) r^q on the sphere ||v||_{1,p} = r,
-    # with m = min(alpha0, 1/p) and K the embedding constant from the
-    # smallest interior quadrature weight.  The bound peaks at r_cert, so
-    # spheres at that radius have a provably positive infimum; random
-    # sampling alone would accept radii far beyond the critical point.
-    w_min = float(np.min(domain.weights[domain.interior]))
     m_coer = min(j.alpha0, 1.0 / p)
-    k_emb = w_min ** (-(q - p) / p)
-    r_cert = (m_coer * p / k_emb) ** (1.0 / (q - p))
-
-    rng = np.random.default_rng(seed)
-    # invariant samples are orbit means of noise, priced in orbit coordinates
-    sampled, basis = _orbit_coordinates(model, symmetry)
-    rho = min(r_cert, psi_w1p)
-    rho0 = sigma0 = None
-    history = []
-    block = max(1, _SAMPLE_BLOCK_VALUES // domain.n_nodes)
-    for _ in range(60):
-        inf_f = math.inf
-        for start in range(0, sphere_samples, block):
-            # a (k, n) draw is the same stream as k draws of n
-            noise = rng.standard_normal(
-                (min(block, sphere_samples - start), domain.n_nodes))
-            noise[:, domain.boundary] = 0.0
-            if basis is not None:
-                noise = basis.means(noise)
-            nrm = grid.w1p_norms(sampled.domain, noise, p)
-            live = nrm != 0.0
-            f_samples = functional.energy_of_values(
-                sampled, (rho / nrm[live])[:, None] * noise[live])
-            inf_f = min([inf_f, *f_samples.tolist()])
-        history.append((rho, inf_f))
-        if inf_f > 0.0:
-            rho0, sigma0 = rho, inf_f
-            break
-        rho *= 0.5
-    if rho0 is None:
-        raise GeometryError(
-            "no sphere radius with positive energy infimum; last attempts: "
-            + ", ".join(f"(rho={r:.3e}, inf={v:.3e})" for r, v in history[-5:])
-        )
+    k_emb = float(np.min(cw)) ** (-(q - p) / p)
+    rho0 = (m_coer * p / k_emb) ** (1.0 / (q - p))
+    sigma0 = m_coer * (1.0 - p / q) * rho0 ** p
 
     tau_floor = max(
         ((2.0 * q / p) * psi_p_p / psi_q_q) ** (1.0 / (q - p)),
-        rho0 / psi_w1p,
+        rho0 / psi_n,
     )
 
     def admissible(tau: float) -> bool:
@@ -360,11 +327,10 @@ def init_endpoints(model, symmetry=None, psi: GridFunction | None = None,
         raise GeometryError(
             f"endpoint energy f(e) = {f_e:.6e} is not negative at "
             f"tau = {tau:.6e}; the discrete geometry rejects this model")
-    if not grid.norm_w1p(e, p) > rho0:
+    if not tau * psi_n > rho0:
         raise GeometryError("endpoint lies inside the mountain-pass sphere")
     return EndpointData(psi=psi, rho0=rho0, sigma0=sigma0, tau=tau, e=e,
-                        f_zero=f_zero, f_e=f_e,
-                        sphere_samples=sphere_samples)
+                        f_zero=f_zero, f_e=f_e)
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +338,11 @@ def init_endpoints(model, symmetry=None, psi: GridFunction | None = None,
 
 
 def _dist_to_rearranged(domain, values, p, q):
+    """Distances in V and W of one nodal vector, or of each row of a
+    (k, n) stack, to its own rearrangement."""
     diff = values - symmetrize.schwarz_values(domain, values)
     dist_w = grid.lm_norms(domain, diff, q)
-    dist_v = max(grid.lm_norms(domain, diff, p), dist_w)
-    return dist_v, dist_w
+    return np.maximum(grid.lm_norms(domain, diff, p), dist_w), dist_w
 
 
 def _factorize(matrix):
@@ -552,7 +519,8 @@ class _Solve:
     """State the stages of one run share: the model solved (in restricted
     mode the quotient's, so ``u`` holds orbit values), config, the orbit
     map ``basis`` back to the full ``domain`` (None when the model is the
-    full one), record, iteration counter and the current iterate ``u``."""
+    full one), record, iteration counter and the current iterate ``u``.
+    Record rows wait in ``queue`` until ``flush`` logs them."""
 
     def __init__(self, model, cfg, basis, domain, trivial_level):
         self.model = model
@@ -562,6 +530,7 @@ class _Solve:
         self.w = model.domain.weights
         self.trivial_level = trivial_level
         self.record = PSRecord()
+        self.queue = []
         self.it = 0
         self.u = None
         # dual residual at or below which the ray stage tries its next
@@ -580,22 +549,36 @@ class _Solve:
                         "u": np.array(self.full(self.u))})
 
     def measure(self, values, f_val, where, parts=None):
-        """Check the iterate, log its row and return its direction, slope
-        and dual residual norm: ``parts`` when the caller has them from
-        ``_slope_parts`` already."""
+        """Check the iterate, queue its record row and return its
+        direction, slope and dual residual norm: ``parts`` when the caller
+        has them from ``_slope_parts`` already.  The queue is flushed once
+        it holds ``_SAMPLE_BLOCK_VALUES`` nodal values."""
         if not math.isfinite(f_val):
             self.fail(f"energy became non-finite {where}")
         d, slope, grad_norm = parts or _slope_parts(self.model, values,
                                                     self.w)
         if not math.isfinite(slope):
             self.fail(f"residual became non-finite {where}")
-        full = self.full(values)
-        domain, p = self.domain, self.model.p
-        dist_v, dist_w = _dist_to_rearranged(domain, full, p, self.model.q)
-        self.record.append(self.it, f_val, grad_norm,
-                           grid.w1p_norms(domain, full, p),
-                           dist_v, dist_w, full)
+        # iterates are never written in place, so a queued row stays put
+        self.queue.append((self.it, f_val, grad_norm, self.full(values)))
+        if len(self.queue) * self.domain.n_nodes >= _SAMPLE_BLOCK_VALUES:
+            self.flush()
         return d, slope, grad_norm
+
+    def flush(self):
+        """Log the queued rows in order, their W^{1,p} norms and distances
+        to the rearrangement priced as one (k, n) stack (every row of a
+        stack gets bitwise its own vector's value)."""
+        if not self.queue:
+            return
+        its, fs, gs, rows = zip(*self.queue)
+        self.queue = []
+        full, p = np.stack(rows), self.model.p
+        norms = grid.w1p_norms(self.domain, full, p)
+        dist_v, dist_w = _dist_to_rearranged(self.domain, full, p,
+                                             self.model.q)
+        for row in zip(its, fs, gs, norms, dist_v, dist_w, full):
+            self.record.append(*row)
 
 
 def _illinois(g, a, ga, b, gb, rtol):
@@ -622,14 +605,14 @@ def _ray_peak(model, u):
     and every value and slope on it is priced from them, or, for a
     homogeneous density, from the two sums of f(t u) = t^p A - t^q B
     with no per-cell work; the search itself is the same.  A stacked
-    energy scan of t u over t in (0, 2] in ``_SCAN_POINTS`` steps (stacks
-    of at most ``_SAMPLE_BLOCK_VALUES`` cell values) doubles its range
-    while the samples rise, then zooms in until the ray derivative
-    changes sign across the first drop.  Illinois regula falsi on that
-    derivative fixes the peak to 1e-15 relative, where energy values
-    alone fix it to sqrt(eps).  The peak point's energy is measured from
-    its own nodal values.  Non-finite values raise
-    ``FloatingPointError``."""
+    energy scan of t u over t in (0, 2] in ``_SCAN_POINTS`` steps (one
+    call on a two-sum ray, else stacks of at most ``_SAMPLE_BLOCK_VALUES``
+    cell values) doubles its range while the samples rise, then zooms in
+    until the ray derivative changes sign across the first drop.
+    Illinois regula falsi on that derivative fixes the peak to 1e-15
+    relative, where energy values alone fix it to sqrt(eps).  The peak
+    point's energy is measured from its own nodal values.  Non-finite
+    values raise ``FloatingPointError``."""
     ray = functional.ray(model, u)
     lo, f_lo, hi = 0.0, 0.0, 2.0
 
@@ -639,7 +622,8 @@ def _ray_peak(model, u):
             raise FloatingPointError("residual")
         return g
 
-    rows = max(1, _SAMPLE_BLOCK_VALUES // ray.avg.shape[-1])
+    rows = _SCAN_POINTS if ray.A is not None \
+        else max(1, _SAMPLE_BLOCK_VALUES // ray.avg.shape[-1])
     for _ in range(_MAX_BACKTRACKS):
         ts = np.linspace(lo, hi, _SCAN_POINTS + 1)
         fs = np.concatenate([[f_lo]] + [
@@ -705,8 +689,10 @@ def _ray_stage(st, u0, where="in the ray stage", cone=False):
         return symmetrize.cone_project(
             GridFunction(model.domain, values)).values if cone else values
 
-    def progress():
-        return (f_0 - f_u) / abs(f_0) if f_0 else 0.0
+    def finish(status):
+        # the stage's queued record rows are logged before it returns
+        st.flush()
+        return status, grad_norm, (f_0 - f_u) / abs(f_0) if f_0 else 0.0
 
     st.u = u0
     first = peak_of(on_cone(u0))
@@ -726,11 +712,11 @@ def _ray_stage(st, u0, where="in the ray stage", cone=False):
         d, _, grad_norm = st.measure(st.u, f_u, where, parts)
         parts = None
         if grad_norm <= cfg.grad_tol:
-            return "converged", grad_norm, progress()
+            return finish("converged")
         if grad_norm <= 0.5 * g_ref:
             g_ref, it_ref = grad_norm, st.it
         elif st.it - it_ref >= _RAY_PATIENCE:
-            return "stalled", grad_norm, progress()
+            return finish("stalled")
         covector = w * d
         if st.newton_gate is None:
             st.newton_gate = _NEWTON_START * grad_norm
@@ -748,7 +734,7 @@ def _ray_stage(st, u0, where="in the ray stage", cone=False):
                     continue
             st.newton_gate = _NEWTON_BACKOFF * grad_norm
             if newton_point:
-                return "stalled", grad_norm, progress()
+                return finish("stalled")
         if st.it - metric_it >= _RAY_METRIC_REFRESH:
             metric, metric_it = _polish_metric(model, st.u), st.it
         grad = d if metric is None else metric(covector)
@@ -769,10 +755,10 @@ def _ray_stage(st, u0, where="in the ray stage", cone=False):
                         break
             s *= _STEP_SHRINK
         else:
-            return "stalled", grad_norm, progress()
+            return finish("stalled")
         st.u, f_u = cand
         s_mem = min(_STEP_INIT, s / _STEP_SHRINK)
-    return "budget", grad_norm, progress()
+    return finish("budget")
 
 
 def _snap_stalls(st, status, residual, progress, symmetry, cone=False):
@@ -831,7 +817,7 @@ def run(model, symmetry, cfg: SolveConfig) -> SolveReport:
             mode = "plain"
     project = symmetry if mode == "restricted" else None
 
-    endpoints = init_endpoints(model, project, seed=cfg.seed)
+    endpoints = init_endpoints(model, project)
     # the interior samples of a seeded noisy path from 0 to e
     e_vals = endpoints.e.values
     noise = np.random.default_rng([cfg.seed, 1]).standard_normal(
@@ -844,9 +830,9 @@ def run(model, symmetry, cfg: SolveConfig) -> SolveReport:
     solved, basis = _orbit_coordinates(model, project)
     if basis is not None:
         path = basis.means(path)
-    # a point that descended to the zero local minimum is not a pass; the
-    # sampled sigma0 overestimates the true sphere infimum, so only a
-    # scale-relative zero test is safe as the triviality gate
+    # a point that descended to the zero local minimum is not a pass;
+    # sigma0 bounds f on its sphere only, and an iterate need not lie
+    # past it, so only a scale-relative zero test is safe as the gate
     st = _Solve(solved, cfg, basis, domain,
                 trivial_level=1e-10 * (1.0 + abs(endpoints.f_e)))
 

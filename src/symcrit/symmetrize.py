@@ -190,11 +190,12 @@ def _class_blocks(domain: Domain) -> tuple:
 
 
 def schwarz_values(domain: Domain, values: np.ndarray) -> np.ndarray:
-    """``schwarz`` on raw nodal values: one row-wise sort per class size."""
-    out = np.zeros(domain.n_nodes)
+    """``schwarz`` on raw nodal values, one vector or each row of a (k, n)
+    stack: one sort along the last axis per class size."""
+    out = np.zeros(values.shape)
     mag = np.abs(values)
     for block in _class_blocks(domain):
-        out[block] = np.sort(mag[block], axis=1)[:, ::-1]
+        out[..., block] = np.sort(mag[..., block], axis=-1)[..., ::-1]
     return out
 
 

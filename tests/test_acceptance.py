@@ -191,7 +191,7 @@ def test_05_saddle_level_oracle():
         domain=grid.build_domain("radial-ball-1d", dimension=3, radius=12.0,
                                  resolution=2),
         integrand=integrand.builtin("plaplace", p=2.0), q=4.0)
-    ep = solver.init_endpoints(model, None, seed=0)
+    ep = solver.init_endpoints(model, None)
     e0, e1 = float(ep.e.values[0]), float(ep.e.values[1])
     lo = min(-2.0, e0 - 2.0, e1 - 2.0)
     hi = max(2.0, e0 + 2.0, e1 + 2.0)
@@ -209,6 +209,7 @@ def test_05_saddle_level_oracle():
                              max_iterations=5000, grad_tol=1e-8, seed=0)
     rep = solver.run(model, sym, cfg)
     assert rep.converged
+    assert rep.level >= rep.endpoints.sigma0
     assert abs(rep.level - oracle) <= 1e-3
     _finish("05", f"brute-force saddle oracle, gap "
             f"{abs(rep.level - oracle):.2e}", t0, 30.0)
@@ -244,6 +245,7 @@ def test_06_symmetric_criticality():
         if not rep.converged:
             continue
         converged += 1
+        assert rep.level >= rep.endpoints.sigma0, (label, name)
         crit = verify.palais_check(model, sym, rep.u, tau_tan=1e-8,
                                    tau_trans=1e-7)
         # a restricted critical point must be critical in the full space
@@ -266,6 +268,8 @@ def test_07_level_ordering():
     assert not cmp_.declined
     assert cmp_.ordered
     assert cmp_.c_plain <= cmp_.c_restricted + 1e-4
+    for rep in (cmp_.plain_report, cmp_.restricted_report):
+        assert rep.level >= rep.endpoints.sigma0
     _finish("07", f"level ordering, c_plain {cmp_.c_plain:.6f} <= "
             f"c_restricted {cmp_.c_restricted:.6f}", t0, 120.0)
 
@@ -286,6 +290,7 @@ def test_08_radial_positive_solution():
     assert grid.norm_lm(neg, model.p) <= 1e-8
     assert grid.norm_w1p(rep.u, model.p) >= rep.endpoints.rho0
     assert rep.endpoints.sigma0 > 0.0
+    assert rep.level >= rep.endpoints.sigma0
     assert rep.endpoints.f_e < 0.0
     _finish("08", f"radial positive solution at level {rep.level:.6f}",
             t0, 120.0)
@@ -302,6 +307,7 @@ def test_09_direct_mode_monitoring():
                              max_iterations=20000, grad_tol=1e-8, seed=0)
     rep = solver.run(model, None, cfg)
     assert rep.converged
+    assert rep.level >= rep.endpoints.sigma0
     assert rep.mode == "direct"
     assert rep.sweep_start is not None
     dist = np.array(rep.record.dist_vstar_V)

@@ -162,12 +162,65 @@ def test_record_tail_is_bounded():
     assert tail[0][0] == 50.0
 
 
+def _recomputed_columns(rep, model):
+    """The record's diagnostic columns recomputed row by row from the
+    iterates it keeps."""
+    rows = rep.record.tail_values()
+    assert len(rows) == len(rep.record)
+    dists = [solver._dist_to_rearranged(model.domain, v, model.p, model.q)
+             for v in rows]
+    return ([grid.w1p_norms(model.domain, v, model.p) for v in rows],
+            [float(d[0]) for d in dists], [float(d[1]) for d in dists])
+
+
+@pytest.mark.parametrize("mode", ["plain", "restricted"])
+def test_stacked_record_columns_match_row_by_row(square_model, mode):
+    sym = group.build_group(square_model.domain, "dihedral_4")
+    rep = run(square_model, sym, SolveConfig(mode=mode))
+    assert rep.converged
+    rec = rep.record
+    assert _recomputed_columns(rep, square_model) == (
+        rec.w1p_norm, rec.dist_vstar_V, rec.dist_vstar_W)
+
+
+def test_stacked_record_flushes_in_blocks(square_model, monkeypatch):
+    # a block of three rows splits every stage into several flushes; the
+    # logged columns stay bitwise those of one flush per stage
+    cfg = SolveConfig(mode="plain")
+    whole = run(square_model, None, cfg)
+    stacks = []
+    norms = grid.w1p_norms
+
+    def counted(domain, values, p):
+        stacks.append(values.shape[0])
+        return norms(domain, values, p)
+
+    monkeypatch.setattr(solver, "_SAMPLE_BLOCK_VALUES",
+                        3 * square_model.domain.n_nodes)
+    monkeypatch.setattr(grid, "w1p_norms", counted)
+    blocked = run(square_model, None, cfg)
+    assert blocked.stage_iterations["ray"] > 3 and max(stacks) == 3
+    assert sum(stacks) == len(blocked.record) == len(whole.record)
+    for col in ("iteration", "f", "grad_norm", "w1p_norm", "dist_vstar_V",
+                "dist_vstar_W"):
+        assert getattr(blocked.record, col) == getattr(whole.record, col)
+    assert _recomputed_columns(blocked, square_model)[0] == \
+        blocked.record.w1p_norm
+
+
+def test_nonfinite_record_diagnostic_raises(square_model, monkeypatch):
+    monkeypatch.setattr(grid, "w1p_norms",
+                        lambda domain, values, p: np.full(len(values), np.nan))
+    with pytest.raises(ParameterError, match="non-finite entry"):
+        run(square_model, None, SolveConfig(mode="plain"))
+
+
 # ---------------------------------------------------------------------------
 # endpoint geometry
 
 
 def test_endpoints_radial_geometry(toy_model):
-    ep = init_endpoints(toy_model, None, seed=0)
+    ep = init_endpoints(toy_model, None)
     assert ep.f_zero == 0.0
     assert ep.f_e < 0.0
     assert ep.rho0 > 0.0
@@ -175,6 +228,44 @@ def test_endpoints_radial_geometry(toy_model):
     assert ep.tau >= 1.0
     # far end must sit outside the sphere that carries the level bound
     assert grid.norm_w1p(ep.e, toy_model.p) > ep.rho0
+
+
+def _energy_norm(domain, values, p):
+    """N(v) = (sum_c w_c (|Dv|_c^p + |avg_c|^p))^(1/p), of each row."""
+    avg, t, _ = grid.cell_values(domain, values)
+    w = domain.cells.weights
+    return np.sum(w * (t ** p + np.abs(avg) ** p), axis=-1) ** (1.0 / p)
+
+
+@pytest.mark.parametrize("dom_name, label, p, q, positivity", [
+    ("square_small", "dihedral_4", 1.8, 3.0, False),
+    ("disk_small", "rotations_4", 1.8, 3.0, False),
+    ("annulus_small", "dihedral_2", 1.8, 3.0, False),
+    ("ball_small", "trivial", 2.0, 4.0, True),
+])
+@pytest.mark.parametrize("name", ["plaplace", "modulated"])
+def test_energy_on_the_sphere_is_at_least_sigma0(request, dom_name, label,
+                                                 p, q, positivity, name):
+    # sigma0 is proven, not sampled: random directions and single-node
+    # spikes, plain and as orbit means, scaled onto the sphere N = rho0
+    dom = request.getfixturevalue(dom_name)
+    model = functional.EnergyModel(
+        domain=dom, integrand=integrand.builtin(name, p=p), q=q,
+        positivity=positivity)
+    ep = init_endpoints(model, None)
+    assert ep.sigma0 > 0.0
+    rng = np.random.default_rng(16)
+    noise = rng.standard_normal((200, dom.n_nodes))
+    spikes = np.eye(dom.n_nodes)[dom.interior]
+    dirs = np.concatenate([noise, -noise, spikes, -spikes])
+    dirs[:, dom.boundary] = 0.0
+    sym = group.build_group(dom, label)
+    dirs = np.concatenate([dirs, group.average_values(sym, dirs)])
+    on_sphere = ep.rho0 / _energy_norm(dom, dirs, p)[:, None] * dirs
+    assert np.allclose(_energy_norm(dom, on_sphere, p), ep.rho0, rtol=1e-12)
+    assert np.min(functional.energy_of_values(model, on_sphere)) >= ep.sigma0
+    # the far end lies past the sphere
+    assert _energy_norm(dom, ep.e.values, p) > ep.rho0
 
 
 def test_endpoints_reject_foreign_psi(toy_model, square_small):
@@ -294,7 +385,7 @@ def test_toy_energy_matches_module(toy_model):
 
 
 def test_solver_level_matches_value_grid_search(toy_model):
-    ep = init_endpoints(toy_model, None, seed=0)
+    ep = init_endpoints(toy_model, None)
     e0, e1 = float(ep.e.values[0]), float(ep.e.values[1])
     assert ep.f_e < 0.0
 
@@ -379,6 +470,28 @@ def test_ray_peak_reads_the_ray_once(monkeypatch):
     peak, f = _ray_peak(model, v)
     assert len(products) <= 2
     assert f == functional.energy_of_values(model, peak)
+
+
+@pytest.mark.parametrize("name, calls_per_scan", [("plaplace", 1),
+                                                  ("modulated", 6)])
+def test_two_sum_ray_prices_a_scan_in_one_call(monkeypatch, name,
+                                               calls_per_scan):
+    # square res 63 has 3,969 cells: a per-cell ray scan is split into
+    # stacks of four rows, a two-sum ray's scan is one call
+    model = make_model("square", dict(side=6.0, resolution=63), name=name,
+                       p=1.8, q=3.0)
+    sizes = []
+    energies = functional.Ray.energies
+
+    def counted(self, ts):
+        sizes.append(len(ts))
+        return energies(self, ts)
+
+    monkeypatch.setattr(functional.Ray, "energies", counted)
+    assert _ray_peak(model, default_psi(model.domain).values) is not None
+    scans, rest = divmod(sum(sizes), solver._SCAN_POINTS)
+    assert scans >= 1 and rest == 0
+    assert len(sizes) == calls_per_scan * scans
 
 
 @pytest.mark.parametrize("name", ["plaplace", "modulated"])

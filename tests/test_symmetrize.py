@@ -213,6 +213,17 @@ def test_schwarz_radial_is_absolute_value(ball_dom, rng):
         assert np.array_equal(symmetrize.schwarz(u).values, np.abs(u.values))
 
 
+def test_schwarz_values_prices_each_row_of_a_stack(square_dom, disk_dom,
+                                                   ball_dom, rng):
+    for dom in (square_dom, disk_dom, ball_dom):
+        stack = np.stack([random_function(dom, rng).values
+                          for _ in range(5)])
+        out = symmetrize.schwarz_values(dom, stack)
+        assert out.shape == stack.shape
+        for row, got in zip(stack, out):
+            assert np.array_equal(got, symmetrize.schwarz_values(dom, row))
+
+
 def test_schwarz_bruteforce_oracle(ring8_dom):
     cls = symmetrize.weight_classes(ring8_dom)[0]
     assert cls.shape[0] == 8
