@@ -16,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .errors import DomainMismatchError, ParameterError
-from .grid import Domain, GridFunction, cell_values
+from .grid import Domain, GridFunction, cell_form, cell_values
 from .integrand import Integrand
 
 
@@ -115,9 +114,9 @@ def hessian_of_values(model: EnergyModel, values: np.ndarray):
     """The Hessian of f at one nodal vector on the interior nodes, a CSC
     matrix; the density must have its second partials.
 
-    With op the cell map on the interior columns it is op^T B op, where B
-    holds one (1+d) x (1+d) block per cell in the order (average,
-    gradient components): rho_ss, then rho_st n, then (rho_t/t)(I - n n^T)
+    It is op^T B op, assembled by ``grid.cell_form``, where B holds one
+    (1+d) x (1+d) block per cell in the order (average, gradient
+    components): rho_ss, then rho_st n, then (rho_t/t)(I - n n^T)
     + rho_tt n n^T, times the cell weight.  rho is the density with the
     |s|^p/p and q terms and n = Du/|Du|.  As in the Picard metric, |Du| is
     clamped at 1e-8 (1 + max |Du|) so flat cells stay finite for p < 2,
@@ -146,15 +145,7 @@ def hessian_of_values(model: EnergyModel, values: np.ndarray):
     block[0, 1:] = block[1:, 0] = w * J.j_st(avg, t) * n
     block[1:, 1:] = (w * J.j_tt(avg, t) - tangent) * n[:, None] * n[None] \
         + tangent * np.eye(d)[:, :, None]
-    rows = np.arange(d + 1)[:, None, None] * cs.count + np.arange(cs.count)
-    cols = np.swapaxes(rows, 0, 1)
-    size = (d + 1) * cs.count
-    b = sparse.csr_matrix(
-        (block.ravel(), (np.broadcast_to(rows, block.shape).ravel(),
-                         np.broadcast_to(cols, block.shape).ravel())),
-        shape=(size, size))
-    op = dom.cached("interior_op", lambda: cs.op[:, dom.interior].tocsr())
-    return (op.T @ (b @ op)).tocsc()
+    return cell_form(dom).matrix(block, 0.0)
 
 
 def directional_derivative(model: EnergyModel, u: GridFunction,

@@ -504,6 +504,82 @@ def cell_values(domain: Domain, values: np.ndarray):
     return avg, t, grads
 
 
+class CellForm:
+    """op^T B op + diag(m) on the interior nodes, for one symmetric
+    (1 + d) x (1 + d) block of B per cell, filled into a fixed CSC pattern
+    as a finite-element code assembles element matrices.
+
+    Every row of a cell lies on the columns of its average row, the
+    cell's corners.  ``table`` keeps the rows of each cell with at most
+    four corners on them, and ``slots`` the CSC slot of each corner pair
+    (one past the last slot for padding and for wider cells).  The wider
+    cells are the disk's core cells, which read the whole first ring;
+    their rows are one dense block ``ring`` over the columns they touch.
+    """
+
+    def __init__(self, domain: Domain):
+        count = domain.cells.count
+        op = domain.cells.op[:, domain.interior].tocsr()
+        n = op.shape[1]
+        per_cell = np.diff(op.indptr[:count + 1])
+        wide = per_cell > 4
+        # cell, row block and column of every nonzero of the map
+        row = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
+        cell, block, col = row % count, row // count, op.indices
+        avg = np.flatnonzero(~wide[cell[:op.indptr[count]]])
+        ends = np.full((int(per_cell[~wide].max()), count), -1)
+        ends[avg - op.indptr[cell[avg]], cell[avg]] = col[avg]
+        narrow = np.flatnonzero(~wide[cell])
+        pos = np.argmax(ends[:, cell[narrow]] == col[narrow], axis=0)
+        self.table = np.zeros((op.shape[0] // count,) + ends.shape)
+        self.table[block[narrow], pos, cell[narrow]] = op.data[narrow]
+
+        pair_keys = ends[None] * n + ends[:, None]
+        kept = (ends[None] >= 0) & (ends[:, None] >= 0)
+        dense = np.flatnonzero(wide[cell])
+        cols = np.unique(col[dense])
+        self.wide = np.flatnonzero(wide)
+        self.ring = np.zeros((self.table.shape[0], self.wide.shape[0],
+                              cols.shape[0]))
+        self.ring[block[dense], np.searchsorted(self.wide, cell[dense]),
+                  np.searchsorted(cols, col[dense])] = op.data[dense]
+        ring_keys = (cols[None, :] * n + cols[:, None]).reshape(-1)
+        diag_keys = np.arange(n) * (n + 1)
+        # CSC order: column-major keys col * n + row
+        keys = np.unique(np.concatenate([pair_keys[kept], ring_keys,
+                                         diag_keys]))
+        self.slots = np.where(kept, np.searchsorted(keys, pair_keys),
+                              keys.shape[0])
+        self.ring_slots = np.searchsorted(keys, ring_keys)
+        self.diag = np.searchsorted(keys, diag_keys)
+        self.indices = (keys % n).astype(np.intc)
+        self.indptr = np.searchsorted(keys // n,
+                                      np.arange(n + 1)).astype(np.intc)
+
+    def matrix(self, blocks, mass):
+        """op^T B op + diag(mass) as a CSC matrix; ``blocks`` is the
+        (1 + d, 1 + d, cells) array of the cell blocks of B."""
+        local = np.einsum("iac,ibc->abc", self.table,
+                          np.einsum("ijc,jbc->ibc", blocks, self.table))
+        data = np.bincount(self.slots.reshape(-1), local.reshape(-1),
+                           minlength=self.indices.shape[0] + 1)[:-1]
+        if self.wide.size:
+            rows = np.einsum("ijc,jcr->icr", blocks[:, :, self.wide],
+                             self.ring)
+            width = self.ring.shape[-1]
+            data[self.ring_slots] += (self.ring.reshape(-1, width).T
+                                      @ rows.reshape(-1, width)).reshape(-1)
+        data[self.diag] += mass
+        n = self.indptr.shape[0] - 1
+        return sparse.csc_matrix((data, self.indices, self.indptr),
+                                 shape=(n, n))
+
+
+def cell_form(domain: Domain) -> CellForm:
+    """The domain's ``CellForm``, built on first use and cached."""
+    return domain.cached("cell_form", lambda: CellForm(domain))
+
+
 def gradient_magnitude(u: GridFunction) -> np.ndarray:
     """|Du| per cell from first differences of the nodal values."""
     return cell_values(u.domain, u.values)[1]

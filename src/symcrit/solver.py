@@ -29,7 +29,6 @@ import time
 import warnings
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .errors import (
     GeometryError,
@@ -360,86 +359,18 @@ def _slope_parts(model, values, w):
     return d, slope, math.sqrt(max(slope, 0.0))
 
 
-@dataclass(frozen=True)
-class _MetricStencil:
-    """The fixed sparsity pattern of the Picard metric G^T diag(c) G + M
-    on the interior nodes, and the linear maps that fill it from c.
-
-    ``fill`` maps the per-cell coefficients to the CSC data of the
-    contribution of the gradient rows with at most four nonzeros.  A row
-    with more (a disk core cell, whose inner corner is the average of the
-    whole first ring) would put the square of the ring size into ``fill``
-    per cell; those rows are kept as one dense ``block`` over the columns
-    they touch and added as block^T diag(c) block.
-    """
-
-    fill: sparse.csr_matrix
-    indices: np.ndarray
-    indptr: np.ndarray
-    diag: np.ndarray            # CSC positions of the diagonal
-    block_cells: np.ndarray     # cell of each dense block row
-    block: np.ndarray
-    block_pos: np.ndarray       # CSC positions of the ring x ring entries
-
-    def matrix(self, coef, mass):
-        """G^T diag(c) G + diag(mass) as a CSC matrix, c = coef per cell
-        (repeated over the gradient components)."""
-        data = self.fill @ coef
-        data[self.block_pos] += ((self.block.T * coef[self.block_cells])
-                                 @ self.block).ravel()
-        data[self.diag] += mass
-        n = self.indptr.shape[0] - 1
-        return sparse.csc_matrix((data, self.indices, self.indptr),
-                                 shape=(n, n))
-
-
-def _metric_stencil(domain):
-    """The domain's ``_MetricStencil``; ``_polish_metric`` caches it."""
-    cs = domain.cells
-    g = cs.op[cs.count:, domain.interior]
-    n = g.shape[1]
-    per_row = np.diff(g.indptr)
-    row = np.repeat(np.arange(g.shape[0]), per_row)
-    wide = per_row > 4
-    # every two nonzeros of one row r, in columns i and j, add
-    # g[r, i] g[r, j] c[r mod cells] to the entry (i, j)
-    narrow = np.flatnonzero(~wide[row])
-    reps = per_row[row[narrow]]
-    first = np.repeat(narrow, reps)
-    second = np.arange(first.shape[0]) + np.repeat(
-        g.indptr[row[narrow]] - np.cumsum(reps) + reps, reps)
-    ring = np.unique(g.indices[wide[row]])
-    # CSC order: column-major keys col * n + row
-    pair_keys = g.indices[second] * n + g.indices[first]
-    ring_keys = (ring[None, :] * n + ring[:, None]).ravel()
-    diag_keys = np.arange(n) * (n + 1)
-    keys = np.unique(np.concatenate([pair_keys, ring_keys, diag_keys]))
-    fill = sparse.csr_matrix(
-        (g.data[first] * g.data[second],
-         (np.searchsorted(keys, pair_keys), row[first] % cs.count)),
-        shape=(keys.shape[0], cs.count))
-    wide_rows = np.flatnonzero(wide)
-    return _MetricStencil(
-        fill=fill,
-        indices=(keys % n).astype(np.intc),
-        indptr=np.searchsorted(keys // n, np.arange(n + 1)).astype(np.intc),
-        diag=np.searchsorted(keys, diag_keys),
-        block_cells=wide_rows % cs.count,
-        block=g[wide_rows][:, ring].toarray(),
-        block_pos=np.searchsorted(keys, ring_keys))
-
-
 def _metric_coefficients(model, values):
-    """Cell coefficients of the Picard metric: the quadrature weight times
-    j_t/t frozen at ``values``, clamped to [1e-6, 1e6] times the median
-    positive value (j_t/t blows up at flat cells for p < 2)."""
-    avg, t, _ = grid.cell_values(model.domain, values)
+    """Cell blocks diag(0, c, ..., c) of the Picard metric: c is the cell
+    weight times j_t/t frozen at ``values``, clamped to [1e-6, 1e6] times
+    the median positive value (j_t/t blows up at flat cells for p < 2)."""
+    avg, t, grads = grid.cell_values(model.domain, values)
     t_floor = 1e-8 * (1.0 + float(t.max(initial=0.0)))
     t_eff = np.maximum(t, t_floor)
     a = model.integrand.j_t(avg, t_eff) / t_eff
     positive = a[a > 0]
     med = float(np.median(positive)) if positive.size else 1.0
-    return model.domain.cells.weights * np.clip(a, 1e-6 * med, 1e6 * med)
+    coef = model.domain.cells.weights * np.clip(a, 1e-6 * med, 1e6 * med)
+    return np.diag([0.0] + [1.0] * grads.shape[0])[:, :, None] * coef
 
 
 def _polish_metric(model, values):
@@ -447,17 +378,16 @@ def _polish_metric(model, values):
 
     G^T diag(c) G + M on the interior nodes: G the gradient rows of the
     cell map, c the clamped cell coefficients of ``_metric_coefficients``
-    and M the mass.  The entries come from the domain's cached
-    ``_MetricStencil``, so a call costs one product with its fill map and
-    the factorization.  The ray stage applies the metric to the residual.
-    The solve leaves the Dirichlet entries exactly zero.
+    and M the mass.  ``grid.cell_form`` assembles it from those blocks as
+    it does the Newton Hessian, so a call costs the fill of a cached
+    pattern and the factorization.  The ray stage applies the metric to
+    the residual.  The solve leaves the Dirichlet entries exactly zero.
     """
     dom = model.domain
     inner = dom.interior
     try:
-        coef = _metric_coefficients(model, values)
-        stencil = dom.cached("metric_stencil", lambda: _metric_stencil(dom))
-        lu = _factorize(stencil.matrix(coef, dom.weights[inner]))
+        lu = _factorize(grid.cell_form(dom).matrix(
+            _metric_coefficients(model, values), dom.weights[inner]))
     except (RuntimeError, ValueError, np.linalg.LinAlgError):
         return None
 

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from symcrit import grid
+from symcrit import grid, group
 from symcrit.errors import ConfigurationError, ParameterError
 
 from conftest import random_function
@@ -208,6 +208,35 @@ def test_square_coordinate_gradient():
     all_interior = averages @ dom.boundary.astype(float) == 0.0
     assert np.any(all_interior)
     assert np.max(np.abs(du[all_interior] - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind, extents, label", [
+    ("square", dict(side=6.0, resolution=9), None),
+    ("disk-polar", dict(radius=6.0, resolution=10, angular_resolution=16),
+     None),
+    ("annulus-polar", dict(inner_radius=1.0, outer_radius=3.0, resolution=4,
+                           angular_resolution=8), None),
+    ("radial-ball-1d", dict(dimension=3, radius=12.0, resolution=30), None),
+    ("square", dict(side=6.0, resolution=9), "dihedral_4"),
+    ("disk-polar", dict(radius=6.0, resolution=10, angular_resolution=16),
+     "rotations_8"),
+    ("disk-polar", dict(radius=6.0, resolution=4, angular_resolution=48),
+     "rotations_8"),
+    ("annulus-polar", dict(inner_radius=1.0, outer_radius=3.0, resolution=4,
+                           angular_resolution=8), "dihedral_2"),
+])
+def test_cell_rows_lie_on_their_average_row(kind, extents, label):
+    # grid.CellForm takes each cell's corners from the columns of its
+    # average row, whose coefficients are positive
+    dom = grid.build_domain(kind, **extents)
+    if label is not None:
+        dom = group.quotient(group.build_group(dom, label))
+    cs = dom.cells
+    avg = cs.op[:cs.count]
+    assert np.all(avg.data > 0)
+    for start in range(cs.count, cs.op.shape[0], cs.count):
+        rows = cs.op[start:start + cs.count]
+        assert rows.multiply(avg).count_nonzero() == rows.count_nonzero()
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from symcrit.errors import NumericalFailureError, ParameterError
 from symcrit.grid import GridFunction
 from symcrit.solver import (PS_CSV_HEADER, TAIL_RETENTION, PSRecord,
                             SolveConfig, _metric_coefficients,
-                            _metric_stencil, _polish_metric, _ray_peak,
+                            _polish_metric, _ray_peak,
                             compare_levels, config_digest, default_psi,
                             init_endpoints, ps_diagnostics, run)
 
@@ -507,28 +507,52 @@ def test_ray_without_a_peak_returns_none(name):
     assert _ray_peak(model, v) is None
 
 
-@pytest.mark.parametrize("kind, dom_kw", [
-    ("square", dict(side=6.0, resolution=9)),
-    ("disk-polar", dict(radius=6.0, resolution=10, angular_resolution=16)),
+@pytest.mark.parametrize("kind, dom_kw, label", [
+    ("square", dict(side=6.0, resolution=9), None),
+    ("disk-polar", dict(radius=6.0, resolution=10, angular_resolution=16),
+     None),
     ("annulus-polar", dict(inner_radius=1.0, outer_radius=3.0, resolution=4,
-                           angular_resolution=8)),
-    ("radial-ball-1d", dict(dimension=3, radius=12.0, resolution=30)),
+                           angular_resolution=8), None),
+    ("radial-ball-1d", dict(dimension=3, radius=12.0, resolution=30), None),
+    ("square", dict(side=6.0, resolution=9), "dihedral_4"),
+    # six orbits on the first ring: the quotient's core rows are wide
+    ("disk-polar", dict(radius=6.0, resolution=4, angular_resolution=48),
+     "rotations_8"),
 ])
-def test_metric_stencil_matches_sparse_assembly(kind, dom_kw):
+def test_cell_form_matches_sparse_congruence(kind, dom_kw, label):
     model = make_model(kind, dom_kw, p=1.8, q=3.0)
+    if label is not None:
+        sym = group.build_group(model.domain, label)
+        model = replace(model, domain=group.quotient(sym))
     dom = model.domain
     cs, inner = dom.cells, dom.interior
-    g = cs.op[cs.count:, inner]
-    stencil = _metric_stencil(dom)
+    op = cs.op[:, inner]
+    k = op.shape[0] // cs.count
+    form = grid.cell_form(dom)
     rng = np.random.default_rng(3)
+    blocks = rng.standard_normal((k, k, cs.count))
+    blocks += blocks.transpose(1, 0, 2)
+    mass = rng.standard_normal(op.shape[1])
+    # B as one sparse matrix over the rows of the cell map
+    rows = np.arange(k)[:, None, None] * cs.count + np.arange(cs.count)
+    cols = np.swapaxes(rows, 0, 1)
+    b = sparse.csr_matrix(
+        (blocks.ravel(), (np.broadcast_to(rows, blocks.shape).ravel(),
+                          np.broadcast_to(cols, blocks.shape).ravel())),
+        shape=(op.shape[0],) * 2)
+    want = (op.T @ (b @ op) + sparse.diags(mass)).toarray()
+    got = form.matrix(blocks, mass).toarray()
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # the Picard metric G^T diag(c) G + M from its diag(0, c, ..., c)
+    # blocks; rounded values leave flat cells, where j_t/t is clamped
+    g = op[cs.count:]
     v = rng.standard_normal(dom.n_nodes)
-    # rounded values leave flat cells, where j_t/t is clamped
-    for values in (v, np.round(v)):
+    for values in (v, np.round(0.5 * v)):
         values[dom.boundary] = 0.0
-        coef = _metric_coefficients(model, values)
-        want = (g.T @ sparse.diags(np.tile(coef, g.shape[0] // cs.count))
-                @ g + sparse.diags(dom.weights[inner])).toarray()
-        got = stencil.matrix(coef, dom.weights[inner]).toarray()
+        blocks = _metric_coefficients(model, values)
+        want = (g.T @ sparse.diags(np.tile(blocks[1, 1], k - 1)) @ g
+                + sparse.diags(dom.weights[inner])).toarray()
+        got = form.matrix(blocks, dom.weights[inner]).toarray()
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     assert np.any(grid.cell_values(dom, values)[1] == 0.0)
 
