@@ -48,7 +48,6 @@ _DOMAIN_KEYS = {
     "inner_radius": "float",
     "outer_radius": "float",
     "angular_resolution": "int",
-    "max_rotation_order": "int",
 }
 
 # every SolveConfig field is a solver.* key, except the seed (run.seed)
@@ -60,9 +59,7 @@ _KNOWN_KEYS = (
     | {f"solver.{f.name}" for f in _SOLVER_FIELDS}
     | {"group.label", "integrand.name", "integrand.p",
        "model.q", "model.positivity",
-       "verify.tau_tan", "verify.tau_trans", "verify.j_max",
-       "verify.level_tolerance",
-       "run.seed", "output.dir"}
+       "verify.tau_tan", "run.seed", "output.dir"}
 )
 
 
@@ -187,9 +184,6 @@ def cmd_solve(args) -> int:
     seed = config_mod.take(cfg, "run.seed", "int", default=0)
     outdir = config_mod.take(cfg, "output.dir", "str", default="runs")
     tau_tan = config_mod.take(cfg, "verify.tau_tan", "float", default=1e-8)
-    tau_trans = config_mod.take(cfg, "verify.tau_trans", "float",
-                                default=None)
-    j_max = config_mod.take(cfg, "verify.j_max", "int", default=None)
 
     model = build_model(cfg)
     sym = group_mod.build_group(model.domain,
@@ -233,8 +227,7 @@ def cmd_solve(args) -> int:
     crit_path = os.path.join(outdir, "criticality.json")
     principle_holds = False
     try:
-        crit = verify.palais_check(model, sym, rep.u, tau_tan=tau_tan,
-                                   tau_trans=tau_trans, j_max=j_max)
+        crit = verify.palais_check(model, sym, rep.u, tau_tan=tau_tan)
         principle_holds = crit.principle_holds
         stages["verify"] = "holds" if principle_holds else "violated"
         _write_json({"config_hash": stamp, **crit.to_dict()}, crit_path)
@@ -248,7 +241,6 @@ def cmd_solve(args) -> int:
 
     if len(rep.record) >= 2:
         diag = solver.ps_diagnostics(rep.record, model,
-                                     direct_mode=rep.sweep_start is not None,
                                      sweep_start=rep.sweep_start)
         stages["diagnostics"] = ("passed" if diag.passed else
                                  f"{len(diag.violations)} violations")
@@ -355,13 +347,11 @@ def cmd_compare_levels(args) -> int:
     cfg = _effective_config(args)
     stamp = config_mod.config_hash(cfg)
     seed = config_mod.take(cfg, "run.seed", "int", default=0)
-    tol = config_mod.take(cfg, "verify.level_tolerance", "float",
-                          default=1e-4)
     model = build_model(cfg)
     sym = group_mod.build_group(model.domain,
                                 config_mod.take(cfg, "group.label", "str"))
     scfg = build_solve_config(cfg, seed)
-    cmp_ = solver.compare_levels(model, sym, scfg, level_tolerance=tol)
+    cmp_ = solver.compare_levels(model, sym, scfg)
     _report_out(args, {"config_hash": stamp, **cmp_.to_dict()},
                 "compare_levels.json")
     if cmp_.declined:
@@ -373,15 +363,11 @@ def cmd_verify_point(args) -> int:
     cfg = _effective_config(args)
     stamp = config_mod.config_hash(cfg)
     tau_tan = config_mod.take(cfg, "verify.tau_tan", "float", default=1e-8)
-    tau_trans = config_mod.take(cfg, "verify.tau_trans", "float",
-                                default=None)
-    j_max = config_mod.take(cfg, "verify.j_max", "int", default=None)
     model = build_model(cfg)
     sym = group_mod.build_group(model.domain,
                                 config_mod.take(cfg, "group.label", "str"))
     u = grid.read_gridfunction(model.domain, args.ufile)
-    crit = verify.palais_check(model, sym, u, tau_tan=tau_tan,
-                               tau_trans=tau_trans, j_max=j_max)
+    crit = verify.palais_check(model, sym, u, tau_tan=tau_tan)
     _report_out(args, {"config_hash": stamp, **crit.to_dict()},
                 "criticality.json")
     return 0 if crit.principle_holds else 3

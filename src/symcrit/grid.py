@@ -32,8 +32,8 @@ from .errors import (
 GRIDFUNCTION_HEADER = "# symcrit-gridfunction v1"
 
 #: Largest rotation order the polar builders promise to support; the
-#: angular resolution must be divisible by it unless the caller relaxes it.
-DEFAULT_MAX_ROTATION_ORDER = 8
+#: angular resolution must be divisible by it.
+MAX_ROTATION_ORDER = 8
 
 
 @dataclass(frozen=True)
@@ -117,9 +117,6 @@ class GridFunction:
             raise ParameterError("grid function contains non-finite values")
         v[self.domain.boundary] = 0.0
         self.values = v
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.domain, self.values)
 
 
 def zeros(domain: Domain) -> GridFunction:
@@ -278,12 +275,11 @@ def _build_square(side: float, resolution: int) -> Domain:
 
 
 def _build_polar(kind: str, resolution: int, angular_resolution: int,
-                 r_inner: float, r_outer: float,
-                 max_rotation_order: int) -> Domain:
-    if angular_resolution % max_rotation_order != 0:
+                 r_inner: float, r_outer: float) -> Domain:
+    if angular_resolution % MAX_ROTATION_ORDER != 0:
         raise ConfigurationError(
             f"angular resolution {angular_resolution} must be divisible by the "
-            f"largest supported rotation order {max_rotation_order}"
+            f"largest supported rotation order {MAX_ROTATION_ORDER}"
         )
     n_theta = angular_resolution
     d_theta = 2 * math.pi / n_theta
@@ -419,8 +415,7 @@ def build_domain(kind: str, *, resolution: int, dimension: int | None = None,
                  side: float | None = None, radius: float | None = None,
                  inner_radius: float | None = None,
                  outer_radius: float | None = None,
-                 angular_resolution: int | None = None,
-                 max_rotation_order: int = DEFAULT_MAX_ROTATION_ORDER) -> Domain:
+                 angular_resolution: int | None = None) -> Domain:
     """Construct a supported domain.
 
     kind is one of ``square``, ``disk-polar``, ``annulus-polar``,
@@ -444,14 +439,14 @@ def build_domain(kind: str, *, resolution: int, dimension: int | None = None,
             if radius is None or radius <= 0:
                 raise ConfigurationError("disk domain needs a positive radius")
             dom = _build_polar(kind, resolution, angular_resolution,
-                               0.0, radius, max_rotation_order)
+                               0.0, radius)
         else:
             if (inner_radius is None or outer_radius is None
                     or not 0 < inner_radius < outer_radius):
                 raise ConfigurationError(
                     "annulus domain needs 0 < inner_radius < outer_radius")
             dom = _build_polar(kind, resolution, angular_resolution,
-                               inner_radius, outer_radius, max_rotation_order)
+                               inner_radius, outer_radius)
     elif kind == "radial-ball-1d":
         if dimension is None or dimension < 2:
             raise ConfigurationError(

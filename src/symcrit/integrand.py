@@ -22,8 +22,8 @@ class Integrand:
     """Density j with partial derivatives and growth metadata.
 
     alpha0 is the coercivity constant in alpha0 * t^p <= j(s, t); alpha is
-    the increasing envelope in j <= alpha(|s|) * t^p when one is known in
-    closed form (None means the checker fits an empirical one).
+    the increasing envelope in j <= alpha(|s|) * t^p, given in closed form
+    as part of the density's data.
     sign_radius and superlinear_radius are the thresholds beyond which the
     sign condition j_s(s,t)*s >= 0 and the q-superlinearity hold.
     j_ss, j_st and j_tt are the second partials; when all three are given
@@ -42,7 +42,7 @@ class Integrand:
     j_s: callable
     j_t: callable
     alpha0: float
-    alpha: callable = None
+    alpha: callable
     alpha_bounded: bool = True
     sign_radius: float = 0.0
     superlinear_radius: float = 0.0
@@ -202,19 +202,14 @@ def check_conditions(J: Integrand, q: float, s_max: float = 8.0,
                                       _argmin_witness(lower, s_grid, t_grid),
                                       "coercivity alpha0 t^p <= j violated")
     else:
-        if J.alpha is not None:
-            upper = J.alpha(np.abs(S)) * tp - jv
-            up_margin = float(np.min(upper))
-            if up_margin < -1e-12 * float(np.max(np.abs(jv))):
-                checks["j2"] = ConditionCheck(
-                    "fail", up_margin, _argmin_witness(upper, s_grid, t_grid),
-                    "growth bound j <= alpha(|s|) t^p violated")
-            else:
-                checks["j2"] = ConditionCheck("pass", min(low_margin, up_margin))
-        else:
+        upper = J.alpha(np.abs(S)) * tp - jv
+        up_margin = float(np.min(upper))
+        if up_margin < -1e-12 * float(np.max(np.abs(jv))):
             checks["j2"] = ConditionCheck(
-                "pass", low_margin,
-                note="upper envelope fitted empirically (no closed form given)")
+                "fail", up_margin, _argmin_witness(upper, s_grid, t_grid),
+                "growth bound j <= alpha(|s|) t^p violated")
+        else:
+            checks["j2"] = ConditionCheck("pass", min(low_margin, up_margin))
 
     # (j3)/(j3') growth of the partials: the ratios |j_s|/t^p and |j_t|/t^{p-1}
     # must not still be growing at the edge of the sampled t-range
@@ -257,18 +252,12 @@ def check_conditions(J: Integrand, q: float, s_max: float = 8.0,
                                       note=f"delta={delta!r}")
 
     # (j6) alpha(|s|) / |s|^{q-p} -> 0: judged on the sampled tail only
-    if J.alpha is not None:
-        alpha_tail = lambda sig: J.alpha(sig)
-    else:
-        ratios = jv / tp
-        alpha_tail = lambda sig: np.array([
-            float(np.max(ratios[np.abs(s_grid) <= sg + 1e-12])) for sg in sig])
     tail = s_grid[s_grid >= max(1.0, 0.5 * s_max)]
     if tail.size < 6:
         checks["j6"] = ConditionCheck(
             "inconclusive", note="sampled tail too short to judge the limit")
     else:
-        ratio = np.asarray(alpha_tail(tail)) / tail ** (q - p)
+        ratio = np.asarray(J.alpha(tail)) / tail ** (q - p)
         decreasing = bool(np.all(ratio[1:] <= ratio[:-1] * (1 + 1e-9)))
         vanishing = ratio[-1] <= 0.9 * ratio[0]
         if decreasing and vanishing:

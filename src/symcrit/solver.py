@@ -81,6 +81,13 @@ _NEWTON_BACKOFF = 0.1
 # stage reruns from its last point when no symmetry snap helps
 _RESUME_PROGRESS = 1e-12
 
+# compare_levels: slack in c_plain <= c_restricted + LEVEL_TOLERANCE
+LEVEL_TOLERANCE = 1e-4
+
+# ps_diagnostics: sup of the iterates' W^{1,p} norms above which they
+# count as unbounded
+W1P_CEILING = 1e3
+
 
 def __getattr__(name):
     # ``solver.sparse_linalg`` stays readable (callers patch its splu)
@@ -166,9 +173,8 @@ class PSRecord:
 
 @dataclass
 class EndpointData:
-    """Mountain-pass geometry: bump, sphere radius, level bound, far end."""
+    """Mountain-pass geometry: sphere radius, level bound, far end."""
 
-    psi: GridFunction
     rho0: float
     sigma0: float
     tau: float
@@ -177,7 +183,7 @@ class EndpointData:
     f_e: float
 
     def to_dict(self) -> dict:
-        return {k: v for k, v in vars(self).items() if k not in ("psi", "e")}
+        return {k: v for k, v in vars(self).items() if k != "e"}
 
 
 @dataclass
@@ -226,15 +232,6 @@ def default_psi(domain) -> GridFunction:
     else:
         raise ParameterError(f"no default bump for domain kind {domain.kind!r}")
     return GridFunction(domain, vals)
-
-
-def _alpha_at(j, s: float) -> float:
-    if j.alpha is not None:
-        return float(np.asarray(j.alpha(np.asarray(s, dtype=float))))
-    # fall back to the empirical growth envelope sup_t j(s, t) / t^p
-    t = np.linspace(1e-3, 8.0, 200)
-    s_arr = np.full_like(t, s)
-    return float(np.max(np.asarray(j.j(s_arr, t)) / t ** j.p))
 
 
 def _orbit_coordinates(model, symmetry):
@@ -297,7 +294,7 @@ def init_endpoints(model, symmetry=None,
     def admissible(tau: float) -> bool:
         if tau <= tau_floor:
             return False
-        lhs = _alpha_at(j, tau * psi_inf) * tau ** p
+        lhs = float(j.alpha(tau * psi_inf)) * tau ** p
         rhs = (0.5 / q) * psi_q_q / dpsi_p_p * tau ** q
         return lhs <= rhs
 
@@ -328,7 +325,7 @@ def init_endpoints(model, symmetry=None,
             f"tau = {tau:.6e}; the discrete geometry rejects this model")
     if not tau * psi_n > rho0:
         raise GeometryError("endpoint lies inside the mountain-pass sphere")
-    return EndpointData(psi=psi, rho0=rho0, sigma0=sigma0, tau=tau, e=e,
+    return EndpointData(rho0=rho0, sigma0=sigma0, tau=tau, e=e,
                         f_zero=f_zero, f_e=f_e)
 
 
@@ -832,8 +829,7 @@ class LevelComparison:
                 if not k.endswith("_report")}
 
 
-def compare_levels(model, symmetry, cfg: SolveConfig,
-                   level_tolerance: float = 1e-4) -> LevelComparison:
+def compare_levels(model, symmetry, cfg: SolveConfig) -> LevelComparison:
     """Run plain and restricted solves and compare minimax levels.
 
     A numerical failure of either solve declines the comparison and is
@@ -863,8 +859,8 @@ def compare_levels(model, symmetry, cfg: SolveConfig,
         c_restricted=(restricted.level
                       if restricted and restricted.converged else None),
         ordered=None if reason else
-        plain.level <= restricted.level + level_tolerance,
-        tolerance=level_tolerance,
+        plain.level <= restricted.level + LEVEL_TOLERANCE,
+        tolerance=LEVEL_TOLERANCE,
         iterations={mode: rep.iterations for mode, rep in reports.items()},
         stage_iterations={mode: rep.stage_iterations
                           for mode, rep in reports.items()},
@@ -897,26 +893,26 @@ class PSDiagnostics:
         return asdict(self)
 
 
-def ps_diagnostics(record: PSRecord, model, ceiling: float = 1e3,
-                   direct_mode: bool = False,
+def ps_diagnostics(record: PSRecord, model,
                    sweep_start: int | None = None) -> PSDiagnostics:
     """Boundedness, tail Cauchy-in-W, and rearrangement-distance trends.
 
-    ``sweep_start`` anchors the distance-trend check and the Cauchy tail
-    at the record row of the first polarization sweep: both then read the
-    swept segment.  Without it the trend is taken over the whole record
-    past the initial point and the tail is the record's last quartile.
+    ``sweep_start`` is the record row of the first polarization sweep (a
+    direct solve's ``SolveReport.sweep_start``).  Given, the Cauchy tail
+    is the swept segment and the rearrangement distance must not grow
+    along it.  Without it the tail is the record's last quartile and no
+    distance trend is checked.
     """
     n = len(record)
     if n < 2:
         raise ParameterError("diagnostics need a record of length >= 2")
     violations = []
     sup_w1p = max(record.w1p_norm)
-    bounded = sup_w1p <= ceiling
+    bounded = sup_w1p <= W1P_CEILING
     if not bounded:
         violations.append(
             f"iterates unbounded: sup W1p norm {sup_w1p:.6e} "
-            f"exceeds ceiling {ceiling:.6e}")
+            f"exceeds ceiling {W1P_CEILING:.6e}")
 
     start = None if sweep_start is None else min(max(sweep_start, 0), n - 1)
     window = max(2, -(-n // 4)) if start is None else n - start
@@ -935,8 +931,8 @@ def ps_diagnostics(record: PSRecord, model, ceiling: float = 1e3,
 
     dist_v = np.array(record.dist_vstar_V)
     monotone = None
-    if direct_mode:
-        seg = dist_v[1 if start is None else start:]
+    if start is not None:
+        seg = dist_v[start:]
         steps = np.diff(seg)
         monotone = bool(np.all(steps <= 1e-12 * (1.0 + seg[:-1]))) \
             if seg.shape[0] > 1 else True
@@ -944,7 +940,7 @@ def ps_diagnostics(record: PSRecord, model, ceiling: float = 1e3,
             violations.append(
                 "rearrangement distance increased after the first sweep")
     return PSDiagnostics(
-        sup_w1p=sup_w1p, ceiling=ceiling, bounded=bounded,
+        sup_w1p=sup_w1p, ceiling=W1P_CEILING, bounded=bounded,
         cauchy_tail=cauchy, cauchy_points=len(pts),
         cauchy_truncated=truncated,
         dist_v_final=float(dist_v[-1]), dist_v_monotone=monotone,

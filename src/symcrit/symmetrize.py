@@ -233,15 +233,19 @@ def cone_project(u: GridFunction) -> GridFunction:
 
 @dataclass
 class SymmetrizationPlan:
-    """A fixed polarizer sequence mapping |u| to its rearrangement exactly."""
+    """A fixed comparator sequence mapping |u| to its rearrangement exactly.
+
+    ``comparators[k] = (positive node, negative node)`` is the k-th
+    one-pair polarizer.  Both nodes lie in one weight class, so they have
+    equal quadrature weights.
+    """
 
     domain: Domain
-    polarizers: tuple
-    classes: tuple
+    comparators: np.ndarray
 
     @property
     def swap_count(self) -> int:
-        return len(self.polarizers)
+        return self.comparators.shape[0]
 
     @property
     def swap_bound(self) -> int:
@@ -251,16 +255,14 @@ class SymmetrizationPlan:
 
 def plan(domain: Domain) -> SymmetrizationPlan:
     """Odd-even transposition network along each class's target order."""
-    classes = weight_classes(domain)
-    polarizers = []
-    for cls in classes:
+    rounds = []
+    for cls in weight_classes(domain):
         n = cls.shape[0]
-        for rnd in range(n):
-            for k in range(rnd % 2, n - 1, 2):
-                polarizers.append(
-                    Polarizer(domain, np.array([[cls[k], cls[k + 1]]]))
-                )
-    return SymmetrizationPlan(domain, tuple(polarizers), tuple(classes))
+        # the comparators of the even and of the odd rounds
+        pairs = [np.column_stack([cls[k], cls[k + 1]])
+                 for k in (np.arange(0, n - 1, 2), np.arange(1, n - 1, 2))]
+        rounds.extend(pairs[rnd % 2] for rnd in range(n))
+    return SymmetrizationPlan(domain, np.concatenate(rounds))
 
 
 def apply_plan(p: SymmetrizationPlan, u: GridFunction,
@@ -279,11 +281,9 @@ def apply_plan(p: SymmetrizationPlan, u: GridFunction,
             return math.sqrt(float(np.sum(w * d * d)))
 
         distances = [dist()]
-    for h in p.polarizers:
-        a = vals[h.pairs[:, 0]]
-        b = vals[h.pairs[:, 1]]
-        vals[h.pairs[:, 0]] = np.maximum(a, b)
-        vals[h.pairs[:, 1]] = np.minimum(a, b)
+    for i, j in p.comparators.tolist():
+        if vals[i] < vals[j]:
+            vals[i], vals[j] = vals[j], vals[i]
         if record_distance:
             distances.append(dist())
     result = GridFunction(p.domain, vals)
@@ -368,8 +368,9 @@ def check_axioms(domain: Domain, samples: int = 40,
     reflections = reflection_polarizers(domain)
     p = plan(domain)
     # contraction is probed on the mirrors plus a spread of plan comparators
-    stride = max(1, len(p.polarizers) // 25)
-    probes = list(reflections) + list(p.polarizers[::stride][:25])
+    stride = max(1, p.swap_count // 25)
+    probes = list(reflections) + [Polarizer(domain, pair[None])
+                                  for pair in p.comparators[::stride][:25]]
 
     idem = 0.0
     fixed = 0.0

@@ -128,22 +128,20 @@ class CriticalityReport:
         return {**asdict(self), "sweep": [list(row) for row in self.sweep]}
 
 
-def palais_check(model, symmetry, u: GridFunction, tau_tan: float = 1e-8,
-                 tau_trans: float = None, j_max: int = None) -> CriticalityReport:
+def palais_check(model, symmetry, u: GridFunction,
+                 tau_tan: float = 1e-8) -> CriticalityReport:
     """Split the residual at an invariant point and test both parts.
 
     The headline verdict is an implication: when the tangential part is
     below tau_tan (the point is critical for the restricted problem), the
-    transverse part must fall below tau_trans too.  tau_trans defaults to
-    10 * tau_tan because the transverse component carries discretization
-    error the solver's own stopping test never sees.
+    transverse part must fall below tau_trans = 10 * tau_tan too, because
+    the transverse component carries discretization error the solver's
+    own stopping test never sees.  The slope sweep runs to level
+    ceil(max |u|) + 1, past the level where its maxima saturate.
     """
     if tau_tan <= 0:
         raise ParameterError("tangential tolerance must be positive")
-    if tau_trans is None:
-        tau_trans = 10.0 * tau_tan
-    if tau_trans <= 0:
-        raise ParameterError("transverse tolerance must be positive")
+    tau_trans = 10.0 * tau_tan
 
     dom = model.domain
     inv_err = float(np.max(np.abs(
@@ -160,8 +158,7 @@ def palais_check(model, symmetry, u: GridFunction, tau_tan: float = 1e-8,
     tangential = dual_norm(dom, r_tan)
     transverse = dual_norm(dom, r - r_tan)
 
-    if j_max is None:
-        j_max = max(1, int(math.ceil(np.max(np.abs(u.values)))) + 1)
+    j_max = int(math.ceil(np.max(np.abs(u.values)))) + 1
     sweep = dense_test_sweep(model, u, j_max, residual=r)
     slope = weak_slope(model, u, residual=r)
 

@@ -246,8 +246,7 @@ def test_06_symmetric_criticality():
             continue
         converged += 1
         assert rep.level >= rep.endpoints.sigma0, (label, name)
-        crit = verify.palais_check(model, sym, rep.u, tau_tan=1e-8,
-                                   tau_trans=1e-7)
+        crit = verify.palais_check(model, sym, rep.u, tau_tan=1e-8)
         # a restricted critical point must be critical in the full space
         assert crit.tangential <= 1e-8, (label, name)
         assert crit.transverse <= 1e-7, (label, name)
@@ -264,7 +263,7 @@ def test_07_level_ordering():
     sym = group.build_group(dom, "dihedral_4")
     cfg = solver.SolveConfig(mode="plain", path_points=12,
                              max_iterations=20000, grad_tol=1e-8, seed=0)
-    cmp_ = solver.compare_levels(model, sym, cfg, level_tolerance=1e-4)
+    cmp_ = solver.compare_levels(model, sym, cfg)
     assert not cmp_.declined
     assert cmp_.ordered
     assert cmp_.c_plain <= cmp_.c_restricted + 1e-4
@@ -314,7 +313,7 @@ def test_09_direct_mode_monitoring():
     seg = dist[rep.sweep_start:]
     assert np.all(np.diff(seg) <= 1e-12 * (1.0 + seg[:-1]))
     assert seg[-1] <= 1e-9
-    diag = solver.ps_diagnostics(rep.record, model, direct_mode=True,
+    diag = solver.ps_diagnostics(rep.record, model,
                                  sweep_start=rep.sweep_start)
     assert diag.passed
     assert diag.sup_w1p < diag.ceiling

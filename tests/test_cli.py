@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import symcrit
-from symcrit import cli, grid
+from symcrit import cli, config, grid, group
 
 from conftest import poison_ray, poison_residual
 
@@ -255,15 +256,35 @@ def test_supercritical_exponent_exits_one(tmp_path, capsys):
     assert "p < q < p*" in err["message"]
 
 
+# the last four are settings the code fixes: 10x tau_tan, a sweep to
+# ceil(max |u|) + 1, a level slack of 1e-4 and rotation order 8
 @pytest.mark.parametrize("key", ["solver.newton", "solver.armijo",
-                                 "solver.log_iterations"])
+                                 "solver.log_iterations",
+                                 "verify.tau_trans", "verify.j_max",
+                                 "verify.level_tolerance",
+                                 "domain.max_rotation_order"])
 def test_unknown_key_exits_one(tmp_path, capsys, key):
     cfg = write_cfg(tmp_path, SMALL_SOLVE + f"{key} = true\n")
     rc = cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigurationError"
-    assert key in err["message"]
+    assert err["message"] == f"unknown config key {key!r}"
+
+
+EXAMPLES = sorted(
+    (pathlib.Path(__file__).resolve().parents[1] / "examples").glob("*.cfg"))
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=lambda path: path.name)
+def test_example_config_builds(path):
+    # every shipped example passes the key check and builds its model,
+    # group and solver settings; nothing is solved
+    cfg = config.read_config(path)
+    cli._reject_unknown_keys(cfg)
+    model = cli.build_model(cfg)
+    group.build_group(model.domain, config.take(cfg, "group.label", "str"))
+    cli.build_solve_config(cfg, config.take(cfg, "run.seed", "int"))
 
 
 def test_unknown_integrand_key_exits_one(tmp_path, capsys):

@@ -61,10 +61,6 @@ def test_angular_resolution_divisibility():
     with pytest.raises(ConfigurationError):
         grid.build_domain("disk-polar", radius=1.0, resolution=4,
                           angular_resolution=12)
-    # relaxing the supported rotation order admits 12
-    dom = grid.build_domain("disk-polar", radius=1.0, resolution=4,
-                            angular_resolution=12, max_rotation_order=4)
-    assert dom.meta["n_theta"] == 12
 
 
 def test_resolution_floor():

@@ -197,10 +197,10 @@ def test_corrupted_non_generator_keeps_its_message(disk_rotations,
 
 def test_incompatible_rotation_rejected():
     dom = grid.build_domain("disk-polar", radius=1.0, resolution=4,
-                            angular_resolution=12, max_rotation_order=4)
+                            angular_resolution=16)
     with pytest.raises(SymmetryCompatibilityError) as err:
         group.build_group(dom, "rotations_5")
-    assert "12" in str(err.value)
+    assert "16" in str(err.value)
 
 
 def test_radial_only_trivial(ball_small):

@@ -102,7 +102,7 @@ def test_linear_density_fails_with_witness():
         j=lambda s, t: t + 0 * s,
         j_s=lambda s, t: np.zeros(np.broadcast(s, t).shape),
         j_t=lambda s, t: np.ones(np.broadcast(s, t).shape),
-        alpha0=0.5)
+        alpha0=0.5, alpha=lambda s: np.ones(np.shape(s)))
     report = integrand.check_conditions(J, q=4.0)
     assert not report.all_passed
     failed = {k: c for k, c in report.checks.items() if c.verdict == "fail"}

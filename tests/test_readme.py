@@ -24,3 +24,5 @@ def test_readme_names_only_known_config_keys():
         r"\.[a-z_]+", text))
     assert "solver.max_iterations" in keys
     assert keys <= cli._KNOWN_KEYS, sorted(keys - cli._KNOWN_KEYS)
+    # and the converse: every accepted key is documented
+    assert cli._KNOWN_KEYS <= keys, sorted(cli._KNOWN_KEYS - keys)

@@ -731,8 +731,7 @@ def test_direct_mode_sweeps_onto_cone():
     star = symmetrize.schwarz(rep.u)
     assert np.array_equal(star.values, rep.u.values)
     # the swept segment owns the window the tail statistics measure
-    diag = ps_diagnostics(rep.record, model, direct_mode=True,
-                          sweep_start=rep.sweep_start)
+    diag = ps_diagnostics(rep.record, model, sweep_start=rep.sweep_start)
     assert diag.passed
     assert diag.dist_v_final <= 1e-9
     assert diag.dist_v_monotone is True
@@ -995,7 +994,7 @@ def test_diagnostics_accept_settled_record(toy_model):
     vals = [np.array([1.0, 0.5, 0.0])] * 4
     rows = [(2.0, 1e-9, 5.0, 0.3, 0.3)] * 4
     diag = ps_diagnostics(synthetic_record(rows, vals), toy_model,
-                          direct_mode=True)
+                          sweep_start=1)
     assert diag.bounded
     assert diag.cauchy_tail == 0.0
     assert diag.dist_v_monotone is True
@@ -1023,7 +1022,7 @@ def test_diagnostics_flag_growing_rearrangement_distance(toy_model):
             (2.0, 1.0, 5.0, 1.0, 0.0),
             (2.0, 1.0, 5.0, 2.0, 0.0)]
     diag = ps_diagnostics(synthetic_record(rows, vals), toy_model,
-                          direct_mode=True)
+                          sweep_start=1)
     assert diag.dist_v_monotone is False
     assert not diag.passed
 
@@ -1047,7 +1046,7 @@ def test_diagnostics_measure_the_swept_segment(toy_model):
         np.array([1.0, 0.25, 0.0])]
     rows = [(2.0, 1.0, 5.0, 0.0, 0.0)] * 8
     diag = ps_diagnostics(synthetic_record(rows, vals), toy_model,
-                          direct_mode=True, sweep_start=5)
+                          sweep_start=5)
     want = grid.norm_lm(GridFunction(toy_model.domain, vals[5] - vals[6]),
                         toy_model.q)
     assert diag.cauchy_points == 3
