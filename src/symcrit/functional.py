@@ -167,15 +167,15 @@ def directional_derivative(model: EnergyModel, u: GridFunction,
 class Ray:
     """The energy along the ray t v, t >= 0, priced from v's cell
     quantities alone: the cell averages and |Du| of t v are t times those
-    of v, so no further product with the cell map is needed.
+    of v, so no further product with the cell map is needed.  The
+    energies and slopes are summed over the cells, for any density.
 
     For a homogeneous density (``Integrand.homogeneous``) ``ray`` also
     sets A = sum w (j(a, |Dv|) + |a|^p/p) and B = sum w Q(a)/q, with a
     the cell averages and Q(a)/q the q term of ``_density``; then
-    f(t v) = t^p A - t^q B exactly (the fibering map), and the energies
-    and slopes are priced from the two sums with no per-cell work.
-    Otherwise A and B are None and every price is summed over the
-    cells."""
+    f(t v) = t^p A - t^q B exactly (the fibering map), whose one peak the
+    solver takes in closed form from the two sums.  Otherwise A and B are
+    None."""
 
     model: EnergyModel
     avg: np.ndarray             # cell averages of v
@@ -185,18 +185,12 @@ class Ray:
 
     def energies(self, ts) -> np.ndarray:
         """f(t v) for each t of a 1-D array."""
-        ts = np.asarray(ts, dtype=np.float64)
-        if self.A is not None:
-            return ts ** self.model.p * self.A - ts ** self.model.q * self.B
-        ts = ts[:, None]
+        ts = np.asarray(ts, dtype=np.float64)[:, None]
         density = _density(self.model, ts * self.avg, ts * self.grad)
         return np.sum(self.model.domain.cells.weights * density, axis=-1)
 
     def slope(self, t: float) -> float:
         """d/dt f(t v) = f'(t v) v; flat cells contribute j_t * 0."""
-        if self.A is not None:
-            t, p, q = float(t), self.model.p, self.model.q
-            return p * t ** (p - 1.0) * self.A - q * t ** (q - 1.0) * self.B
         s, g = t * self.avg, t * self.grad
         terms = _value_slope(self.model, s, g) * self.avg \
             + self.model.integrand.j_t(s, g) * self.grad
@@ -205,7 +199,8 @@ class Ray:
 
 def ray(model: EnergyModel, values: np.ndarray) -> Ray:
     """The ray through one nodal vector, from one product with the cell
-    map; for a homogeneous density also its two sums A and B."""
+    map; for a homogeneous density also its two sums A and B, from which
+    the ray's peak and level follow in closed form."""
     avg, t, _ = cell_values(model.domain, values)
     if not model.integrand.homogeneous:
         return Ray(model, avg, t)

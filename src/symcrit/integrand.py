@@ -31,9 +31,10 @@ class Integrand:
     Hessian, and without them it never tries one.
     homogeneous declares that j is jointly p-homogeneous:
     j(lambda s, lambda t) = lambda^p j(s, t) for every lambda > 0.  The
-    energy along a ray is then t^p A - t^q B, and ``functional.ray``
-    prices it from those two sums instead of per cell; set it on a
-    density that is not homogeneous and every peak search is wrong.
+    energy along a ray is then t^p A - t^q B: ``functional.ray`` forms
+    the two sums and the solver takes the ray's peak and level from them
+    in closed form instead of searching per cell; set it on a density
+    that is not homogeneous and every peak search is wrong.
     """
 
     name: str

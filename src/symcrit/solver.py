@@ -526,21 +526,46 @@ def _illinois(g, a, ga, b, gb, rtol):
     return a if abs(ga) <= abs(gb) else b
 
 
+def _fibering_peak(model, ray, u):
+    """The peak of f(t u) = t^p A - t^q B on a two-sum ray, in closed
+    form: t* = (p A / (q B))^(1/(q-p)) is the only critical point, so
+    the peak is t* u at the level t*^p A - t*^q B, or None when A <= 0 or
+    B <= 0 leaves the ray without a peak."""
+    a, b, p, q = ray.A, ray.B, model.p, model.q
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise FloatingPointError("energy")
+    if a <= 0.0 or b <= 0.0:
+        return None
+    try:
+        t = (p * a / (q * b)) ** (1.0 / (q - p))
+        level = t ** p * a - t ** q * b
+    except OverflowError:
+        level = math.nan
+    # an infinite t* leaves the level NaN
+    if not math.isfinite(level):
+        raise FloatingPointError("energy")
+    w = t * u
+    if not np.all(np.isfinite(w)):
+        raise FloatingPointError("energy")
+    return w, level
+
+
 def _ray_peak(model, u):
     """First local maximum of f on the ray through u and its energy, or
-    None.  The ray's cell quantities are read once (``functional.ray``)
-    and every value and slope on it is priced from them, or, for a
-    homogeneous density, from the two sums of f(t u) = t^p A - t^q B
-    with no per-cell work; the search itself is the same.  A stacked
-    energy scan of t u over t in (0, 2] in ``_SCAN_POINTS`` steps (one
-    call on a two-sum ray, else stacks of at most ``_SAMPLE_BLOCK_VALUES``
-    cell values) doubles its range while the samples rise, then zooms in
-    until the ray derivative changes sign across the first drop.
-    Illinois regula falsi on that derivative fixes the peak to 1e-15
-    relative, where energy values alone fix it to sqrt(eps).  The peak
-    point's energy is measured from its own nodal values.  Non-finite
-    values raise ``FloatingPointError``."""
+    None.  The ray's cell quantities are read once (``functional.ray``).
+    A ray with the two sums of a homogeneous density takes its peak in
+    closed form (``_fibering_peak``).  On any other ray every value and
+    slope is priced per cell from those quantities: a stacked energy scan
+    of t u over t in (0, 2] in ``_SCAN_POINTS`` steps (stacks of at most
+    ``_SAMPLE_BLOCK_VALUES`` cell values) doubles its range while the
+    samples rise, then zooms in until the ray derivative changes sign
+    across the first drop.  Illinois regula falsi on that derivative fixes
+    the peak to 1e-15 relative, where energy values alone fix it to
+    sqrt(eps), and the peak point's energy is measured from its own nodal
+    values.  Non-finite values raise ``FloatingPointError``."""
     ray = functional.ray(model, u)
+    if ray.A is not None:
+        return _fibering_peak(model, ray, u)
     lo, f_lo, hi = 0.0, 0.0, 2.0
 
     def slope(t):
@@ -549,8 +574,7 @@ def _ray_peak(model, u):
             raise FloatingPointError("residual")
         return g
 
-    rows = _SCAN_POINTS if ray.A is not None \
-        else max(1, _SAMPLE_BLOCK_VALUES // ray.avg.shape[-1])
+    rows = max(1, _SAMPLE_BLOCK_VALUES // ray.avg.shape[-1])
     for _ in range(_MAX_BACKTRACKS):
         ts = np.linspace(lo, hi, _SCAN_POINTS + 1)
         fs = np.concatenate([[f_lo]] + [

@@ -47,21 +47,29 @@ def poison_residual(monkeypatch, bad_call):
 
 
 def poison_ray(monkeypatch, part, bad_ray):
-    """Make ``part`` ("energies" or "slope") NaN on the bad_ray-th
-    ``functional.ray`` and every later one."""
+    """Make ``part`` NaN on the bad_ray-th ``functional.ray`` and every
+    later one: a method ("energies" or "slope") returns NaN, a two-sum
+    field ("A" or "B") holds it."""
     clean = functional.ray
     rays = []
 
     class Poisoned(functional.Ray):
         pass
 
-    good = getattr(functional.Ray, part)
-    setattr(Poisoned, part, lambda self, *args: np.nan * good(self, *args))
+    if part in ("energies", "slope"):
+        good = getattr(functional.Ray, part)
+        setattr(Poisoned, part,
+                lambda self, *args: np.nan * good(self, *args))
 
     def poisoned(model, values):
         rays.append(1)
         ray = clean(model, values)
-        return ray if len(rays) < bad_ray else Poisoned(**vars(ray))
+        if len(rays) < bad_ray:
+            return ray
+        fields = vars(ray)
+        if part in fields:
+            fields = {**fields, part: np.nan}
+        return Poisoned(**fields)
 
     monkeypatch.setattr(functional, "ray", poisoned)
 

@@ -361,15 +361,16 @@ TOY_BALL = ("domain.kind = radial-ball-1d\n"
 
 def test_numerical_failure_exits_two_with_report(tmp_path, monkeypatch):
     # ray 1 prices the starting peak and ray 2 is iteration 1's first
-    # trial step, so a NaN ray slope fails inside iteration 1's peak search
-    poison_ray(monkeypatch, "slope", 2)
+    # trial step, so a NaN two-sum A fails inside iteration 1's peak search
+    poison_ray(monkeypatch, "A", 2)
     cfg = write_cfg(tmp_path, TOY_BALL)
     out = str(tmp_path / "o")
     rc = cli.main(["solve", "--config", cfg, "--out", out, "--quiet"])
     assert rc == 2
     rep = read_json(os.path.join(out, "solve_report.json"))
     assert rep["converged"] is False
-    assert "in the ray stage" in rep["failure"]["message"]
+    assert "energy became non-finite in the ray stage" \
+        in rep["failure"]["message"]
     assert rep["failure"]["iteration"] == 1
     man = read_json(os.path.join(out, "manifest.json"))
     assert man["stages"]["solve"] == "numerical-failure"

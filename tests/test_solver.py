@@ -84,8 +84,9 @@ def test_restricted_mode_requires_group(toy_model):
 
 
 @pytest.mark.parametrize("mode, part, bad_call, where, iteration", [
-    # on the toy ball ray 1 prices the starting peak and ray 2 is iteration
-    # 1's first trial step, so a NaN ray slope fails inside its peak search
+    # on the modulated toy ball ray 1 prices the starting peak and ray 2 is
+    # iteration 1's first trial step, so a NaN ray slope fails inside its
+    # per-cell peak search (a two-sum ray takes no slope)
     ("plain", "slope", 2, "in the ray stage", 1),
     # the ray stage on the direct-mode ball converges in 21 iterations and
     # 21 residual calls (its peak searches make none, and a measurement
@@ -93,13 +94,12 @@ def test_restricted_mode_requires_group(toy_model):
     # the first measurement of the sweep, a polish from the rearranged point
     ("direct", "residual", 22, "during polishing", 22),
 ])
-def test_nonfinite_residual_names_the_stage(toy_model, monkeypatch, mode,
-                                            part, bad_call, where,
-                                            iteration):
+def test_nonfinite_residual_names_the_stage(monkeypatch, mode, part,
+                                            bad_call, where, iteration):
     # the direct-mode gate passes on the modulated ball at res 30
-    model = toy_model if mode == "plain" else make_model(
-        "radial-ball-1d", dict(dimension=3, radius=12.0, resolution=30),
-        name="modulated", positivity=True)
+    model = make_model("radial-ball-1d", dict(
+        dimension=3, radius=12.0, resolution=2 if mode == "plain" else 30),
+        name="modulated", positivity=mode == "direct")
     if part == "slope":
         poison_ray(monkeypatch, part, bad_call)
     else:
@@ -118,13 +118,27 @@ def test_nonfinite_residual_names_the_stage(toy_model, monkeypatch, mode,
 
 def test_nonfinite_energy_in_peak_search_names_the_stage(toy_model,
                                                         monkeypatch):
-    # the peak scans price their energies from the ray: ray 1 finds the
+    # a two-sum peak is priced from the ray's sums: ray 1 finds the
     # starting peak, ray 2 belongs to iteration 1
-    poison_ray(monkeypatch, "energies", 2)
+    poison_ray(monkeypatch, "A", 2)
     with pytest.raises(NumericalFailureError,
                        match="energy became non-finite in the ray stage "
                              "at iteration 1") as err:
         run(toy_model, None, SolveConfig(mode="plain", max_iterations=10))
+    assert np.all(np.isfinite(err.value.last_state["u"]))
+
+
+def test_nonfinite_energy_in_per_cell_peak_search_names_the_stage(
+        monkeypatch):
+    # the per-cell scans price their energies from the ray
+    model = make_model("radial-ball-1d",
+                       dict(dimension=3, radius=12.0, resolution=2),
+                       name="modulated")
+    poison_ray(monkeypatch, "energies", 2)
+    with pytest.raises(NumericalFailureError,
+                       match="energy became non-finite in the ray stage "
+                             "at iteration 1") as err:
+        run(model, None, SolveConfig(mode="plain", max_iterations=10))
     assert np.all(np.isfinite(err.value.last_state["u"]))
 
 
@@ -430,8 +444,8 @@ def test_solver_level_matches_value_grid_search(toy_model):
 def test_ray_peak_matches_closed_form(kind, dom_kw, p, q, scale):
     # plaplace does not depend on u itself, so on this discretization
     # f(t v) = A t^p - B t^q exactly, with its single peak in closed form;
-    # starting points far inside and far beyond the peak exercise the
-    # range doubling and the zoom of the scan
+    # the peak search must land on it from starting points far inside and
+    # far beyond it, with the sums formed here from the cell quantities
     model = make_model(kind, dom_kw, p=p, q=q)
     dom = model.domain
     rng = np.random.default_rng(5)
@@ -449,57 +463,142 @@ def test_ray_peak_matches_closed_form(kind, dom_kw, p, q, scale):
     assert abs(ray_slope) <= 1e-13 * p * a * t_want ** (p - 1.0)
 
 
-def test_ray_peak_reads_the_ray_once(monkeypatch):
-    # the scans and the Illinois slopes are priced from one product with
-    # the cell map; only the peak point's own energy takes a second one
+def strip_two_sums(monkeypatch):
+    """Make ``functional.ray`` drop A and B, so every peak search runs the
+    per-cell scan and Illinois search."""
+    clean = functional.ray
+
+    def stripped(model, values):
+        ray = clean(model, values)
+        return functional.Ray(model, ray.avg, ray.grad)
+
+    monkeypatch.setattr(functional, "ray", stripped)
+
+
+@pytest.mark.parametrize("kind, dom_kw, p, q", [
+    ("square", dict(side=6.0, resolution=9), 1.8, 3.0),
+    ("radial-ball-1d", dict(dimension=3, radius=12.0, resolution=30),
+     2.0, 4.0),
+    ("disk-polar", dict(radius=6.0, resolution=10, angular_resolution=16),
+     1.8, 3.0),
+])
+@pytest.mark.parametrize("positivity", [False, True])
+@pytest.mark.parametrize("scale", [0.02, 1.0, 40.0])
+def test_two_sum_peak_matches_the_per_cell_search(monkeypatch, kind, dom_kw,
+                                                  p, q, positivity, scale):
+    # the closed-form peak of a two-sum ray against the scan and Illinois
+    # search on the same ray without its sums, from starting points far
+    # inside, near and far beyond the peak
+    model = make_model(kind, dom_kw, p=p, q=q, positivity=positivity)
+    dom = model.domain
+    rng = np.random.default_rng(5)
+    v = default_psi(dom).values + 0.3 * rng.standard_normal(dom.n_nodes)
+    v[dom.boundary] = 0.0
+    ray = functional.ray(model, v)
+    u = scale * (p * ray.A / (q * ray.B)) ** (1.0 / (q - p)) * v
+    peak, f = _ray_peak(model, u)
+    strip_two_sums(monkeypatch)
+    want, f_want = _ray_peak(model, u)
+    np.testing.assert_array_max_ulp(peak, want, maxulp=4)
+    assert abs(f - f_want) <= 1e-14 * abs(f_want)
+
+
+@pytest.mark.parametrize("a, b, peak", [
+    (1.0, 0.0, None),               # no q term: f rises along the ray
+    (0.0, 1.0, None),               # no t^p term: f falls from 0
+    (-1.0, 1.0, None),
+    (np.nan, 1.0, "energy"),
+    (np.inf, 1.0, "energy"),
+    (1.0, np.nan, "energy"),
+    (1e300, 1e-300, "energy"),      # t* overflows
+])
+def test_two_sum_peak_without_a_peak_or_with_nonfinite_sums(monkeypatch, a,
+                                                             b, peak):
     model = make_model("square", dict(side=6.0, resolution=9), p=1.8, q=3.0)
+    clean = functional.ray
+    monkeypatch.setattr(functional, "ray", lambda model, values: replace(
+        clean(model, values), A=a, B=b))
     v = default_psi(model.domain).values
-    products = []
+    if peak is None:
+        assert _ray_peak(model, v) is None
+    else:
+        with pytest.raises(FloatingPointError, match=peak):
+            _ray_peak(model, v)
+
+
+def test_ray_peak_reads_the_ray_once(monkeypatch):
+    # a two-sum peak is priced from one product with the cell map and its
+    # level from the two sums; a per-cell search prices its scans and
+    # Illinois slopes from that product and only the peak point's energy
+    # takes a second one
+    products, energies = [], []
     cell_values = grid.cell_values
+    energy_of_values = functional.energy_of_values
 
     def counted(domain, values):
         products.append(1)
         return cell_values(domain, values)
+
+    def counted_energy(model, values):
+        energies.append(1)
+        return energy_of_values(model, values)
 
     def residual(model, values):
         raise AssertionError("the peak search called the residual")
 
     monkeypatch.setattr(grid, "cell_values", counted)
     monkeypatch.setattr(functional, "cell_values", counted)
+    monkeypatch.setattr(functional, "energy_of_values", counted_energy)
     monkeypatch.setattr(functional, "residual_of_values", residual)
-    peak, f = _ray_peak(model, v)
-    assert len(products) <= 2
-    assert f == functional.energy_of_values(model, peak)
+    for name in ("plaplace", "modulated"):
+        model = make_model("square", dict(side=6.0, resolution=9),
+                           name=name, p=1.8, q=3.0)
+        products.clear()
+        energies.clear()
+        peak, f = _ray_peak(model, default_psi(model.domain).values)
+        if name == "plaplace":
+            assert len(products) == 1 and not energies
+        else:
+            assert len(products) == 2 and len(energies) == 1
+            assert f == energy_of_values(model, peak)
 
 
-@pytest.mark.parametrize("name, calls_per_scan", [("plaplace", 1),
+@pytest.mark.parametrize("name, calls_per_scan", [("plaplace", 0),
                                                   ("modulated", 6)])
 def test_two_sum_ray_prices_a_scan_in_one_call(monkeypatch, name,
                                                calls_per_scan):
     # square res 63 has 3,969 cells: a per-cell ray scan is split into
-    # stacks of four rows, a two-sum ray's scan is one call
+    # stacks of four rows, while a two-sum ray takes its peak in closed
+    # form with no scan and no slope
     model = make_model("square", dict(side=6.0, resolution=63), name=name,
                        p=1.8, q=3.0)
-    sizes = []
-    energies = functional.Ray.energies
+    sizes, slopes = [], []
+    energies, slope = functional.Ray.energies, functional.Ray.slope
 
     def counted(self, ts):
         sizes.append(len(ts))
         return energies(self, ts)
 
+    def counted_slope(self, t):
+        slopes.append(t)
+        return slope(self, t)
+
     monkeypatch.setattr(functional.Ray, "energies", counted)
+    monkeypatch.setattr(functional.Ray, "slope", counted_slope)
     assert _ray_peak(model, default_psi(model.domain).values) is not None
     scans, rest = divmod(sum(sizes), solver._SCAN_POINTS)
-    assert scans >= 1 and rest == 0
+    assert rest == 0
     assert len(sizes) == calls_per_scan * scans
+    assert (scans >= 1 and len(slopes) >= 2) == bool(calls_per_scan)
+    assert (not sizes and not slopes) == (not calls_per_scan)
 
 
 @pytest.mark.parametrize("name", ["plaplace", "modulated"])
 def test_ray_without_a_peak_returns_none(name):
     # under positivity a nonpositive direction has no q term (B = 0), so
-    # the energy rises along the whole ray; the search gives up after its
-    # range doublings instead of raising, on the two-sum pricing of the
-    # homogeneous plaplace and on the per-cell pricing of modulated
+    # the energy rises along the whole ray: the homogeneous plaplace ray
+    # has no closed-form peak, and the per-cell search of modulated gives
+    # up after its range doublings instead of raising
     model = make_model("square", dict(side=6.0, resolution=9), name=name,
                        p=1.8, q=3.0, positivity=True)
     v = -default_psi(model.domain).values
@@ -578,6 +677,38 @@ def test_radial_ball_reaches_the_pass_at_every_seed(res):
         assert rep.level > 1e-10 * (1.0 + abs(rep.endpoints.f_e))
         levels.append(rep.level)
     assert max(levels) - min(levels) <= 1e-9 * max(levels)
+
+
+@pytest.mark.parametrize("kind, dom_kw, label, seed, iterations, peaks", [
+    pytest.param("square", dict(side=6.0, resolution=23), "dihedral_4", 0,
+                 16, 14, id="square_res23"),
+    pytest.param("disk-polar", dict(radius=6.0, resolution=20,
+                                    angular_resolution=32),
+                 "rotations_8", 0, 16, 13, id="disk_res20"),
+    pytest.param("radial-ball-1d", dict(dimension=3, radius=12.0,
+                                        resolution=120),
+                 "trivial", 0, 24, 21, id="ball_res120"),
+    pytest.param("radial-ball-1d", dict(dimension=3, radius=12.0,
+                                        resolution=60),
+                 "trivial", 0, 44, 41, id="ball_res60_a"),
+    pytest.param("radial-ball-1d", dict(dimension=3, radius=12.0,
+                                        resolution=60),
+                 "trivial", 1, 35, 32, id="ball_res60_b"),
+])
+def test_refine_solves_keep_their_iteration_counts(kind, dom_kw, label, seed,
+                                                   iterations, peaks):
+    # the restricted plaplace solves past desk scale: a change that moves
+    # an iterate beyond roundoff (a peak, a metric, an accepted step)
+    # moves these counts, which the plateau endgame amplifies
+    p, q, positivity = ((2.0, 4.0, True) if kind == "radial-ball-1d"
+                        else (1.8, 3.0, False))
+    model = make_model(kind, dom_kw, p=p, q=q, positivity=positivity)
+    rep = run(model, group.build_group(model.domain, label),
+              SolveConfig(mode="restricted", path_points=12,
+                          max_iterations=20000, grad_tol=1e-8, seed=seed))
+    assert rep.converged
+    assert rep.iterations == iterations
+    assert rep.counts["peak_searches"] == peaks
 
 
 def test_restricted_iterates_stay_invariant(square_run):

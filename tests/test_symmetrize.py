@@ -464,3 +464,55 @@ def test_hypothesis_b_report_consistency(disk_dom):
     keys = set(report.to_dict())
     assert {"passed", "theta_violations", "polarization_violations",
             "max_excess"} <= keys
+
+
+def hypothesis_b_loop(model, samples, seed, tolerance=1e-10):
+    """The energy-decrease gate one sample and one energy call at a time:
+    the oracle of the stacked gate."""
+    rng = np.random.default_rng(seed)
+    reflections = symmetrize.reflection_polarizers(model.domain)
+    theta = polarization = 0
+    max_excess = 0.0
+    for _ in range(samples):
+        u = grid.GridFunction(model.domain,
+                              rng.standard_normal(model.domain.n_nodes))
+        fu = functional.energy(model, u)
+        slack = tolerance * (1.0 + abs(fu))
+        mag = grid.GridFunction(model.domain, np.abs(u.values))
+        f_mag = functional.energy(model, mag)
+        if f_mag > fu + slack:
+            theta += 1
+            max_excess = max(max_excess, (f_mag - fu) / (1.0 + abs(fu)))
+        for h in reflections:
+            fh = functional.energy(model, symmetrize.polarize(mag, h))
+            if fh > fu + slack:
+                polarization += 1
+                max_excess = max(max_excess, (fh - fu) / (1.0 + abs(fu)))
+    return theta, polarization, max_excess
+
+
+@pytest.mark.parametrize("kind, dom_kw, p, q", [
+    ("square", dict(side=6.0, resolution=5), 1.8, 3.0),
+    ("annulus-polar", dict(inner_radius=1.0, outer_radius=3.0, resolution=4,
+                           angular_resolution=8), 1.8, 3.0),
+    ("radial-ball-1d", dict(dimension=3, radius=12.0, resolution=2),
+     2.0, 4.0),
+])
+@pytest.mark.parametrize("block", [None, 50])
+def test_hypothesis_b_stacks_match_a_per_sample_loop(monkeypatch, kind,
+                                                     dom_kw, p, q, block):
+    # the gate prices its samples as stacks, in one block or, with a small
+    # block size, in several; its report must be bitwise the loop's, on
+    # models where both kinds of violation occur
+    if block is not None:
+        monkeypatch.setattr(symmetrize, "_GATE_BLOCK_VALUES", block)
+    model = functional.EnergyModel(
+        domain=grid.build_domain(kind, **dom_kw),
+        integrand=integrand.builtin("modulated", p=p), q=q)
+    report = symmetrize.hypothesis_b_check(model, samples=37, seed=3)
+    want = hypothesis_b_loop(model, 37, 3)
+    assert (report.theta_violations, report.polarization_violations,
+            report.max_excess) == want
+    assert report.theta_violations > 0
+    assert report.polarization_violations > 0 or kind == "radial-ball-1d"
+    assert not report.passed
