@@ -503,7 +503,8 @@ def test_hypothesis_b_stacks_match_a_per_sample_loop(monkeypatch, kind,
                                                      dom_kw, p, q, block):
     # the gate prices its samples as stacks, in one block or, with a small
     # block size, in several; its report must be bitwise the loop's, on
-    # models where both kinds of violation occur
+    # models with violations (of both kinds on the square and annulus; the
+    # ball has no mirrors)
     if block is not None:
         monkeypatch.setattr(symmetrize, "_GATE_BLOCK_VALUES", block)
     model = functional.EnergyModel(
