@@ -575,11 +575,6 @@ def cell_form(domain: Domain) -> CellForm:
     return domain.cached("cell_form", lambda: CellForm(domain))
 
 
-def gradient_magnitude(u: GridFunction) -> np.ndarray:
-    """|Du| per cell from first differences of the nodal values."""
-    return cell_values(u.domain, u.values)[1]
-
-
 def _roots(sums, m: float):
     """sums ** (1/m), taken on each scalar: numpy's array power can differ
     from libm's pow in the last ulp, and a row of a stack must get the

@@ -90,8 +90,9 @@ W1P_CEILING = 1e3
 
 
 def __getattr__(name):
-    # ``solver.sparse_linalg`` stays readable (callers patch its splu)
-    # although the module is imported only when a solve factorizes
+    # ``solver.sparse_linalg`` stays readable although the module is
+    # imported only when a solve factorizes: perfbench/tracer.py wraps
+    # ``splu`` through this attribute to count factorizations (--trace 1)
     if name == "sparse_linalg":
         import scipy.sparse.linalg as sparse_linalg
         return sparse_linalg

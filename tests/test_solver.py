@@ -1,5 +1,8 @@
 from dataclasses import fields, replace
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -1205,3 +1208,16 @@ def test_cauchy_tail_matches_pairwise_definition(square_model):
                                           q))
     assert diag.cauchy_points == 120
     assert diag.cauchy_tail == want
+
+
+def test_sparse_linalg_resolves_before_any_solve():
+    # perfbench/tracer.py wraps splu through solver.sparse_linalg when it
+    # installs, before any solve has imported scipy.sparse.linalg
+    code = ("import symcrit.solver as s; splu = s.sparse_linalg.splu; "
+            "import scipy.sparse.linalg as linalg; "
+            "print(splu is linalg.splu)")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(solver.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out == ["True"]

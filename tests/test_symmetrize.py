@@ -355,6 +355,93 @@ def test_plan_fixes_rearranged_input(square_dom, rng):
                               star.values)
 
 
+def _network_sorted(rows):
+    """Run each row through Batcher's network on its length, comparator
+    by comparator: the lower wire keeps the larger value."""
+    rows = rows.copy()
+    for pairs in symmetrize._batcher_rounds(rows.shape[1]):
+        for i, j in pairs:
+            a, b = rows[:, i], rows[:, j]
+            rows[:, i], rows[:, j] = np.maximum(a, b), np.minimum(a, b)
+    return rows
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_network_zero_one_principle(n):
+    # a comparator network sorts every input iff it sorts every 0/1 input
+    rows = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+    out = _network_sorted(rows.astype(float))
+    assert np.all(out[:, 1:] <= out[:, :-1])
+    assert np.array_equal(out.sum(axis=1), rows.sum(axis=1))
+
+
+def test_network_sorts_every_size_to_130(rng):
+    for n in range(1, 131):
+        rows = np.stack([rng.standard_normal(n),
+                         rng.integers(0, 3, n).astype(float),
+                         np.full(n, 0.5),
+                         np.arange(n, dtype=float)])
+        assert np.array_equal(_network_sorted(rows),
+                              np.sort(rows, axis=1)[:, ::-1])
+        assert all(pairs.shape[0] for pairs in symmetrize._batcher_rounds(n))
+
+
+@pytest.mark.parametrize("k", range(11))
+def test_network_has_batcher_count(k):
+    rounds = list(symmetrize._batcher_rounds(2 ** k))
+    assert len(rounds) == k * (k + 1) // 2
+    count = sum(pairs.shape[0] for pairs in rounds)
+    assert count == ((k * k - k + 4) * 2 ** k) // 4 - 1
+
+
+def test_plan_counts_batcher_comparators_per_ring(ball_dom):
+    dom = grid.build_domain("disk-polar", radius=6.0, resolution=5,
+                            angular_resolution=64)
+    assert symmetrize.plan(dom).swap_count == 5 * 543
+    assert symmetrize.plan(ball_dom).rounds == ()
+
+
+def _class_sizes_to_130():
+    squares = [grid.build_domain("square", side=2.0, resolution=r)
+               for r in range(3, 12)]
+    rings = [grid.build_domain("disk-polar", radius=2.0, resolution=3,
+                               angular_resolution=n)
+             for n in range(8, 129, 8)]
+    return squares + rings
+
+
+def test_plan_matches_schwarz_on_class_sizes_to_130(rng):
+    for dom in _class_sizes_to_130():
+        p = symmetrize.plan(dom)
+        reverse = np.zeros(dom.n_nodes)
+        for cls in symmetrize.weight_classes(dom):
+            reverse[cls] = np.arange(1, cls.shape[0] + 1)
+        tied = rng.integers(-2, 3, dom.n_nodes).astype(float)
+        equal = np.full(dom.n_nodes, -1.5)
+        for vals in (reverse, tied, equal, random_function(dom, rng).values):
+            u = grid.GridFunction(dom, vals)
+            assert np.array_equal(symmetrize.apply_plan(p, u).values,
+                                  symmetrize.schwarz(u).values)
+
+
+def test_plan_rounds_are_disjoint_within_one_class(square_dom, disk_dom):
+    annulus = grid.build_domain("annulus-polar", inner_radius=1.0,
+                                outer_radius=3.0, resolution=4,
+                                angular_resolution=16)
+    for dom in (square_dom, disk_dom, annulus):
+        label = np.full(dom.n_nodes, -1)
+        place = np.full(dom.n_nodes, -1)
+        for c, cls in enumerate(symmetrize.weight_classes(dom)):
+            label[cls] = c
+            place[cls] = np.arange(cls.shape[0])
+        for h in symmetrize.plan(dom).rounds:
+            pos, neg = h.pairs[:, 0], h.pairs[:, 1]
+            assert np.unique(h.pairs).shape[0] == 2 * h.pairs.shape[0]
+            assert np.all(label[pos] >= 0)
+            assert np.array_equal(label[pos], label[neg])
+            assert np.all(place[pos] < place[neg])
+
+
 def test_plan_distance_monotone(square_dom, disk_dom, rng):
     for dom in (square_dom, disk_dom):
         p = symmetrize.plan(dom)
@@ -364,6 +451,19 @@ def test_plan_distance_monotone(square_dom, disk_dom, rng):
             assert dists.shape[0] == p.swap_count + 1
             assert np.all(np.diff(dists) <= 1e-12 * (1 + dists[:-1]))
             assert dists[-1] <= 1e-13
+            # reference: one comparator at a time, full squared distance
+            # after each; the plan prices a round's steps from a running
+            # sum, so they agree to rounding in the squared distance
+            target = symmetrize.schwarz(u).values
+            vals = np.abs(u.values)
+            ref = [np.sum(dom.weights * (vals - target) ** 2)]
+            for h in p.rounds:
+                for i, j in h.pairs:
+                    vals[i], vals[j] = max(vals[i], vals[j]), min(vals[i],
+                                                                  vals[j])
+                    ref.append(np.sum(dom.weights * (vals - target) ** 2))
+            assert np.allclose(dists ** 2, ref, rtol=0.0,
+                               atol=1e-12 * ref[0])
 
 
 def test_schwarz_commutes_with_polarization(square_dom, rng):
@@ -426,6 +526,19 @@ def test_check_axioms_square(square_dom):
     d = report.to_dict()
     assert d["all_passed"] is True
     assert d["plan_swaps"] <= d["plan_swap_bound"]
+
+
+@pytest.mark.parametrize("kind, dom_kw", [
+    ("disk-polar", dict(radius=6.0, resolution=32, angular_resolution=64)),
+    ("annulus-polar", dict(inner_radius=1.0, outer_radius=3.0,
+                           resolution=4, angular_resolution=16)),
+])
+def test_check_axioms_polar(kind, dom_kw):
+    report = symmetrize.check_axioms(grid.build_domain(kind, **dom_kw),
+                                     seed=7)
+    assert report.all_passed
+    assert report.plan_exact
+    assert report.distance_monotone
 
 
 def test_check_axioms_radial(ball_dom):
