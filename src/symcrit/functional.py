@@ -167,8 +167,8 @@ def directional_derivative(model: EnergyModel, u: GridFunction,
 class Ray:
     """The energy along the ray t v, t >= 0, priced from v's cell
     quantities alone: the cell averages and |Du| of t v are t times those
-    of v, so no further product with the cell map is needed.  The
-    energies and slopes are summed over the cells, for any density.
+    of v, so no further product with the cell map is needed.  The slope
+    is summed over the cells, for any density.
 
     For a homogeneous density (``Integrand.homogeneous``) ``ray`` also
     sets A = sum w (j(a, |Dv|) + |a|^p/p) and B = sum w Q(a)/q, with a
@@ -182,12 +182,6 @@ class Ray:
     grad: np.ndarray            # |Dv| per cell
     A: float = None             # the t^p coefficient, homogeneous j only
     B: float = None             # the t^q coefficient, homogeneous j only
-
-    def energies(self, ts) -> np.ndarray:
-        """f(t v) for each t of a 1-D array."""
-        ts = np.asarray(ts, dtype=np.float64)[:, None]
-        density = _density(self.model, ts * self.avg, ts * self.grad)
-        return np.sum(self.model.domain.cells.weights * density, axis=-1)
 
     def slope(self, t: float) -> float:
         """d/dt f(t v) = f'(t v) v; flat cells contribute j_t * 0."""

@@ -52,20 +52,19 @@ TAIL_RETENTION = 600
 # the initial path (averaged away again in restricted mode)
 _INIT_NOISE = 0.05
 
-# record rows and per-cell ray scans are priced in stacks of about this
-# many nodal or cell values, so the stacked temporaries stay small at any
-# grid size (a ray scan that falls out of cache is slower than its row loop)
+# record rows are priced in stacks of about this many nodal values, so
+# the stacked temporaries stay small at any grid size
 _SAMPLE_BLOCK_VALUES = 1 << 14
 
-# ray-stage line search: first step, backtracking factor, Armijo constant
+# ray-stage line search: first step, backtracking factor, Armijo constant,
+# and the most backtracks (or doublings of a peak bracket) tried
 _STEP_INIT = 1.0
 _STEP_SHRINK = 0.5
 _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 60
 
-# ray stage: energy samples per peak scan, iterations the dual residual
-# may go without halving before the stage stalls, metric refresh
-_SCAN_POINTS = 24
+# ray stage: iterations the dual residual may go without halving before
+# the stage stalls, metric refresh
 _RAY_PATIENCE = 20
 _RAY_METRIC_REFRESH = 5
 
@@ -75,7 +74,7 @@ _RAY_METRIC_REFRESH = 5
 # next one waits until the residual has fallen by this factor
 _NEWTON_START = 1e-3
 _NEWTON_GAIN = 0.25
-_NEWTON_BACKOFF = 0.1
+_NEWTON_BACKOFF = 0.5
 
 # relative peak-energy decrease over a stalled ray stage above which the
 # stage reruns from its last point when no symmetry snap helps
@@ -555,19 +554,17 @@ def _ray_peak(model, u):
     """First local maximum of f on the ray through u and its energy, or
     None.  The ray's cell quantities are read once (``functional.ray``).
     A ray with the two sums of a homogeneous density takes its peak in
-    closed form (``_fibering_peak``).  On any other ray every value and
-    slope is priced per cell from those quantities: a stacked energy scan
-    of t u over t in (0, 2] in ``_SCAN_POINTS`` steps (stacks of at most
-    ``_SAMPLE_BLOCK_VALUES`` cell values) doubles its range while the
-    samples rise, then zooms in until the ray derivative changes sign
-    across the first drop.  Illinois regula falsi on that derivative fixes
-    the peak to 1e-15 relative, where energy values alone fix it to
-    sqrt(eps), and the peak point's energy is measured from its own nodal
-    values.  Non-finite values raise ``FloatingPointError``."""
+    closed form (``_fibering_peak``).  On any other ray the slope
+    d/dt f(t u) is priced per cell from those quantities: from t = 1, t
+    doubles while the slope is positive, or halves while it is not, until
+    the slope changes sign; a ray whose slope keeps its sign for
+    ``_MAX_BACKTRACKS`` steps has no peak.  Illinois regula falsi between
+    the last two samples fixes the peak to 1e-15 relative, and its energy
+    is measured from its own nodal values.  Non-finite values raise
+    ``FloatingPointError``."""
     ray = functional.ray(model, u)
     if ray.A is not None:
         return _fibering_peak(model, ray, u)
-    lo, f_lo, hi = 0.0, 0.0, 2.0
 
     def slope(t):
         g = ray.slope(t)
@@ -575,27 +572,22 @@ def _ray_peak(model, u):
             raise FloatingPointError("residual")
         return g
 
-    rows = max(1, _SAMPLE_BLOCK_VALUES // ray.avg.shape[-1])
+    a, g_a = 1.0, slope(1.0)
+    factor = 2.0 if g_a > 0.0 else 0.5
     for _ in range(_MAX_BACKTRACKS):
-        ts = np.linspace(lo, hi, _SCAN_POINTS + 1)
-        fs = np.concatenate([[f_lo]] + [
-            ray.energies(ts[k:k + rows])
-            for k in range(1, _SCAN_POINTS + 1, rows)])
-        if not np.all(np.isfinite(fs)):
-            raise FloatingPointError("energy")
-        drop = np.flatnonzero(fs[1:] <= fs[:-1])
-        if drop.size == 0:
-            lo, f_lo, hi = ts[-2], fs[-2], 2.0 * hi
-            continue
-        k = max(int(drop[0]), 1)
-        a, b = ts[k - 1], ts[k + 1]
-        if a > 0.0:
-            g_a, g_b = slope(a), slope(b)
-            if g_a >= 0.0 >= g_b:
-                w = _illinois(slope, a, g_a, b, g_b, 1e-15) * u
-                return w, functional.energy_of_values(model, w)
-        lo, f_lo, hi = a, fs[k - 1], b
-    return None
+        b, g_b = factor * a, slope(factor * a)
+        if (g_b > 0.0) != (g_a > 0.0):
+            break
+        a, g_a = b, g_b
+    else:
+        return None
+    if factor < 1.0:
+        a, g_a, b, g_b = b, g_b, a, g_a
+    w = _illinois(slope, a, g_a, b, g_b, 1e-15) * u
+    f = functional.energy_of_values(model, w)
+    if not math.isfinite(f):
+        raise FloatingPointError("energy")
+    return w, f
 
 
 def _ray_stage(st, u0, where="in the ray stage", cone=False):

@@ -400,6 +400,7 @@ def check_axioms(domain: Domain, samples: int = 40,
         v = GridFunction(domain, rng.standard_normal(domain.n_nodes))
         star = schwarz(u)
         diff = GridFunction(domain, u.values - v.values)
+        dens = {m: grid.norm_lm(diff, m) for m in (1.0, 2.0, 4.0)}
         for h in probes:
             uh = polarize(u, h)
             vh = polarize(v, h)
@@ -410,19 +411,18 @@ def check_axioms(domain: Domain, samples: int = 40,
             repolar = max(repolar, float(np.max(np.abs(
                 schwarz(uh).values - star.values))))
             hdiff = GridFunction(domain, uh.values - vh.values)
-            for m in (1.0, 2.0, 4.0):
-                den = grid.norm_lm(diff, m)
+            for m, den in dens.items():
                 if den == 0.0:
                     continue
                 contraction = max(contraction, grid.norm_lm(hdiff, m) / den)
+        # two-point rearrangement inequality on edge-compatible mirrors
+        before = edge_dirichlet_energy(domain, u.values, 2.0)
         for h in reflections:
-            # two-point rearrangement inequality on edge-compatible mirrors
-            before = edge_dirichlet_energy(domain, u.values, 2.0)
             after = edge_dirichlet_energy(
                 domain, polarize(u, h).values, 2.0)
             if after > before * (1.0 + _REL_EPS):
                 dirichlet_violations += 1
-        den = grid.norm_lm(diff, 2.0)
+        den = dens[2.0]
         if den > 0.0:
             ta = GridFunction(domain, np.abs(u.values) - np.abs(v.values))
             theta_lip = max(theta_lip, grid.norm_lm(ta, 2.0) / den)

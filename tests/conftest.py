@@ -48,18 +48,16 @@ def poison_residual(monkeypatch, bad_call):
 
 def poison_ray(monkeypatch, part, bad_ray):
     """Make ``part`` NaN on the bad_ray-th ``functional.ray`` and every
-    later one: a method ("energies" or "slope") returns NaN, a two-sum
-    field ("A" or "B") holds it."""
+    later one: the method "slope" returns NaN, a two-sum field ("A" or
+    "B") holds it."""
     clean = functional.ray
     rays = []
 
     class Poisoned(functional.Ray):
         pass
 
-    if part in ("energies", "slope"):
-        good = getattr(functional.Ray, part)
-        setattr(Poisoned, part,
-                lambda self, *args: np.nan * good(self, *args))
+    if part == "slope":
+        Poisoned.slope = lambda self, t: np.nan * functional.Ray.slope(self, t)
 
     def poisoned(model, values):
         rays.append(1)

@@ -133,11 +133,20 @@ def test_nonfinite_energy_in_peak_search_names_the_stage(toy_model,
 
 def test_nonfinite_energy_in_per_cell_peak_search_names_the_stage(
         monkeypatch):
-    # the per-cell scans price their energies from the ray
+    # a per-cell peak search prices its level from the peak point's nodal
+    # values; the 5th energy call is iteration 1's first peak
     model = make_model("radial-ball-1d",
                        dict(dimension=3, radius=12.0, resolution=2),
                        name="modulated")
-    poison_ray(monkeypatch, "energies", 2)
+    clean = functional.energy_of_values
+    calls = []
+
+    def poisoned(model, values):
+        calls.append(1)
+        f = clean(model, values)
+        return np.nan * f if len(calls) >= 5 else f
+
+    monkeypatch.setattr(functional, "energy_of_values", poisoned)
     with pytest.raises(NumericalFailureError,
                        match="energy became non-finite in the ray stage "
                              "at iteration 1") as err:
@@ -468,7 +477,7 @@ def test_ray_peak_matches_closed_form(kind, dom_kw, p, q, scale):
 
 def strip_two_sums(monkeypatch):
     """Make ``functional.ray`` drop A and B, so every peak search runs the
-    per-cell scan and Illinois search."""
+    per-cell slope bracket and Illinois search."""
     clean = functional.ray
 
     def stripped(model, values):
@@ -489,9 +498,9 @@ def strip_two_sums(monkeypatch):
 @pytest.mark.parametrize("scale", [0.02, 1.0, 40.0])
 def test_two_sum_peak_matches_the_per_cell_search(monkeypatch, kind, dom_kw,
                                                   p, q, positivity, scale):
-    # the closed-form peak of a two-sum ray against the scan and Illinois
-    # search on the same ray without its sums, from starting points far
-    # inside, near and far beyond the peak
+    # the closed-form peak of a two-sum ray against the slope bracket and
+    # Illinois search on the same ray without its sums, from starting
+    # points far inside, near and far beyond the peak
     model = make_model(kind, dom_kw, p=p, q=q, positivity=positivity)
     dom = model.domain
     rng = np.random.default_rng(5)
@@ -531,7 +540,7 @@ def test_two_sum_peak_without_a_peak_or_with_nonfinite_sums(monkeypatch, a,
 
 def test_ray_peak_reads_the_ray_once(monkeypatch):
     # a two-sum peak is priced from one product with the cell map and its
-    # level from the two sums; a per-cell search prices its scans and
+    # level from the two sums; a per-cell search prices its bracket and
     # Illinois slopes from that product and only the peak point's energy
     # takes a second one
     products, energies = [], []
@@ -566,36 +575,61 @@ def test_ray_peak_reads_the_ray_once(monkeypatch):
             assert f == energy_of_values(model, peak)
 
 
-@pytest.mark.parametrize("name, calls_per_scan", [("plaplace", 0),
-                                                  ("modulated", 6)])
-def test_two_sum_ray_prices_a_scan_in_one_call(monkeypatch, name,
-                                               calls_per_scan):
-    # square res 63 has 3,969 cells: a per-cell ray scan is split into
-    # stacks of four rows, while a two-sum ray takes its peak in closed
-    # form with no scan and no slope
+@pytest.mark.parametrize("name, least_slopes", [("plaplace", 0),
+                                                ("modulated", 2)])
+def test_ray_peak_counts_its_slopes(monkeypatch, name, least_slopes):
+    # a two-sum ray takes its peak in closed form with no slope; a
+    # per-cell ray brackets its slope's sign change, two samples at least,
+    # and the Illinois search prices its roots from the same slope
     model = make_model("square", dict(side=6.0, resolution=63), name=name,
                        p=1.8, q=3.0)
-    sizes, slopes = [], []
-    energies, slope = functional.Ray.energies, functional.Ray.slope
-
-    def counted(self, ts):
-        sizes.append(len(ts))
-        return energies(self, ts)
+    slopes = []
+    slope = functional.Ray.slope
 
     def counted_slope(self, t):
         slopes.append(t)
         return slope(self, t)
 
-    monkeypatch.setattr(functional.Ray, "energies", counted)
     monkeypatch.setattr(functional.Ray, "slope", counted_slope)
     assert _ray_peak(model, default_psi(model.domain).values) is not None
-    scans, rest = divmod(sum(sizes), solver._SCAN_POINTS)
-    assert rest == 0
-    assert len(sizes) == calls_per_scan * scans
-    if calls_per_scan:
-        assert scans >= 1 and len(slopes) >= 2
-    else:
-        assert not sizes and not slopes
+    assert len(slopes) >= least_slopes
+    if not least_slopes:
+        assert not slopes
+
+
+@pytest.mark.parametrize("kind, dom_kw", [
+    ("square", dict(side=6.0, resolution=7)),
+    ("disk-polar", dict(radius=6.0, resolution=5, angular_resolution=16)),
+    ("annulus-polar", dict(inner_radius=1.0, outer_radius=3.0, resolution=4,
+                           angular_resolution=8)),
+    ("radial-ball-1d", dict(dimension=3, radius=12.0, resolution=30)),
+])
+@pytest.mark.parametrize("positivity", [False, True])
+def test_per_cell_peak_is_the_first_drop_of_a_dense_scan(kind, dom_kw,
+                                                         positivity):
+    # the slope bracket and Illinois search from starting points t v far
+    # inside and far beyond the peak, against 6,000 energy samples of the
+    # ray on (0, 2.2 t*]: t* lies within 1.5 steps of the samples' first
+    # drop, and no sample lies above its level beyond roundoff
+    model = make_model(kind, dom_kw, name="modulated", p=1.8, q=3.0,
+                       positivity=positivity)
+    dom = model.domain
+    rng = np.random.default_rng(11)
+    for _ in range(8):
+        v = default_psi(dom).values + 0.5 * rng.standard_normal(dom.n_nodes)
+        v[dom.boundary] = 0.0
+        scan = None
+        for scale in (1.0, 1e-2, 1e-1, 1e1, 1e2):
+            peak, f = _ray_peak(model, scale * v)
+            t = grid.w1p_norms(dom, peak, 1.8) / grid.w1p_norms(dom, v, 1.8)
+            if scan is None:
+                step = 2.2 * t / 6000
+                ts = step * np.arange(1, 6001)
+                scan = np.concatenate([[0.0], functional.energy_of_values(
+                    model, ts[:, None] * v)])
+                first_drop = np.flatnonzero(scan[1:] <= scan[:-1])[0]
+            assert abs(t - first_drop * step) <= 1.5 * step
+            assert f >= scan.max() - 1e-14 * abs(scan.max())
 
 
 @pytest.mark.parametrize("name", ["plaplace", "modulated"])
@@ -692,13 +726,13 @@ def test_radial_ball_reaches_the_pass_at_every_seed(res):
                  "rotations_8", 0, 16, 13, id="disk_res20"),
     pytest.param("radial-ball-1d", dict(dimension=3, radius=12.0,
                                         resolution=120),
-                 "trivial", 0, 24, 21, id="ball_res120"),
+                 "trivial", 0, 18, 15, id="ball_res120"),
     pytest.param("radial-ball-1d", dict(dimension=3, radius=12.0,
                                         resolution=60),
-                 "trivial", 0, 44, 41, id="ball_res60_a"),
+                 "trivial", 0, 32, 29, id="ball_res60_a"),
     pytest.param("radial-ball-1d", dict(dimension=3, radius=12.0,
                                         resolution=60),
-                 "trivial", 1, 35, 32, id="ball_res60_b"),
+                 "trivial", 1, 30, 27, id="ball_res60_b"),
 ])
 def test_refine_solves_keep_their_iteration_counts(kind, dom_kw, label, seed,
                                                    iterations, peaks):
@@ -714,6 +748,21 @@ def test_refine_solves_keep_their_iteration_counts(kind, dom_kw, label, seed,
     assert rep.converged
     assert rep.iterations == iterations
     assert rep.counts["peak_searches"] == peaks
+
+
+def test_direct_modulated_disk_finishes_in_newton_steps():
+    # the direct solve of the modulated disk 32x64: once a rejected Newton
+    # trial backs off only by half, Newton finishes the ray stage before
+    # the plateau drift does
+    model = make_model("disk-polar", dict(radius=6.0, resolution=32,
+                                          angular_resolution=64),
+                       name="modulated", p=1.8, q=3.0)
+    rep = run(model, group.build_group(model.domain, "rotations_8"),
+              SolveConfig(mode="direct", path_points=12,
+                          max_iterations=20000, grad_tol=1e-8, seed=0))
+    assert rep.converged and rep.mode == "direct"
+    assert rep.iterations == 13
+    assert abs(rep.level - 15.230145601121944) <= 1e-9 * rep.level
 
 
 def test_restricted_iterates_stay_invariant(square_run):
