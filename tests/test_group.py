@@ -40,49 +40,120 @@ def test_dihedral4_order(square_dihedral):
     assert g.order == 8
 
 
-def test_group_closure_exhaustive(square_dihedral):
-    """Composition table closes: every product is again an element."""
-    _, g = square_dihedral
-    keys = {p.tobytes() for p in g.perms}
-    for pa, pb in itertools.product(g.perms, repeat=2):
-        assert pb[pa].tobytes() in keys
+# labels that name the group of another label, as group.build_group reads them
+ALIASES = {
+    "square": {"reflections": "dihedral_2", "block_product": "dihedral_2"},
+    "polar": {"reflections": "dihedral_1", "block_product": "dihedral_2"},
+}
 
 
-def test_validation_agrees_with_the_composition_table(square_dihedral):
-    # every nonempty subset of the dihedral elements: the generator-based
-    # closure check raises exactly when some product of two is missing
-    dom, g = square_dihedral
-    identity = np.arange(dom.n_nodes, dtype=g.perms.dtype).tobytes()
-    outcomes = set()
-    for mask in itertools.product([False, True], repeat=g.order):
-        perms = g.perms[list(mask)]
-        if perms.shape[0] == 0:
-            continue
-        keys = {p.tobytes() for p in perms}
-        if identity not in keys:
-            message = "identity element missing"
-        elif all(pb[pa].tobytes() in keys
-                 for pa, pb in itertools.product(perms, repeat=2)):
-            message = None
-        else:
-            message = "not closed under composition"
-        outcomes.add(message)
-        partial = group.SymmetryGroup(domain=dom, label="partial",
-                                      perms=perms)
-        if message is None:
-            group._validate_group(partial)
-        else:
-            with pytest.raises(SymmetryCompatibilityError, match=message):
-                group._validate_group(partial)
-    assert len(outcomes) == 3
-    # an element listed twice is still one element
-    group._validate_group(group.SymmetryGroup(
-        domain=dom, label="repeated",
-        perms=np.concatenate([g.perms, g.perms[:1]])))
+def _turn(angle):
+    return np.array([[np.cos(angle), -np.sin(angle)],
+                     [np.sin(angle), np.cos(angle)]])
+
+
+def _mirror(dom):
+    """The grid's mirror of the dihedral labels: x -> -x on the square,
+    theta -> -theta on the polar grids."""
+    return np.diag([-1.0, 1.0] if dom.kind == "square" else [1.0, -1.0])
+
+
+def _node_map(dom, a):
+    """The node map of the linear map a, found from the node coordinates:
+    node i goes to the node at a @ coords[i]."""
+    image = dom.coords @ a.T
+    dist = np.linalg.norm(image[:, None, :] - dom.coords[None, :, :], axis=-1)
+    perm = np.argmin(dist, axis=1)
+    assert np.max(dist[np.arange(dom.n_nodes), perm]) <= 1e-9
+    return perm
+
+
+def _reference_elements(dom, label):
+    """The element set of a label: the turns by 2*pi*j/k and, for
+    dihedral_k, each turn after the grid's mirror."""
+    aliases = ALIASES["square" if dom.kind == "square" else "polar"]
+    label = aliases.get(label, label)
+    k = 1 if label == "trivial" else int(label.split("_")[1])
+    maps = [_turn(2 * np.pi * j / k) for j in range(k)]
+    if label.startswith("dihedral_"):
+        maps += [a @ _mirror(dom) for a in maps]
+    return {_node_map(dom, a).tobytes() for a in maps}
+
+
+def _labels(dom):
+    if dom.kind == "square":
+        return ["trivial", "rotations_2", "rotations_4", "dihedral_1",
+                "dihedral_2", "dihedral_4", *ALIASES["square"]]
+    n_theta = dom.meta["n_theta"]
+    divisors = [k for k in range(1, n_theta + 1) if n_theta % k == 0]
+    return ["trivial", *ALIASES["polar"],
+            *(f"{name}_{k}" for name in ("rotations", "dihedral")
+              for k in divisors)]
+
+
+def test_group_closure_exhaustive():
+    """Every label builds the identity first, k elements for rotations_k
+    and 2k for dihedral_k, the element set found from the node
+    coordinates (an alias its target's), elements that pass every check
+    one at a time, and a closed composition table."""
+    for dom in (grid.build_domain("square", side=2.0, resolution=8),
+                grid.build_domain("square", side=2.0, resolution=9),
+                grid.build_domain("disk-polar", radius=3.0, resolution=4,
+                                  angular_resolution=48)):
+        aliases = ALIASES["square" if dom.kind == "square" else "polar"]
+        for label in _labels(dom):
+            g = group.build_group(dom, label)
+            keys = {p.tobytes() for p in g.perms}
+            target = aliases.get(label, label)
+            k = 1 if target == "trivial" else int(target.split("_")[1])
+            order = 2 * k if target.startswith("dihedral_") else k
+            assert g.order == len(keys) == order, label
+            assert np.array_equal(g.perms[0], np.arange(dom.n_nodes))
+            assert keys == _reference_elements(dom, label), label
+            if label in aliases:
+                assert keys == {p.tobytes() for p in
+                                group.build_group(dom, target).perms}
+            for e, perm in enumerate(g.perms):
+                _check_one(dom, perm, f"element {e} of {label!r}")
+            for pa, pb in itertools.product(g.perms, repeat=2):
+                assert pb[pa].tobytes() in keys
+
+
+@pytest.mark.parametrize("kind, dom_kw, label, broken, node", [
+    ("disk-polar", dict(radius=3.0, resolution=4, angular_resolution=16),
+     "rotations_8", 0, 1),
+    ("disk-polar", dict(radius=3.0, resolution=4, angular_resolution=16),
+     "dihedral_4", 1, 1),
+    ("square", dict(side=2.0, resolution=9), "rotations_4", 0, 12),
+    ("square", dict(side=2.0, resolution=8), "dihedral_4", 1, 21),
+])
+def test_broken_generator_is_named_by_its_first_failed_check(
+        kind, dom_kw, label, broken, node):
+    # the generators are the 2*pi/k turn, then for dihedral_k the grid's
+    # mirror; raising the weights of node's orbit under the generators
+    # before ``broken`` leaves those intact and breaks generator ``broken``
+    dom = grid.build_domain(kind, **dom_kw)
+    k = int(label.split("_")[1])
+    gens = [_node_map(dom, _turn(2 * np.pi / k))]
+    if label.startswith("dihedral_"):
+        gens.append(_node_map(dom, _mirror(dom)))
+    basis = group.fix_basis(group.build_group(
+        dom, "trivial" if broken == 0 else f"rotations_{k}"))
+    weights = dom.weights.copy()
+    weights[basis.orbit == basis.orbit[node]] *= 1.5
+    altered = replace(dom, weights=weights)
+    with pytest.raises(SymmetryCompatibilityError) as want:
+        for e, gen in enumerate(gens):
+            _check_one(altered, gen, f"generator {e} of {label!r}")
+    with pytest.raises(SymmetryCompatibilityError) as got:
+        group.build_group(altered, label)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(f"generator {broken} of {label!r} maps")
+    assert "(weight" in str(got.value)
 
 
 def _check_one(dom, perm, who):
-    """The element checks one element at a time, as the stacked
+    """The element checks one element at a time, as
     ``group._check_elements`` must report them."""
     if not np.array_equal(np.sort(perm), np.arange(dom.n_nodes)):
         raise SymmetryCompatibilityError(f"{who} is not a node permutation")
@@ -105,15 +176,12 @@ def _check_one(dom, perm, who):
             f"({int(ia)}, {int(ib)}), which is not a grid edge")
 
 
-@pytest.mark.parametrize("block", [1, 3, 1 << 19])
-def test_stacked_element_checks_report_the_first_offender(
-        disk_rotations, monkeypatch, block):
+def test_stacked_element_checks_report_the_first_offender(disk_rotations):
     # a node map that is no permutation, one that swaps rings of unequal
     # weight, one that swaps an interior and a boundary node and one that
     # swaps two neighbours of a ring; on the uniform-weight copy of the
     # disk the last two reach the boundary and the edge checks
     disk, g = disk_rotations
-    monkeypatch.setattr(group, "_CHECK_BLOCK", block * disk.edges.shape[0])
     ident = np.arange(disk.n_nodes)
 
     def swap(a, b):
@@ -138,61 +206,6 @@ def test_stacked_element_checks_report_the_first_offender(
                 group._check_elements(dom, perms, names.__getitem__)
             assert str(got.value) == str(want.value)
     group._check_elements(disk, g.perms, str)
-
-
-def test_group_edges_are_checked_on_generators_only(disk_rotations,
-                                                   monkeypatch):
-    # rotations_8 is generated by its first rotation, and a product of
-    # node maps that keep grid edges keeps them, so only that element's
-    # edges are looked up
-    _, g = disk_rotations
-    assert group._generators(g.label, g.perms) == [1]
-    edge_checked = []
-    original = group._check_elements
-
-    def spy(dom, perms, who, edges=True):
-        if edges:
-            edge_checked.append(len(perms))
-        return original(dom, perms, who, edges)
-
-    monkeypatch.setattr(group, "_check_elements", spy)
-    group._validate_group(g)
-    assert edge_checked == [1]
-
-
-@pytest.mark.parametrize("corruption, check", [
-    ("duplicate", "is not a node permutation"),
-    ("ring swap", "(weight"),
-    ("boundary swap", "does not preserve the boundary mask"),
-    ("neighbour swap", "which is not a grid edge"),
-])
-def test_corrupted_non_generator_keeps_its_message(disk_rotations,
-                                                   corruption, check):
-    # element 5 of rotations_8 is no generator; whichever check it fails,
-    # the error is the one of checking every element in full, one at a
-    # time, before closure
-    disk, g = disk_rotations
-    uniform = replace(disk, weights=np.ones(disk.n_nodes))
-    outer = int(np.flatnonzero(disk.boundary)[0])
-    perm = g.perms[5].copy()
-    dom = disk
-    if corruption == "duplicate":
-        perm[0] = perm[1]
-    else:
-        a, b, dom = {"ring swap": (0, 16, disk),
-                     "boundary swap": (0, outer, uniform),
-                     "neighbour swap": (0, 1, disk)}[corruption]
-        perm[[a, b]] = perm[[b, a]]
-    perms = np.concatenate([g.perms[:5], [perm], g.perms[6:]])
-    with pytest.raises(SymmetryCompatibilityError) as want:
-        for e, one in enumerate(perms):
-            _check_one(dom, one, f"element {e} of 'corrupt'")
-    with pytest.raises(SymmetryCompatibilityError) as got:
-        group._validate_group(group.SymmetryGroup(domain=dom, label="corrupt",
-                                                  perms=perms))
-    assert str(got.value) == str(want.value)
-    assert str(got.value).startswith("element 5 of 'corrupt'")
-    assert check in str(got.value)
 
 
 def test_incompatible_rotation_rejected():
@@ -359,6 +372,12 @@ QUOTIENT_CASES = [
      "dihedral_8"),
     ("annulus-polar", dict(inner_radius=1.0, outer_radius=3.0, resolution=4,
                            angular_resolution=8), "dihedral_2"),
+    # the full rotation group: an invariant function is constant on every
+    # ring, so |Du| is 0 up to roundoff on the core cells inside ring 0
+    ("disk-polar", dict(radius=6.0, resolution=20, angular_resolution=32),
+     "rotations_32"),
+    ("disk-polar", dict(radius=6.0, resolution=20, angular_resolution=32),
+     "dihedral_32"),
 ]
 
 

@@ -750,6 +750,25 @@ def test_refine_solves_keep_their_iteration_counts(kind, dom_kw, label, seed,
     assert rep.counts["peak_searches"] == peaks
 
 
+def test_full_rotation_group_of_the_disk_reaches_the_rotations_8_level():
+    # an invariant function of rotations_32 on disk 20x32 is constant on
+    # every ring, and its quotient reads the roundoff |Du| of the core
+    # cells as 0; the restricted solve then finds the rotations_8 pass,
+    # which is radial too
+    model = make_model("disk-polar", dict(radius=6.0, resolution=20,
+                                          angular_resolution=32),
+                       p=1.8, q=3.0)
+    levels = {}
+    for label in ("rotations_8", "rotations_32"):
+        rep = run(model, group.build_group(model.domain, label),
+                  SolveConfig(mode="restricted", path_points=12,
+                              max_iterations=20000, grad_tol=1e-8, seed=0))
+        assert rep.converged, label
+        levels[label] = rep.level
+    assert abs(levels["rotations_32"] - levels["rotations_8"]) \
+        <= 1e-12 * levels["rotations_8"]
+
+
 def test_direct_modulated_disk_finishes_in_newton_steps():
     # the direct solve of the modulated disk 32x64: once a rejected Newton
     # trial backs off only by half, Newton finishes the ray stage before
