@@ -176,11 +176,15 @@ def _check_one(dom, perm, who):
             f"({int(ia)}, {int(ib)}), which is not a grid edge")
 
 
-def test_stacked_element_checks_report_the_first_offender(disk_rotations):
+@pytest.mark.parametrize("lead", [1, 3, 1 << 19])
+def test_stacked_element_checks_report_the_first_offender(disk_rotations,
+                                                          lead):
     # a node map that is no permutation, one that swaps rings of unequal
     # weight, one that swaps an interior and a boundary node and one that
     # swaps two neighbours of a ring; on the uniform-weight copy of the
-    # disk the last two reach the boundary and the edge checks
+    # disk the last two reach the boundary and the edge checks.  The bad
+    # maps follow the first `lead` group elements (all of them when
+    # `lead` exceeds the order)
     disk, g = disk_rotations
     ident = np.arange(disk.n_nodes)
 
@@ -196,8 +200,9 @@ def test_stacked_element_checks_report_the_first_offender(disk_rotations):
     uniform = replace(disk, weights=np.ones(disk.n_nodes))
     for dom in (disk, uniform):
         for combo in ([0], [1], [2], [3], [3, 1], [2, 0], [1, 3, 2]):
-            perms = np.concatenate([g.perms[:3], [bad[k] for k in combo],
-                                    g.perms[3:]])
+            perms = np.concatenate([g.perms[:lead],
+                                    [bad[k] for k in combo],
+                                    g.perms[lead:]])
             names = [f"element {e}" for e in range(len(perms))]
             with pytest.raises(SymmetryCompatibilityError) as want:
                 for name, perm in zip(names, perms):
