@@ -105,7 +105,8 @@ def residual_of_values(model: EnergyModel, values: np.ndarray) -> np.ndarray:
     t_part = cs.weights * J.j_t(avg, t)
     ratio = np.divide(t_part, t, out=np.zeros_like(t), where=t > 0)
 
-    r = cs.op_t @ np.concatenate([s_part, (ratio * grads).reshape(-1)])
+    r = cs.fold(cs.op_t @ np.concatenate([s_part,
+                                          (ratio * grads).reshape(-1)]))
     r[dom.boundary] = 0.0
     return r
 

@@ -9,8 +9,10 @@ differentiable with respect to the nodal values and its gradient is the
 transposed map applied to the per-cell partial derivatives.
 
 Polar grids exclude the r = 0 node; the disk closes the core with cells
-whose inner corner value is the angular average of the first ring, and
-that reconstruction is folded into the columns of the map.
+whose inner corner is a virtual center, the angular average of the first
+ring.  The map carries that center as one extra column, and the cell set
+keeps the row of node coefficients that defines it, so every cell reads
+at most four columns and the map stays linear in the grid size.
 """
 
 from __future__ import annotations
@@ -40,15 +42,19 @@ MAX_ROTATION_ORDER = 8
 class CellSet:
     """Quadrature cells and their stacked linear map.
 
-    ``op`` is a CSR matrix with one column per node and ``(1 + d) * count``
-    rows: the first ``count`` rows form the cell averages, each following
-    block of ``count`` rows one gradient component.  ``op @ u`` therefore
-    yields every cell quantity of ``u`` at once, and ``op_t``, its
-    transpose, scatters per-cell coefficients back onto the nodes.
+    ``op`` is a CSR matrix with ``(1 + d) * count`` rows: the first
+    ``count`` rows form the cell averages, each following block of
+    ``count`` rows one gradient component.  It has one column per node
+    and, on the disk, one more for the virtual center, whose value is
+    ``core @ u``: ``core`` is a (1, n_nodes) CSR row of node coefficients,
+    or None where no cell reads a center.  ``op @ extend(u)`` therefore
+    yields every cell quantity of ``u`` at once, and ``fold(op_t @ c)``
+    scatters per-cell coefficients back onto the nodes.
     """
 
     op: sparse.csr_matrix
     weights: np.ndarray
+    core: sparse.csr_matrix | None = None
 
     @property
     def count(self) -> int:
@@ -59,6 +65,28 @@ class CellSet:
         # scipy rebuilds ``op.T`` on every access; the residual needs it
         # once per call
         return self.op.T.tocsr()
+
+    def extend(self, values: np.ndarray) -> np.ndarray:
+        """Nodal values, or each row of a (k, n) stack, followed by the
+        center value ``core @ u`` that ``op``'s last column reads."""
+        if self.core is None:
+            return values
+        c = self.core
+        # a running sum adds in one order for a vector and for each row of
+        # a stack, so every row gets bitwise the center it gets on its own
+        center = np.cumsum(values[..., c.indices] * c.data, axis=-1)
+        return np.concatenate([values, center[..., -1:]], axis=-1)
+
+    def fold(self, values: np.ndarray) -> np.ndarray:
+        """Node coefficients from coefficients over ``op``'s columns: the
+        center's entry goes back onto the nodes that define it (the
+        transpose of ``extend``)."""
+        if self.core is None:
+            return values
+        c = self.core
+        out = values[..., :c.shape[1]].copy()
+        out[..., c.indices] += values[..., c.shape[1]:] * c.data
+        return out
 
 
 @dataclass
@@ -151,75 +179,40 @@ def _quad_edges(nodes, n: int) -> np.ndarray:
     return np.column_stack([keys // n, keys % n])
 
 
-def _fold_core(cols, vals, n_nodes, core):
-    """Rows of the cells with core corners, over the real columns they touch.
+def _cell_operator(nodes, tables, n_columns) -> sparse.csr_matrix:
+    """Stack per-cell coefficient tables into one CSR map.
 
-    ``cols`` holds those cells' corners and ``vals`` their (blocks, cells,
-    k) coefficients.  Returns the touched columns, in order, and the rows'
-    (blocks, cells, columns) entries: each real corner's coefficient, then,
-    core row by core row, the summed coefficient of the corners naming it
-    times that row.  That is the order in which a product with the stacked
-    map ``[I; core]`` adds them, so the entries match it bitwise.
+    ``nodes[c, k]`` is the k-th corner of cell c, a column below
+    ``n_columns``, and ``tables`` holds the average table first, then one
+    table per gradient component, each broadcastable to ``nodes.shape``.
+    A corner that a cell lists twice (the disk's center) gets one entry,
+    the sum of its coefficients.
+
+    The CSR arrays are written directly, block by block and cell by cell,
+    each row listing its corners in column order.
     """
-    touched = np.any(core != 0, axis=0)
-    touched[cols[cols < n_nodes]] = True
-    span = np.flatnonzero(touched)
-    slot = np.cumsum(touched) - 1
-    blocks, cells, k = vals.shape
-    fold = np.zeros((blocks, cells, span.shape[0]))
-    center = np.zeros((blocks, cells, core.shape[0]))
-    rows = np.arange(cells)
-    for j in range(k):
-        c = cols[:, j]
-        real = c < n_nodes
-        fold[:, rows[real], slot[c[real]]] += vals[:, real, j]
-        center[:, rows[~real], c[~real] - n_nodes] += vals[:, ~real, j]
-    for m in range(core.shape[0]):
-        fold += center[:, :, m, None] * core[m, span]
-    return span, fold
-
-
-def _cell_operator(nodes, tables, n_nodes, core) -> sparse.csr_matrix:
-    """Stack per-cell coefficient tables into one CSR map over the nodes.
-
-    ``nodes[c, k]`` is the k-th corner of cell c and ``tables`` holds the
-    average table first, then one table per gradient component, each
-    broadcastable to ``nodes.shape``.  Corner indices from ``n_nodes`` on
-    name the rows of ``core`` (reconstructed values such as the polar
-    center, or None when there are none), which are folded into the real
-    node columns.  Cells with core corners come first; a cell's real
-    corners are distinct nodes.
-
-    The CSR arrays are written directly, block by block and cell by cell:
-    a plain cell's row lists its corners in column order, a core cell's
-    row every column ``_fold_core`` gives it.
-    """
-    count, k = nodes.shape
+    count = nodes.shape[0]
     blocks = len(tables)
-    cols = nodes.copy()
+    # scipy's own index type, so the matrix takes the arrays without a copy
+    cols = nodes.astype(np.intc)
     vals = np.stack([np.broadcast_to(t, nodes.shape) for t in tables])
-    # only cells that close a polar ring or repeat a core corner list
-    # their corners out of order
+    # only cells that close a polar ring or repeat a corner list their
+    # corners out of order
     wrap = np.flatnonzero(np.any(nodes[:, 1:] <= nodes[:, :-1], axis=1))
     order = np.argsort(nodes[wrap], axis=1, kind="stable")
-    cols[wrap] = np.take_along_axis(nodes[wrap], order, axis=1)
+    cols[wrap] = np.take_along_axis(cols[wrap], order, axis=1)
     vals[:, wrap] = np.take_along_axis(vals[:, wrap], order[None], axis=2)
 
-    n_core = int(np.count_nonzero(cols[:, -1] >= n_nodes))
-    span, fold = _fold_core(
-        cols[:n_core], vals[:, :n_core], n_nodes,
-        np.zeros((0, n_nodes)) if core is None else core)
-    fold_cols = np.tile(span, n_core)
-    plain_cols = cols[n_core:].reshape(-1)
-    indices = np.concatenate([part for _ in range(blocks)
-                              for part in (fold_cols, plain_cols)])
-    data = np.concatenate([part for b in range(blocks)
-                           for part in (fold[b].reshape(-1),
-                                        vals[b, n_core:].reshape(-1))])
-    width = np.repeat([span.shape[0], k], [n_core, count - n_core])
-    indptr = np.concatenate(([0], np.cumsum(np.tile(width, blocks))))
-    op = sparse.csr_matrix((data, indices, indptr),
-                           shape=(blocks * count, n_nodes))
+    # each run of equal corners in a row is one entry
+    first = np.ones(nodes.shape, dtype=bool)
+    first[:, 1:] = cols[:, 1:] != cols[:, :-1]
+    starts = np.flatnonzero(first)
+    width = np.tile(np.count_nonzero(first, axis=1), blocks)
+    op = sparse.csr_matrix(
+        (np.add.reduceat(vals.reshape(blocks, -1), starts, axis=1).reshape(-1),
+         np.tile(cols.reshape(-1)[starts], blocks),
+         np.concatenate(([0], np.cumsum(width))).astype(np.intc)),
+        shape=(blocks * count, n_columns))
     op.eliminate_zeros()
     # every row was written in column order; say so, or scipy re-checks
     op.has_sorted_indices = True
@@ -254,7 +247,7 @@ def _build_square(side: float, resolution: int) -> Domain:
     nodes = np.column_stack([sw, se, nw, ne])
     gx = np.array([-1.0, 1.0, -1.0, 1.0]) / (2 * h)
     gy = np.array([-1.0, -1.0, 1.0, 1.0]) / (2 * h)
-    cells = CellSet(op=_cell_operator(nodes, (0.25, gx, gy), na * na, None),
+    cells = CellSet(op=_cell_operator(nodes, (0.25, gx, gy), na * na),
                     weights=np.full(nodes.shape[0], h * h))
     edges = _quad_edges(nodes, na * na)
 
@@ -333,10 +326,10 @@ def _build_polar(kind: str, resolution: int, angular_resolution: int,
     cw = 0.5 * d_theta * ((r_lo + dr) ** 2 - r_lo ** 2)
     edges = _quad_edges(nodes, n_nodes)
 
-    core = None
+    core, n_columns = None, n_nodes
     if kind == "disk-polar":
-        # core cells close the disk: the inner corner value is the angular
-        # average of ring 1, reconstructed in column n_nodes
+        # core cells close the disk: their inner corner is the center, the
+        # angular average of ring 1, read from column n_nodes
         r1 = radii[0]
         v = np.full(n_theta, n_nodes)
         core_nodes = np.column_stack([v, v, k, kp])
@@ -349,11 +342,13 @@ def _build_polar(kind: str, resolution: int, angular_resolution: int,
         gr = np.vstack([core_gr, gr])
         gt = np.vstack([core_gt, gt])
         cw = np.concatenate([core_w, cw])
-        core = np.zeros((1, n_nodes))
-        core[0, :n_theta] = 1.0 / n_theta
+        core = sparse.csr_matrix(
+            (np.full(n_theta, 1.0 / n_theta), k, [0, n_theta]),
+            shape=(1, n_nodes))
+        n_columns = n_nodes + 1
 
-    cells = CellSet(op=_cell_operator(nodes, (0.25, gr, gt), n_nodes, core),
-                    weights=cw)
+    cells = CellSet(op=_cell_operator(nodes, (0.25, gr, gt), n_columns),
+                    weights=cw, core=core)
 
     extents = {"radius": float(r_outer)} if kind == "disk-polar" else {
         "inner_radius": float(r_inner), "outer_radius": float(r_outer)}
@@ -392,7 +387,7 @@ def _build_radial_ball(dimension: int, radius: float, resolution: int) -> Domain
     edges = np.column_stack([i, i + 1])
     g = np.array([-1.0, 1.0]) / dr
     cw = sigma * (r[1:] ** dimension - r[:-1] ** dimension) / dimension
-    cells = CellSet(op=_cell_operator(edges, (0.5, g), n + 1, None),
+    cells = CellSet(op=_cell_operator(edges, (0.5, g), n + 1),
                     weights=cw)
 
     return Domain(
@@ -489,7 +484,7 @@ def cell_values(domain: Domain, values: np.ndarray):
     row on its own.
     """
     cs = domain.cells
-    out = np.ascontiguousarray((cs.op @ values.T).T)
+    out = np.ascontiguousarray((cs.op @ cs.extend(values).T).T)
     out = out.reshape(*values.shape[:-1], -1, cs.count)
     avg, grads = out[..., 0, :], out[..., 1:, :]
     if grads.shape[-2] == 1:
@@ -504,47 +499,57 @@ class CellForm:
     (1 + d) x (1 + d) block of B per cell, filled into a fixed CSC pattern
     as a finite-element code assembles element matrices.
 
-    Every row of a cell lies on the columns of its average row, the
-    cell's corners.  ``table`` keeps the rows of each cell with at most
-    four corners on them, and ``slots`` the CSC slot of each corner pair
-    (one past the last slot for padding and for wider cells).  The wider
-    cells are the disk's core cells, which read the whole first ring;
-    their rows are one dense block ``ring`` over the columns they touch.
+    Cells are assembled over ``op``'s columns of the interior nodes and of
+    the center, where every row of a cell lies on the columns of its
+    average row, the cell's at most four corners.  ``table`` keeps those
+    rows and ``slots`` a slot for each corner pair: the CSC slot of two
+    nodes, a slot of the center's coupling x to a node or of its own entry
+    a, and one past them for padding and for (center, node), the transpose
+    of (node, center).  With c the center's row of node coefficients, the
+    form on the nodes is the node part plus x c^T + c x^T + a c c^T, a
+    dense block over ``span``, the nodes the center's cells and c touch
+    (the disk's first ring).
     """
 
     def __init__(self, domain: Domain):
-        count = domain.cells.count
-        op = domain.cells.op[:, domain.interior].tocsr()
-        n = op.shape[1]
-        per_cell = np.diff(op.indptr[:count + 1])
-        wide = per_cell > 4
+        cs = domain.cells
+        count = cs.count
+        extra = np.ones(cs.op.shape[1] - domain.n_nodes, dtype=bool)
+        op = cs.op[:, np.concatenate([domain.interior, extra])].tocsr()
+        n = op.shape[1] - extra.shape[0]
         # cell, row block and column of every nonzero of the map
         row = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
         cell, block, col = row % count, row // count, op.indices
-        avg = np.flatnonzero(~wide[cell[:op.indptr[count]]])
-        ends = np.full((int(per_cell[~wide].max()), count), -1)
-        ends[avg - op.indptr[cell[avg]], cell[avg]] = col[avg]
-        narrow = np.flatnonzero(~wide[cell])
-        pos = np.argmax(ends[:, cell[narrow]] == col[narrow], axis=0)
+        avg = op.indptr[count]
+        ends = np.full((int(np.diff(op.indptr[:count + 1]).max()), count), -1)
+        ends[np.arange(avg) - op.indptr[cell[:avg]], cell[:avg]] = col[:avg]
+        pos = np.argmax(ends[:, cell] == col, axis=0)
         self.table = np.zeros((op.shape[0] // count,) + ends.shape)
-        self.table[block[narrow], pos, cell[narrow]] = op.data[narrow]
+        self.table[block, pos, cell] = op.data
 
+        # pair (a, b) of a cell is the entry at row ends[a], column ends[b]
         pair_keys = ends[None] * n + ends[:, None]
-        kept = (ends[None] >= 0) & (ends[:, None] >= 0)
-        dense = np.flatnonzero(wide[cell])
-        cols = np.unique(col[dense])
-        self.wide = np.flatnonzero(wide)
-        self.ring = np.zeros((self.table.shape[0], self.wide.shape[0],
-                              cols.shape[0]))
-        self.ring[block[dense], np.searchsorted(self.wide, cell[dense]),
-                  np.searchsorted(cols, col[dense])] = op.data[dense]
-        ring_keys = (cols[None, :] * n + cols[:, None]).reshape(-1)
+        node = (ends >= 0) & (ends < n)
+        center = ends == n
+        kept = node[None] & node[:, None]
+        core = (np.zeros(n) if cs.core is None
+                else cs.core[:, domain.interior].toarray()[0])
+        self.span = np.union1d(np.flatnonzero(core),
+                               ends[node & np.any(center, axis=0)])
+        self.center = core[self.span]
+        ring_keys = (self.span[None, :] * n + self.span[:, None]).reshape(-1)
         diag_keys = np.arange(n) * (n + 1)
-        # CSC order: column-major keys col * n + row
-        keys = np.unique(np.concatenate([pair_keys[kept], ring_keys,
-                                         diag_keys]))
-        self.slots = np.where(kept, np.searchsorted(keys, pair_keys),
-                              keys.shape[0])
+        # CSC order: column-major keys col * n + row, each once
+        keys = np.sort(np.concatenate([pair_keys[kept], ring_keys,
+                                       diag_keys]))
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        nnz, s = keys.shape[0], self.span.shape[0]
+        self.slots = np.full(pair_keys.shape, nnz + s + 1)
+        self.slots[kept] = np.searchsorted(keys, pair_keys[kept])
+        coupling = node[:, None] & center[None]
+        self.slots[coupling] = nnz + np.searchsorted(
+            self.span, np.broadcast_to(ends[:, None], pair_keys.shape)[coupling])
+        self.slots[center[:, None] & center[None]] = nnz + s
         self.ring_slots = np.searchsorted(keys, ring_keys)
         self.diag = np.searchsorted(keys, diag_keys)
         self.indices = (keys % n).astype(np.intc)
@@ -556,14 +561,14 @@ class CellForm:
         (1 + d, 1 + d, cells) array of the cell blocks of B."""
         local = np.einsum("iac,ibc->abc", self.table,
                           np.einsum("ijc,jbc->ibc", blocks, self.table))
+        nnz, s = self.indices.shape[0], self.span.shape[0]
         data = np.bincount(self.slots.reshape(-1), local.reshape(-1),
-                           minlength=self.indices.shape[0] + 1)[:-1]
-        if self.wide.size:
-            rows = np.einsum("ijc,jcr->icr", blocks[:, :, self.wide],
-                             self.ring)
-            width = self.ring.shape[-1]
-            data[self.ring_slots] += (self.ring.reshape(-1, width).T
-                                      @ rows.reshape(-1, width)).reshape(-1)
+                           minlength=nnz + s + 2)
+        x, a, data = data[nnz:nnz + s], data[nnz + s], data[:nnz]
+        if s:
+            c = self.center
+            data[self.ring_slots] += (np.outer(x, c)
+                                      + np.outer(c, x + a * c)).reshape(-1)
         data[self.diag] += mass
         n = self.indptr.shape[0] - 1
         return sparse.csc_matrix((data, self.indices, self.indptr),
@@ -618,17 +623,54 @@ def hat_w1p_norms(domain: Domain, p: float) -> np.ndarray:
 
     The hat at node i has the gradient components of column i of the
     gradient rows, so |D hat_i|^2 on a cell sums that column's squared
-    entries over the components.
+    entries over the components.  A cell that reads the center also sees
+    core_i times the center's column: on its corners that adds to their
+    entries, and a node of the first ring that is not one of its corners
+    sees core_i times the center's gradient alone.  Those last terms are
+    priced once for all nodes and taken off again at each cell's corners,
+    so the center's dense rows are never formed.
     """
     if p <= 1:
         raise ParameterError(f"Sobolev exponent must satisfy p > 1, got {p}")
 
     def build():
         cs = domain.cells
-        gsq = cs.op[cs.count:2 * cs.count].power(2)
-        for start in range(2 * cs.count, cs.op.shape[0], cs.count):
-            gsq = gsq + cs.op[start:start + cs.count].power(2)
-        dup = gsq.power(0.5 * p).T @ cs.weights
+        op, count, w = cs.op, cs.count, cs.weights
+        gsq = op[count:2 * count].power(2)
+        for start in range(2 * count, op.shape[0], count):
+            gsq = gsq + op[start:start + count].power(2)
+        if cs.core is None:
+            return (domain.weights + gsq.power(0.5 * p).T @ w) ** (1.0 / p)
+
+        # the cells whose average row ends in the center's column, priced
+        # apart from the others
+        n, blocks = domain.n_nodes, op.shape[0] // count
+        cells = np.flatnonzero(op.indices[op.indptr[1:count + 1] - 1] == n)
+        plain = w.copy()
+        plain[cells] = 0.0
+        dup = (gsq.power(0.5 * p).T @ plain)[:n]
+        rows = op[(np.arange(blocks)[:, None] * count + cells).ravel()].tocoo()
+        block, cell = np.divmod(rows.row, cells.shape[0])
+        at_center = rows.col == n
+        center = np.zeros((blocks, cells.shape[0]))
+        center[block[at_center], cell[at_center]] = rows.data[at_center]
+        # one slot per corner of each cell, keyed cell * n + column in the
+        # order of the average rows; every gradient entry lies on a corner
+        corner = (block == 0) & ~at_center
+        keys = cell[corner] * n + rows.col[corner]
+        grads = (block > 0) & ~at_center
+        comb = np.zeros((blocks, keys.shape[0]))
+        comb[block[grads], np.searchsorted(
+            keys, cell[grads] * n + rows.col[grads])] = rows.data[grads]
+        slot_cell, slot_col = keys // n, keys % n
+        core = cs.core.toarray()[0]
+        comb[1:] += center[1:, slot_cell] * core[slot_col]
+        price = w[cells] * np.sum(center[1:] ** 2, axis=0) ** (0.5 * p)
+        dup += np.bincount(
+            slot_col, w[cells][slot_cell]
+            * np.sum(comb[1:] ** 2, axis=0) ** (0.5 * p)
+            - np.abs(core[slot_col]) ** p * price[slot_cell], minlength=n)
+        dup += np.abs(core) ** p * price.sum()
         return (domain.weights + dup) ** (1.0 / p)
 
     return domain.cached(("hat_w1p", float(p)), build)

@@ -60,6 +60,7 @@ class SymmetryGroup:
     label: str
     perms: np.ndarray       # (order, n_nodes) int, geometric node maps,
                             # the identity first
+    gens: np.ndarray        # (k, n_nodes) int, generators of the perms
     # the orbit map, built on first use by ``fix_basis``
     _basis: FixBasis | None = field(default=None, init=False, repr=False)
 
@@ -194,7 +195,9 @@ def build_group(domain: Domain, label: str) -> SymmetryGroup:
         raise SymmetryCompatibilityError(f"unsupported domain kind {domain.kind!r}")
     _check_elements(domain, gens, lambda e: f"generator {e} of {label!r}")
     return SymmetryGroup(domain=domain, label=label,
-                         perms=_closure(domain.n_nodes, gens))
+                         perms=_closure(domain.n_nodes, gens),
+                         gens=np.array(gens, dtype=np.int64).reshape(
+                             -1, domain.n_nodes))
 
 
 def _closure(n_nodes, gens):
@@ -308,14 +311,15 @@ def quotient(g: SymmetryGroup) -> Domain:
 
     Its nodes are the node orbits of ``fix_basis`` and its cells one
     representative per cell orbit.  With B the orbit-indicator matrix, the
-    cell map is the representative rows of the domain's map times B, and
-    node and cell weights are the representatives' weights times the
-    orbit size.  An invariant u = B x has equal cell averages and |Du| on
-    every cell of an orbit, so the quotient energy F(x) equals f(B x) and
-    its residual is B^T f'(B x): by the principle of symmetric
-    criticality a critical point of F is a critical point of f.  The
-    trivial group's quotient is the domain itself.  Raises
-    SymmetryCompatibilityError when an element does not map cells to
+    cell map is the representative rows of the domain's map, their node
+    columns times B and the disk's center column as it is, whose value
+    is then (core B) x; node and cell weights are the representatives'
+    weights times the orbit size.  An invariant u = B x has equal cell
+    averages and |Du| on every cell of an orbit, so the quotient energy
+    F(x) equals f(B x) and its residual is B^T f'(B x): by the principle
+    of symmetric criticality a critical point of F is a critical point of
+    f.  The trivial group's quotient is the domain itself.  Raises
+    SymmetryCompatibilityError when a generator does not map cells to
     cells of equal weight and equal |Du| for invariant functions.
     """
     if g.order == 1:
@@ -325,20 +329,25 @@ def quotient(g: SymmetryGroup) -> Domain:
 
 
 def _cell_maps(g: SymmetryGroup) -> np.ndarray:
-    """(order, cells) image of every cell under every element.
+    """(generators, cells) image of every cell under each generator.
 
-    An element sends the cell whose average row is a_c to the cell whose
+    A node map sends the cell whose average row is a_c to the cell whose
     row is a_c with column j moved to perm[j]; applied to node values z
-    that row gives a_c @ z[perm].  Two seeded random value columns key
-    the cells, and each image key is matched to the nearest cell key.
+    that row gives a_c @ extend(z[perm]), which reads the center of the
+    moved values, so a map that does not fix the center matches no cell.
+    Two seeded random value columns key the cells, and each image key is
+    matched to the nearest cell key.  A product of generators maps cells
+    onto cells of equal weight and |Du| when each generator does.
     """
     dom = g.domain
     cs = dom.cells
     avg = cs.op[:cs.count]
+    n_gens = g.gens.shape[0]
     z = np.random.default_rng(0).uniform(1.0, 2.0, size=(dom.n_nodes, 2))
-    keys = avg @ z
-    images = (avg @ z[g.perms.T].reshape(dom.n_nodes, -1)).reshape(
-        cs.count, g.order, 2).transpose(1, 0, 2)
+    keys = avg @ cs.extend(z.T).T
+    moved = z[g.gens.T].reshape(dom.n_nodes, -1).T
+    images = (avg @ cs.extend(moved).T).reshape(
+        cs.count, n_gens, 2).transpose(1, 0, 2)
     order = np.argsort(keys[:, 0])
     sorted_keys = keys[order, 0]
     pos = np.clip(np.searchsorted(sorted_keys, images[..., 0]), 1,
@@ -358,22 +367,44 @@ def _cell_maps(g: SymmetryGroup) -> np.ndarray:
     if bad.any():
         e, c = (int(i[0]) for i in np.nonzero(bad))
         raise SymmetryCompatibilityError(
-            f"element {e} of {g.label!r} maps cell {c} onto no cell of "
+            f"generator {e} of {g.label!r} maps cell {c} onto no cell of "
             "equal weight and gradient")
     return cmap
+
+
+def _cell_orbits(g: SymmetryGroup):
+    """Smallest cell of each cell orbit, ascending, and the orbit sizes.
+
+    Each cell's label starts as the cell itself and takes the smallest
+    label among its generator images until no label changes; the orbit
+    is connected through the generator maps, so every cell of it ends
+    with its smallest member.
+    """
+    maps = _cell_maps(g)
+    labels = np.arange(g.domain.cells.count)
+    while True:
+        new = labels
+        for cmap in maps:
+            new = np.minimum(new, new[cmap])
+        if np.array_equal(new, labels):
+            return np.unique(labels, return_counts=True)
+        labels = new
 
 
 def _build_quotient(g: SymmetryGroup) -> Domain:
     dom, fb = g.domain, fix_basis(g)
     cs = dom.cells
-    cell_reps, cell_sizes = np.unique(_cell_maps(g).min(axis=0),
-                                      return_counts=True)
+    cell_reps, cell_sizes = _cell_orbits(g)
     blocks = cs.op.shape[0] // cs.count
     rows = (np.arange(blocks)[:, None] * cs.count + cell_reps).ravel()
-    k = fb.reps.shape[0]
-    op = (cs.op[rows] @ fb.sums.T).tocsr()
+    k, n = fb.reps.shape[0], dom.n_nodes
+    # orbit sums on the node columns; the center column stays as it is
+    picked = cs.op[rows]
+    op = sparse.hstack([picked[:, :n] @ fb.sums.T, picked[:, n:]],
+                       format="csr")
     op.eliminate_zeros()
     op.sort_indices()
+    core = None if cs.core is None else (cs.core @ fb.sums.T).tocsr()
     # grid edges between two distinct orbits
     ends = np.sort(fb.orbit[dom.edges], axis=1)
     edge_keys = np.unique(ends[:, 0] * k + ends[:, 1])
@@ -387,7 +418,8 @@ def _build_quotient(g: SymmetryGroup) -> Domain:
         radius2=dom.radius2[fb.reps],
         weights=dom.weights[fb.reps] * fb.sizes,
         boundary=dom.boundary[fb.reps],
-        cells=CellSet(op=op, weights=cs.weights[cell_reps] * cell_sizes),
+        cells=CellSet(op=op, weights=cs.weights[cell_reps] * cell_sizes,
+                      core=core),
         edges=np.column_stack([edge_keys // k, edge_keys % k]),
         volume=dom.volume,
     )

@@ -2,7 +2,9 @@
 hat norms assembled the plain way, through scipy's COO format and
 ``np.unique``, and polar node coordinates filled ring by ring.
 ``symcrit.grid`` builds the same arrays in whole-array passes; the tests
-hold the two to bitwise equality.
+hold the two to bitwise equality.  ``folded`` gives the cell map over the
+node columns alone, the disk's center folded into every row that reads
+it, as a reference for the code that carries the center as a column.
 """
 
 import numpy as np
@@ -19,31 +21,35 @@ def quad_edges(nodes, n):
     return np.column_stack([keys // n, keys % n])
 
 
-def cell_operator(nodes, tables, n_nodes, core):
-    """The cell map from COO triplets, with the core rows folded in by a
-    sparse product with ``[I; core]``."""
+def cell_operator(nodes, tables, n_columns):
+    """The cell map from COO triplets; scipy sums a repeated corner."""
     count, k = nodes.shape
     blocks = len(tables)
     data = np.concatenate([np.broadcast_to(t, nodes.shape).reshape(-1)
                            for t in tables])
     rows = np.repeat(np.arange(blocks * count), k)
     cols = np.tile(nodes.reshape(-1), blocks)
-    n_ext = n_nodes if core is None else n_nodes + core.shape[0]
-    op = sparse.csr_matrix((data, (rows, cols)), shape=(blocks * count, n_ext))
-    if core is not None:
-        lift = sparse.vstack([sparse.identity(n_nodes, format="csr"),
-                              sparse.csr_matrix(core)])
-        op = (op @ lift).tocsr()
+    op = sparse.csr_matrix((data, (rows, cols)),
+                           shape=(blocks * count, n_columns))
     op.eliminate_zeros()
     op.sort_indices()
     return op
 
 
+def folded(cells):
+    """The cell map over the node columns: op[:, :n] + op[:, n:] @ core."""
+    if cells.core is None:
+        return cells.op
+    n = cells.core.shape[1]
+    return (cells.op[:, :n] + cells.op[:, n:] @ cells.core).tocsr()
+
+
 def hat_w1p_norms(domain, p):
     """Hat-function W^{1,p} norms with the gradient blocks summed by
-    mapping every gradient row onto its cell through COO."""
+    mapping every gradient row of the folded map onto its cell through
+    COO."""
     cs = domain.cells
-    sq = cs.op[cs.count:].power(2).tocoo()
+    sq = folded(cs)[cs.count:].power(2).tocoo()
     gsq = sparse.csr_matrix((sq.data, (sq.row % cs.count, sq.col)),
                             shape=(cs.count, domain.n_nodes))
     dup = gsq.power(0.5 * p).T @ cs.weights

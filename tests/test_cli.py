@@ -141,6 +141,34 @@ def test_verify_point_keeps_sparse_linalg_unloaded(solved, tmp_path):
     assert out == ["0", "False"]
 
 
+def test_import_and_disk_verify_keep_scipy_extras_unloaded(tmp_path):
+    # scipy.sparse.linalg and scipy.optimize cost about 8 MB and 17 MB of
+    # resident memory: importing symcrit loads neither, and verify-point
+    # on a disk point, which reads the center column and the hat norms,
+    # never factorizes
+    dom = grid.build_domain("disk-polar", radius=6.0, resolution=4,
+                            angular_resolution=16)
+    point = str(tmp_path / "u.csv")
+    grid.write_gridfunction(symcrit.solver.default_psi(dom), point)
+    cfg = write_cfg(tmp_path, SMALL_SOLVE.replace(
+        "domain.kind = square\ndomain.side = 6.0\ndomain.resolution = 9\n",
+        "domain.kind = disk-polar\ndomain.radius = 6.0\n"
+        "domain.resolution = 4\ndomain.angular_resolution = 16\n").replace(
+        "dihedral_4", "rotations_8"))
+    code = ("import sys; import symcrit; "
+            "print(*(name in sys.modules for name in "
+            "('scipy.sparse.linalg', 'scipy.optimize'))); "
+            f"rc = symcrit.cli.main(['verify-point', '--config', {cfg!r}, "
+            f"{point!r}, '--quiet', '--out', {str(tmp_path / 'o')!r}]); "
+            "print(rc, 'scipy.sparse.linalg' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    # the bump is not a critical point, so the check fails with exit 3
+    assert out == ["False", "False", "3", "False"]
+
+
 def test_manifest_inventories_payloads(solved):
     _, _, out = solved
     man = read_json(os.path.join(out, "manifest.json"))

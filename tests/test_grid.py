@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from symcrit import grid, group
+from symcrit import functional, grid, group, integrand
 from symcrit.errors import ConfigurationError, ParameterError
 
 from conftest import random_function
@@ -140,6 +140,17 @@ def test_builders_match_the_coo_oracle_bitwise(monkeypatch, kind, extents):
     dom = grid.build_domain(kind, **extents)
     assert_same_csr(dom.cells.op,
                     grid_oracle.cell_operator(*seen["_cell_operator"]))
+    # the folded map has one column per node; the center, where there is
+    # one, is the mean of the first ring
+    assert grid_oracle.folded(dom.cells).shape[1] == dom.n_nodes
+    if kind == "disk-polar":
+        n_theta = dom.meta["n_theta"]
+        assert np.array_equal(
+            dom.cells.core.toarray()[0],
+            np.repeat([1.0 / n_theta, 0.0],
+                      [n_theta, dom.n_nodes - n_theta]))
+    else:
+        assert dom.cells.core is None
     # the ball's chain edges are its cells and need no deduplication
     if kind != "radial-ball-1d":
         assert np.array_equal(dom.edges,
@@ -150,27 +161,26 @@ def test_builders_match_the_coo_oracle_bitwise(monkeypatch, kind, extents):
         assert np.array_equal(dom.coords, coords)
         assert np.array_equal(dom.radius2, radius2)
     for p in (1.8, 2.0):
-        assert np.array_equal(grid.hat_w1p_norms(dom, p),
-                              grid_oracle.hat_w1p_norms(dom, p))
+        norms = grid.hat_w1p_norms(dom, p)
+        want = grid_oracle.hat_w1p_norms(dom, p)
+        # the disk prices its center cells apart from the folded rows
+        if dom.cells.core is None:
+            assert np.array_equal(norms, want)
+        else:
+            assert np.max(np.abs(norms - want) / want) <= 1e-13
 
 
-def test_two_row_core_folds_like_the_coo_oracle(rng):
-    # five real nodes and two reconstructed ones (5 and 6): the core cells
-    # come first, repeat a core corner, use both core rows and list their
-    # corners out of order; the last plain cell is out of order too
+def test_repeated_corners_merge_like_the_coo_oracle(rng):
+    # five nodes and two extra columns (5 and 6): cells repeat a corner,
+    # list their corners out of order and read both extra columns; a
+    # repeated corner's zero sum leaves no entry
     nodes = np.array([[5, 5, 0, 1], [2, 6, 5, 1], [6, 6, 4, 3],
                       [0, 1, 2, 3], [4, 3, 1, 0]])
     tables = (0.25, rng.standard_normal(nodes.shape),
               rng.standard_normal(nodes.shape))
-    core = np.array([[0.2, 0.0, 0.3, 0.0, 0.5],
-                     [0.0, 0.7, 0.1, 0.3, 0.0]])
-    # repeated corners of one core row carry equal coefficients, as the
-    # disk's reconstructed center does
-    for t in tables[1:]:
-        t[0, 1] = t[0, 0]
-        t[2, 1] = t[2, 0]
-    assert_same_csr(grid._cell_operator(nodes, tables, 5, core),
-                    grid_oracle.cell_operator(nodes, tables, 5, core))
+    tables[2][2, 1] = -tables[2][2, 0]
+    assert_same_csr(grid._cell_operator(nodes, tables, 7),
+                    grid_oracle.cell_operator(nodes, tables, 7))
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +210,7 @@ def test_square_coordinate_gradient():
     du = grid.cell_values(dom, u.values)[1]
     # cells whose four corners are all interior see the exact slope; the
     # positive average rows of the cell map touch exactly those corners
-    averages = dom.cells.op[:dom.cells.count]
+    averages = grid_oracle.folded(dom.cells)[:dom.cells.count]
     all_interior = averages @ dom.boundary.astype(float) == 0.0
     assert np.any(all_interior)
     assert np.max(np.abs(du[all_interior] - 1.0)) <= 1e-12
@@ -223,16 +233,82 @@ def test_square_coordinate_gradient():
 ])
 def test_cell_rows_lie_on_their_average_row(kind, extents, label):
     # grid.CellForm takes each cell's corners from the columns of its
-    # average row, whose coefficients are positive
+    # average row, whose coefficients are positive, and hat_w1p_norms each
+    # center cell's corners; both on the map with the center's column and
+    # on the folded map
     dom = grid.build_domain(kind, **extents)
     if label is not None:
         dom = group.quotient(group.build_group(dom, label))
     cs = dom.cells
-    avg = cs.op[:cs.count]
-    assert np.all(avg.data > 0)
-    for start in range(cs.count, cs.op.shape[0], cs.count):
-        rows = cs.op[start:start + cs.count]
-        assert rows.multiply(avg).count_nonzero() == rows.count_nonzero()
+    for op in (cs.op, grid_oracle.folded(cs)):
+        avg = op[:cs.count]
+        assert np.all(avg.data > 0)
+        for start in range(cs.count, op.shape[0], cs.count):
+            rows = op[start:start + cs.count]
+            assert rows.multiply(avg).count_nonzero() == rows.count_nonzero()
+    # at most four corners per cell on the map the code reads
+    assert np.diff(cs.op.indptr[:cs.count + 1]).max() <= 4
+
+
+@pytest.mark.parametrize("rings, angles", [(64, 256), (32, 512), (16, 1024),
+                                           (8, 2048)])
+def test_disk_cell_map_is_linear_in_the_grid_size(rings, angles):
+    # about 17k nodes each; with the center folded into the core rows the
+    # map held 20 to 466 entries per node, growing with the angles
+    dom = grid.build_domain("disk-polar", radius=6.0, resolution=rings,
+                            angular_resolution=angles)
+    assert dom.cells.op.nnz <= 13 * dom.n_nodes
+
+
+CENTER_CASES = [
+    (dict(resolution=10, angular_resolution=16), None),
+    (dict(resolution=10, angular_resolution=16), "rotations_8"),
+    (dict(resolution=10, angular_resolution=16), "dihedral_8"),
+    # one orbit on the first ring: the quotient's core cells read one node
+    (dict(resolution=20, angular_resolution=32), "rotations_32"),
+]
+
+
+@pytest.mark.parametrize("extents, label", CENTER_CASES)
+def test_center_column_matches_the_folded_map(extents, label, rng):
+    # cell quantities, the transposed map, the residual and the hat norms
+    # against the same products with the folded map
+    dom = grid.build_domain("disk-polar", radius=6.0, **extents)
+    if label is not None:
+        dom = group.quotient(group.build_group(dom, label))
+    cs = dom.cells
+    op = grid_oracle.folded(cs)
+
+    def close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    stack = rng.standard_normal((3, dom.n_nodes))
+    stack[:, dom.boundary] = 0.0
+    for values in (stack, stack[0]):
+        avg, t, grads = grid.cell_values(dom, values)
+        want = (op @ values.T).T.reshape(*values.shape[:-1], -1, cs.count)
+        close(avg, want[..., 0, :])
+        close(grads, want[..., 1:, :])
+        close(t, np.sqrt((want[..., 1:, :] ** 2).sum(axis=-2)))
+    coef = rng.standard_normal(op.shape[0])
+    close(cs.fold(cs.op_t @ coef), op.T @ coef)
+
+    model = functional.EnergyModel(
+        domain=dom, integrand=integrand.builtin("modulated", p=1.8), q=3.0)
+    cells = (op @ stack[0]).reshape(-1, cs.count)
+    avg, grads = cells[0], cells[1:]
+    t = np.sqrt((grads * grads).sum(axis=0))
+    w, j_t = cs.weights, model.integrand.j_t(avg, t)
+    ratio = np.divide(w * j_t, t, out=np.zeros_like(t), where=t > 0)
+    want = op.T @ np.concatenate([w * functional._value_slope(model, avg, t),
+                                  (ratio * grads).reshape(-1)])
+    want[dom.boundary] = 0.0
+    close(functional.residual_of_values(model, stack[0]), want)
+
+    for p in (1.8, 2.0):
+        norms = grid.hat_w1p_norms(dom, p)
+        want = grid_oracle.hat_w1p_norms(dom, p)
+        assert np.max(np.abs(norms - want) / want) <= 1e-13
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from symcrit import functional, grid, group, integrand
 from symcrit.errors import SymmetryCompatibilityError
 
 from conftest import random_function
+import grid_oracle
 
 
 @pytest.fixture(scope="module")
@@ -454,6 +455,32 @@ def test_domain_is_freed_without_the_cycle_collector(rng):
         gc.enable()
 
 
+def reference_cell_orbits(g):
+    """Smallest cell and size of each cell orbit from every element's
+    image of every cell; a cell is known by the set of its corners, the
+    columns of its average row, and an element moves the node columns."""
+    cs, n = g.domain.cells, g.domain.n_nodes
+    avg = cs.op[:cs.count]
+    corners = [avg.indices[avg.indptr[c]:avg.indptr[c + 1]]
+               for c in range(cs.count)]
+    cell_of = {frozenset(c.tolist()): i for i, c in enumerate(corners)}
+    images = np.empty((g.order, cs.count), dtype=np.int64)
+    for e, perm in enumerate(g.perms):
+        moved = np.concatenate([perm, np.arange(n, cs.op.shape[1])])
+        images[e] = [cell_of[frozenset(moved[c].tolist())] for c in corners]
+    return np.unique(images.min(axis=0), return_counts=True)
+
+
+@pytest.mark.parametrize("kind, dom_kw, label", QUOTIENT_CASES)
+def test_cell_orbits_from_generators_match_every_element(kind, dom_kw,
+                                                         label):
+    g = group.build_group(grid.build_domain(kind, **dom_kw), label)
+    reps, sizes = group._cell_orbits(g)
+    want_reps, want_sizes = reference_cell_orbits(g)
+    assert np.array_equal(reps, want_reps)
+    assert np.array_equal(sizes, want_sizes)
+
+
 @pytest.mark.parametrize("kind, dom_kw, label", QUOTIENT_CASES)
 def test_quotient_weights_and_norms(kind, dom_kw, label, rng):
     g, model, qmodel = quotient_case(kind, dom_kw, label)
@@ -481,7 +508,7 @@ def test_quotient_sizes(kind, dom_kw, label, nodes, cells):
     dom = grid.build_domain(kind, **dom_kw)
     quot = group.quotient(group.build_group(dom, label))
     assert (quot.n_nodes, quot.cells.count) == (nodes, cells)
-    assert quot.cells.op.shape == (3 * cells, nodes)
+    assert grid_oracle.folded(quot.cells).shape == (3 * cells, nodes)
 
 
 def test_quotient_is_cached_and_trivial_is_the_domain(square_small):
@@ -499,6 +526,7 @@ def test_quotient_rejects_element_that_breaks_cells(square_small):
     swap = np.arange(square_small.n_nodes)
     swap[[a, a + 1]] = swap[[a + 1, a]]
     g = group.SymmetryGroup(domain=square_small, label="swap",
-                            perms=np.stack([np.arange(swap.shape[0]), swap]))
+                            perms=np.stack([np.arange(swap.shape[0]), swap]),
+                            gens=swap[None])
     with pytest.raises(SymmetryCompatibilityError, match="onto no cell"):
         group.quotient(g)
