@@ -101,12 +101,13 @@ def residual_of_values(model: EnergyModel, values: np.ndarray) -> np.ndarray:
     cs = dom.cells
     avg, t, grads = cell_values(dom, values)
 
-    s_part = cs.weights * _value_slope(model, avg, t)
+    coefs = np.empty((1 + grads.shape[0], cs.count))
+    coefs[0] = cs.weights * _value_slope(model, avg, t)
     t_part = cs.weights * J.j_t(avg, t)
     ratio = np.divide(t_part, t, out=np.zeros_like(t), where=t > 0)
+    np.multiply(ratio, grads, out=coefs[1:])
 
-    r = cs.fold(cs.op_t @ np.concatenate([s_part,
-                                          (ratio * grads).reshape(-1)]))
+    r = cs.apply_t(coefs)
     r[dom.boundary] = 0.0
     return r
 

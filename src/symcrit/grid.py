@@ -2,28 +2,27 @@
 
 A Domain carries nodes with positive quadrature weights that sum to the
 volume of the continuum region, a homogeneous-Dirichlet boundary mask,
-and a set of integration cells.  The cells own one sparse linear map from
-nodal values to per-cell averages and first-difference gradients.  Every
-term of the energy reads that same map, so the discrete energy is exactly
+and a set of integration cells.  The cells own one linear map from nodal
+values to per-cell averages and first-difference gradients, stored as a
+table of each cell's corner columns and coefficients.  Every term of the
+energy reads that same map, so the discrete energy is exactly
 differentiable with respect to the nodal values and its gradient is the
 transposed map applied to the per-cell partial derivatives.
 
 Polar grids exclude the r = 0 node; the disk closes the core with cells
 whose inner corner is a virtual center, the angular average of the first
 ring.  The map carries that center as one extra column, and the cell set
-keeps the row of node coefficients that defines it, so every cell reads
+keeps the node coefficients that define it, so every cell reads
 at most four columns and the map stays linear in the grid size.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .errors import (
     ConfigurationError,
@@ -40,53 +39,85 @@ MAX_ROTATION_ORDER = 8
 
 @dataclass(frozen=True)
 class CellSet:
-    """Quadrature cells and their stacked linear map.
+    """Quadrature cells and their linear map, stored as a corner table.
 
-    ``op`` is a CSR matrix with ``(1 + d) * count`` rows: the first
-    ``count`` rows form the cell averages, each following block of
-    ``count`` rows one gradient component.  It has one column per node
-    and, on the disk, one more for the virtual center, whose value is
-    ``core @ u``: ``core`` is a (1, n_nodes) CSR row of node coefficients,
-    or None where no cell reads a center.  ``op @ extend(u)`` therefore
-    yields every cell quantity of ``u`` at once, and ``fold(op_t @ c)``
-    scatters per-cell coefficients back onto the nodes.
+    ``cols[w, c]`` is the w-th corner column of cell c, ascending, and
+    ``table[b, w, c]`` its coefficient in row block b: block 0 forms the
+    cell averages, each following block one gradient component.  A column
+    that a cell lists twice holds its coefficients in its first slot and
+    zeros in the repeat.  The map has one column per node and, on the
+    disk, one more (``n_nodes``) for the virtual center, the sum of
+    ``center_coefs`` times the values at ``center_nodes``.  ``apply``
+    yields every cell quantity of nodal values, ``apply_t`` scatters
+    per-cell coefficients back onto the nodes.
     """
 
-    op: sparse.csr_matrix
-    weights: np.ndarray
-    core: sparse.csr_matrix | None = None
+    cols: np.ndarray            # (W, count) corner columns
+    table: np.ndarray           # (1 + d, W, count) corner coefficients
+    weights: np.ndarray         # (count,) cell weights
+    n_nodes: int
+    center_nodes: np.ndarray | None = None
+    center_coefs: np.ndarray | None = None
 
     @property
     def count(self) -> int:
         return self.weights.shape[0]
 
-    @functools.cached_property
-    def op_t(self) -> sparse.csr_matrix:
-        # scipy rebuilds ``op.T`` on every access; the residual needs it
-        # once per call
-        return self.op.T.tocsr()
+    @property
+    def n_columns(self) -> int:
+        return self.n_nodes + (self.center_nodes is not None)
 
     def extend(self, values: np.ndarray) -> np.ndarray:
         """Nodal values, or each row of a (k, n) stack, followed by the
-        center value ``core @ u`` that ``op``'s last column reads."""
-        if self.core is None:
+        center value that the map's last column reads."""
+        if self.center_nodes is None:
             return values
-        c = self.core
         # a running sum adds in one order for a vector and for each row of
         # a stack, so every row gets bitwise the center it gets on its own
-        center = np.cumsum(values[..., c.indices] * c.data, axis=-1)
+        center = np.cumsum(np.take(values, self.center_nodes, axis=-1)
+                           * self.center_coefs, axis=-1)
         return np.concatenate([values, center[..., -1:]], axis=-1)
 
-    def fold(self, values: np.ndarray) -> np.ndarray:
-        """Node coefficients from coefficients over ``op``'s columns: the
-        center's entry goes back onto the nodes that define it (the
-        transpose of ``extend``)."""
-        if self.core is None:
-            return values
-        c = self.core
-        out = values[..., :c.shape[1]].copy()
-        out[..., c.indices] += values[..., c.shape[1]:] * c.data
-        return out
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """The map applied to nodal values or to each row of a (k, n)
+        stack: the (..., 1 + d, cells) cell averages and gradient
+        components, the cell axis last and contiguous.  Each sum adds the
+        corners in column order, so a row of a stack gets bitwise the
+        values of the row on its own."""
+        corners = np.take(self.extend(values), self.cols, axis=-1)
+        # einsum puts a stack's row axis innermost; copying is cheaper
+        # than asking it for C order
+        return np.ascontiguousarray(
+            np.einsum("bwc,...wc->...bc", self.table, corners))
+
+    def apply_t(self, coefs: np.ndarray) -> np.ndarray:
+        """The transposed map on (1 + d, cells) per-cell coefficients:
+        one coefficient per corner, summed onto the columns; the center's
+        entry then goes back onto the nodes that define it (the transpose
+        of ``extend``)."""
+        corners = np.einsum("bwc,bc->wc", self.table, coefs)
+        out = np.bincount(self.cols.ravel(), corners.ravel(),
+                          minlength=self.n_columns)
+        if self.center_nodes is not None:
+            out[self.center_nodes] += out[-1] * self.center_coefs
+        return out[:self.n_nodes]
+
+    def quotient(self, cells, orbit, weights) -> CellSet:
+        """The map of the listed cells on functions constant on node
+        orbits, in orbit coordinates: node column i moves to ``orbit[i]``
+        and the columns of one orbit merge, while the center stays the
+        last column and sums its coefficients per orbit."""
+        k = int(orbit.max()) + 1
+        center_nodes = center_coefs = None
+        if self.center_nodes is not None:
+            orbit = np.append(orbit, k)
+            center_nodes, at = np.unique(orbit[self.center_nodes],
+                                         return_inverse=True)
+            center_coefs = np.bincount(at, self.center_coefs)
+        cols, table = _cell_operator(orbit[self.cols[:, cells]].T,
+                                     np.moveaxis(self.table[:, :, cells], 1, 2))
+        return CellSet(cols, table, weights, n_nodes=k,
+                       center_nodes=center_nodes, center_coefs=center_coefs)
 
 
 @dataclass
@@ -179,44 +210,30 @@ def _quad_edges(nodes, n: int) -> np.ndarray:
     return np.column_stack([keys // n, keys % n])
 
 
-def _cell_operator(nodes, tables, n_columns) -> sparse.csr_matrix:
-    """Stack per-cell coefficient tables into one CSR map.
+def _cell_operator(nodes, tables):
+    """Corner columns and coefficient table of ``CellSet``.
 
-    ``nodes[c, k]`` is the k-th corner of cell c, a column below
-    ``n_columns``, and ``tables`` holds the average table first, then one
-    table per gradient component, each broadcastable to ``nodes.shape``.
-    A corner that a cell lists twice (the disk's center) gets one entry,
-    the sum of its coefficients.
-
-    The CSR arrays are written directly, block by block and cell by cell,
-    each row listing its corners in column order.
+    ``nodes[c, k]`` is the k-th corner of cell c, and ``tables`` holds the
+    average table first, then one table per gradient component, each
+    broadcastable to ``nodes.shape``.  Each cell's corners are put in
+    column order, and a corner that a cell lists twice (the disk's center,
+    or two nodes of one orbit in a quotient) keeps the sum of its
+    coefficients in its first slot and zeros in the repeat.
     """
-    count = nodes.shape[0]
-    blocks = len(tables)
-    # scipy's own index type, so the matrix takes the arrays without a copy
-    cols = nodes.astype(np.intc)
+    cols = np.array(nodes, dtype=np.intp)
     vals = np.stack([np.broadcast_to(t, nodes.shape) for t in tables])
-    # only cells that close a polar ring or repeat a corner list their
-    # corners out of order
+    # on the grids, only cells that close a polar ring or repeat a corner
+    # list their corners out of order
     wrap = np.flatnonzero(np.any(nodes[:, 1:] <= nodes[:, :-1], axis=1))
     order = np.argsort(nodes[wrap], axis=1, kind="stable")
     cols[wrap] = np.take_along_axis(cols[wrap], order, axis=1)
     vals[:, wrap] = np.take_along_axis(vals[:, wrap], order[None], axis=2)
-
-    # each run of equal corners in a row is one entry
-    first = np.ones(nodes.shape, dtype=bool)
-    first[:, 1:] = cols[:, 1:] != cols[:, :-1]
-    starts = np.flatnonzero(first)
-    width = np.tile(np.count_nonzero(first, axis=1), blocks)
-    op = sparse.csr_matrix(
-        (np.add.reduceat(vals.reshape(blocks, -1), starts, axis=1).reshape(-1),
-         np.tile(cols.reshape(-1)[starts], blocks),
-         np.concatenate(([0], np.cumsum(width))).astype(np.intc)),
-        shape=(blocks * count, n_columns))
-    op.eliminate_zeros()
-    # every row was written in column order; say so, or scipy re-checks
-    op.has_sorted_indices = True
-    return op
+    for k in range(cols.shape[1] - 1, 0, -1):
+        rep = np.flatnonzero(cols[:, k] == cols[:, k - 1])
+        vals[:, rep, k - 1] += vals[:, rep, k]
+        vals[:, rep, k] = 0.0
+    return (np.ascontiguousarray(cols.T),
+            np.ascontiguousarray(vals.transpose(0, 2, 1)))
 
 
 def _build_square(side: float, resolution: int) -> Domain:
@@ -247,8 +264,8 @@ def _build_square(side: float, resolution: int) -> Domain:
     nodes = np.column_stack([sw, se, nw, ne])
     gx = np.array([-1.0, 1.0, -1.0, 1.0]) / (2 * h)
     gy = np.array([-1.0, -1.0, 1.0, 1.0]) / (2 * h)
-    cells = CellSet(op=_cell_operator(nodes, (0.25, gx, gy), na * na),
-                    weights=np.full(nodes.shape[0], h * h))
+    cells = CellSet(*_cell_operator(nodes, (0.25, gx, gy)),
+                    weights=np.full(nodes.shape[0], h * h), n_nodes=na * na)
     edges = _quad_edges(nodes, na * na)
 
     return Domain(
@@ -326,7 +343,7 @@ def _build_polar(kind: str, resolution: int, angular_resolution: int,
     cw = 0.5 * d_theta * ((r_lo + dr) ** 2 - r_lo ** 2)
     edges = _quad_edges(nodes, n_nodes)
 
-    core, n_columns = None, n_nodes
+    center_nodes = center_coefs = None
     if kind == "disk-polar":
         # core cells close the disk: their inner corner is the center, the
         # angular average of ring 1, read from column n_nodes
@@ -342,13 +359,11 @@ def _build_polar(kind: str, resolution: int, angular_resolution: int,
         gr = np.vstack([core_gr, gr])
         gt = np.vstack([core_gt, gt])
         cw = np.concatenate([core_w, cw])
-        core = sparse.csr_matrix(
-            (np.full(n_theta, 1.0 / n_theta), k, [0, n_theta]),
-            shape=(1, n_nodes))
-        n_columns = n_nodes + 1
+        center_nodes, center_coefs = k, np.full(n_theta, 1.0 / n_theta)
 
-    cells = CellSet(op=_cell_operator(nodes, (0.25, gr, gt), n_columns),
-                    weights=cw, core=core)
+    cells = CellSet(*_cell_operator(nodes, (0.25, gr, gt)), weights=cw,
+                    n_nodes=n_nodes, center_nodes=center_nodes,
+                    center_coefs=center_coefs)
 
     extents = {"radius": float(r_outer)} if kind == "disk-polar" else {
         "inner_radius": float(r_inner), "outer_radius": float(r_outer)}
@@ -387,8 +402,8 @@ def _build_radial_ball(dimension: int, radius: float, resolution: int) -> Domain
     edges = np.column_stack([i, i + 1])
     g = np.array([-1.0, 1.0]) / dr
     cw = sigma * (r[1:] ** dimension - r[:-1] ** dimension) / dimension
-    cells = CellSet(op=_cell_operator(edges, (0.5, g), n + 1),
-                    weights=cw)
+    cells = CellSet(*_cell_operator(edges, (0.5, g)), weights=cw,
+                    n_nodes=n + 1)
 
     return Domain(
         kind="radial-ball-1d",
@@ -483,9 +498,7 @@ def cell_values(domain: Domain, values: np.ndarray):
     reduction over it gives every row of a stack bitwise the value of the
     row on its own.
     """
-    cs = domain.cells
-    out = np.ascontiguousarray((cs.op @ cs.extend(values).T).T)
-    out = out.reshape(*values.shape[:-1], -1, cs.count)
+    out = domain.cells.apply(values)
     avg, grads = out[..., 0, :], out[..., 1:, :]
     if grads.shape[-2] == 1:
         t = np.abs(grads[..., 0, :])
@@ -499,10 +512,10 @@ class CellForm:
     (1 + d) x (1 + d) block of B per cell, filled into a fixed CSC pattern
     as a finite-element code assembles element matrices.
 
-    Cells are assembled over ``op``'s columns of the interior nodes and of
-    the center, where every row of a cell lies on the columns of its
-    average row, the cell's at most four corners.  ``table`` keeps those
-    rows and ``slots`` a slot for each corner pair: the CSC slot of two
+    Cells are assembled over the interior nodes and the center, each over
+    its at most four corners.  ``table`` is the cell set's corner table
+    with each cell's interior and center corners moved first, and
+    ``slots`` a slot for each corner pair: the CSC slot of two
     nodes, a slot of the center's coupling x to a node or of its own entry
     a, and one past them for padding and for (center, node), the transpose
     of (node, center).  With c the center's row of node coefficients, the
@@ -513,27 +526,26 @@ class CellForm:
 
     def __init__(self, domain: Domain):
         cs = domain.cells
-        count = cs.count
-        extra = np.ones(cs.op.shape[1] - domain.n_nodes, dtype=bool)
-        op = cs.op[:, np.concatenate([domain.interior, extra])].tocsr()
-        n = op.shape[1] - extra.shape[0]
-        # cell, row block and column of every nonzero of the map
-        row = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
-        cell, block, col = row % count, row // count, op.indices
-        avg = op.indptr[count]
-        ends = np.full((int(np.diff(op.indptr[:count + 1]).max()), count), -1)
-        ends[np.arange(avg) - op.indptr[cell[:avg]], cell[:avg]] = col[:avg]
-        pos = np.argmax(ends[:, cell] == col, axis=0)
-        self.table = np.zeros((op.shape[0] // count,) + ends.shape)
-        self.table[block, pos, cell] = op.data
+        n = int(np.count_nonzero(domain.interior))
+        relabel = np.full(cs.n_columns, -1)
+        relabel[:domain.n_nodes][domain.interior] = np.arange(n)
+        relabel[domain.n_nodes:] = n
+        ends = relabel[cs.cols]
+        ends[1:][cs.cols[1:] == cs.cols[:-1]] = -1
+        # each cell's kept corners first, still in column order
+        order = np.argsort(ends < 0, axis=0, kind="stable")
+        ends = np.take_along_axis(ends, order, axis=0)
+        self.table = np.take_along_axis(cs.table, order[None], axis=1)
 
         # pair (a, b) of a cell is the entry at row ends[a], column ends[b]
         pair_keys = ends[None] * n + ends[:, None]
         node = (ends >= 0) & (ends < n)
         center = ends == n
         kept = node[None] & node[:, None]
-        core = (np.zeros(n) if cs.core is None
-                else cs.core[:, domain.interior].toarray()[0])
+        core = np.zeros(n)
+        if cs.center_nodes is not None:
+            at = relabel[cs.center_nodes]
+            core[at[at >= 0]] = cs.center_coefs[at >= 0]
         self.span = np.union1d(np.flatnonzero(core),
                                ends[node & np.any(center, axis=0)])
         self.center = core[self.span]
@@ -558,7 +570,10 @@ class CellForm:
 
     def matrix(self, blocks, mass):
         """op^T B op + diag(mass) as a CSC matrix; ``blocks`` is the
-        (1 + d, 1 + d, cells) array of the cell blocks of B."""
+        (1 + d, 1 + d, cells) array of the cell blocks of B.  scipy.sparse
+        is imported on the first call, so commands that never factorize
+        skip it."""
+        import scipy.sparse as sparse
         local = np.einsum("iac,ibc->abc", self.table,
                           np.einsum("ijc,jbc->ibc", blocks, self.table))
         nnz, s = self.indices.shape[0], self.span.shape[0]
@@ -619,58 +634,39 @@ def norm_w1p(u: GridFunction, p: float) -> float:
 
 
 def hat_w1p_norms(domain: Domain, p: float) -> np.ndarray:
-    """W^{1,p} norms of all nodal hat functions, in O(nnz) of the cell map.
+    """W^{1,p} norms of all nodal hat functions, in O(cells) of the map.
 
-    The hat at node i has the gradient components of column i of the
-    gradient rows, so |D hat_i|^2 on a cell sums that column's squared
-    entries over the components.  A cell that reads the center also sees
-    core_i times the center's column: on its corners that adds to their
-    entries, and a node of the first ring that is not one of its corners
-    sees core_i times the center's gradient alone.  Those last terms are
-    priced once for all nodes and taken off again at each cell's corners,
-    so the center's dense rows are never formed.
+    The hat at node i has the gradient coefficients of its corner slots,
+    so |D hat_i|^2 on a cell sums that slot's squared coefficients over
+    the components.  A cell that reads the center also sees c_i times the
+    center's slot, c_i being node i's share of the center: on its corners
+    that adds to their coefficients, and a node of the first ring that is
+    not one of its corners sees c_i times the center's gradient alone.
+    Those last terms are priced once for all nodes and taken off again at
+    each cell's corners, so the center's dense rows are never formed.
     """
     if p <= 1:
         raise ParameterError(f"Sobolev exponent must satisfy p > 1, got {p}")
 
     def build():
         cs = domain.cells
-        op, count, w = cs.op, cs.count, cs.weights
-        gsq = op[count:2 * count].power(2)
-        for start in range(2 * count, op.shape[0], count):
-            gsq = gsq + op[start:start + count].power(2)
-        if cs.core is None:
-            return (domain.weights + gsq.power(0.5 * p).T @ w) ** (1.0 / p)
-
-        # the cells whose average row ends in the center's column, priced
-        # apart from the others
-        n, blocks = domain.n_nodes, op.shape[0] // count
-        cells = np.flatnonzero(op.indices[op.indptr[1:count + 1] - 1] == n)
-        plain = w.copy()
-        plain[cells] = 0.0
-        dup = (gsq.power(0.5 * p).T @ plain)[:n]
-        rows = op[(np.arange(blocks)[:, None] * count + cells).ravel()].tocoo()
-        block, cell = np.divmod(rows.row, cells.shape[0])
-        at_center = rows.col == n
-        center = np.zeros((blocks, cells.shape[0]))
-        center[block[at_center], cell[at_center]] = rows.data[at_center]
-        # one slot per corner of each cell, keyed cell * n + column in the
-        # order of the average rows; every gradient entry lies on a corner
-        corner = (block == 0) & ~at_center
-        keys = cell[corner] * n + rows.col[corner]
-        grads = (block > 0) & ~at_center
-        comb = np.zeros((blocks, keys.shape[0]))
-        comb[block[grads], np.searchsorted(
-            keys, cell[grads] * n + rows.col[grads])] = rows.data[grads]
-        slot_cell, slot_col = keys // n, keys % n
-        core = cs.core.toarray()[0]
-        comb[1:] += center[1:, slot_cell] * core[slot_col]
-        price = w[cells] * np.sum(center[1:] ** 2, axis=0) ** (0.5 * p)
-        dup += np.bincount(
-            slot_col, w[cells][slot_cell]
-            * np.sum(comb[1:] ** 2, axis=0) ** (0.5 * p)
-            - np.abs(core[slot_col]) ** p * price[slot_cell], minlength=n)
-        dup += np.abs(core) ** p * price.sum()
+        n, grads = cs.n_nodes, cs.table[1:]
+        core = np.zeros(cs.n_columns)
+        if cs.center_nodes is not None:
+            core[cs.center_nodes] = cs.center_coefs
+        # each cell's center gradient, 0 where a cell does not read it
+        center = np.where(cs.cols == n, grads, 0.0).sum(axis=1)
+        price = cs.weights * np.sum(center ** 2, axis=0) ** (0.5 * p)
+        # a node's share of the center, counted once per cell
+        share = core[cs.cols]
+        share[1:][cs.cols[1:] == cs.cols[:-1]] = 0.0
+        comb = grads + center[:, None] * share
+        slots = (cs.weights * np.sum(comb ** 2, axis=0) ** (0.5 * p)
+                 - np.abs(share) ** p * price)
+        # each node sums its corners cell by cell, in cell order
+        dup = np.bincount(cs.cols.T.reshape(-1), slots.T.reshape(-1),
+                          minlength=cs.n_columns)[:n]
+        dup += np.abs(core[:n]) ** p * price.sum()
         return (domain.weights + dup) ** (1.0 / p)
 
     return domain.cached(("hat_w1p", float(p)), build)

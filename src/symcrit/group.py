@@ -28,10 +28,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .errors import DomainMismatchError, SymmetryCompatibilityError
-from .grid import CellSet, Domain, GridFunction, cell_values, is_edge
+from .grid import Domain, GridFunction, cell_values, is_edge
 
 # generators of each square label, by their names in _square_index_maps
 _SQUARE_GENERATORS = {
@@ -76,18 +75,17 @@ class FixBasis:
     ``orbit[i]`` numbers the orbit of node i, ``reps`` holds the smallest
     node of each orbit (ascending, so orbits are numbered in the order of
     their representatives), ``sizes`` the orbit sizes and ``interior``
-    marks the orbits off the boundary.  ``sums`` is B^T for the n x k
-    orbit-indicator matrix B: an invariant function is B x = ``x[orbit]``
-    for its orbit values ``x = u[reps]``; the projector onto Fix(G) is
-    B (B^T v / sizes).  Boundary orbits are kept, so every node has one.
-    The group keeps its basis, which refers to no domain or group.
+    marks the orbits off the boundary.  With B the n x k orbit-indicator
+    matrix, an invariant function is B x = ``x[orbit]`` for its orbit
+    values ``x = u[reps]``; the projector onto Fix(G) is B (B^T v /
+    sizes).  Boundary orbits are kept, so every node has one.  The group
+    keeps its basis, which refers to no domain or group.
     """
 
     orbit: np.ndarray       # (n_nodes,) orbit number of each node
     reps: np.ndarray        # (k,) smallest node of each orbit
     sizes: np.ndarray       # (k,) nodes per orbit
     interior: np.ndarray    # (k,) bool, orbit off the boundary
-    sums: sparse.csr_matrix  # (k, n_nodes) orbit sums B^T
 
     @property
     def dim(self) -> int:
@@ -102,8 +100,11 @@ class FixBasis:
         return [m for m, keep in zip(members, self.interior) if keep]
 
     def means(self, values: np.ndarray) -> np.ndarray:
-        """Orbit means B^T v / sizes of a vector or of each stacked row."""
-        return (self.sums @ values.T).T / self.sizes
+        """Orbit means B^T v / sizes of a vector or of each stacked row;
+        each orbit sum adds its members in node order."""
+        if values.ndim > 1:
+            return np.stack([self.means(row) for row in values])
+        return np.bincount(self.orbit, values) / self.sizes
 
 
 def _square_index_maps(domain):
@@ -201,16 +202,18 @@ def build_group(domain: Domain, label: str) -> SymmetryGroup:
 
 
 def _closure(n_nodes, gens):
-    """Every product of the generators, breadth first from the identity."""
+    """Every product of the generators, breadth first from the identity.
+    Elements are looked up by the hash of their node maps, confirmed by
+    comparing the maps, so the maps are kept once until the final stack."""
     elements = [np.arange(n_nodes, dtype=np.int64)]
-    seen = {elements[0].tobytes()}
+    seen = {hash(elements[0].tobytes()): [0]}
     # the loop also visits the elements appended while it runs
     for x in elements:
         for t in gens:
             product = x[t]
-            key = product.tobytes()
-            if key not in seen:
-                seen.add(key)
+            known = seen.setdefault(hash(product.tobytes()), [])
+            if not any(np.array_equal(product, elements[i]) for i in known):
+                known.append(len(elements))
                 elements.append(product)
     return np.stack(elements)
 
@@ -278,7 +281,7 @@ def average_values(g: SymmetryGroup, values: np.ndarray) -> np.ndarray:
     """Orbit average of a vector or of each row of a (k, n) stack: the
     projector B (B^T v / sizes) onto Fix(G)."""
     basis = fix_basis(g)
-    return basis.means(values)[..., basis.orbit]
+    return np.take(basis.means(values), basis.orbit, axis=-1)
 
 
 def average(g: SymmetryGroup, u: GridFunction) -> GridFunction:
@@ -298,11 +301,8 @@ def fix_basis(g: SymmetryGroup) -> FixBasis:
         reps, orbit, sizes = np.unique(g.perms.min(axis=0),
                                        return_inverse=True,
                                        return_counts=True)
-        n = g.domain.n_nodes
-        sums = sparse.csr_matrix((np.ones(n), (orbit, np.arange(n))),
-                                 shape=(reps.shape[0], n))
         g._basis = FixBasis(orbit=orbit, reps=reps, sizes=sizes,
-                            interior=~g.domain.boundary[reps], sums=sums)
+                            interior=~g.domain.boundary[reps])
     return g._basis
 
 
@@ -311,10 +311,10 @@ def quotient(g: SymmetryGroup) -> Domain:
 
     Its nodes are the node orbits of ``fix_basis`` and its cells one
     representative per cell orbit.  With B the orbit-indicator matrix, the
-    cell map is the representative rows of the domain's map, their node
-    columns times B and the disk's center column as it is, whose value
-    is then (core B) x; node and cell weights are the representatives'
-    weights times the orbit size.  An invariant u = B x has equal cell
+    cell map is the representative cells of the domain's map times B,
+    the disk's center column kept with its coefficients summed per orbit;
+    node and cell weights are the representatives' weights times the
+    orbit size.  An invariant u = B x has equal cell
     averages and |Du| on every cell of an orbit, so the quotient energy
     F(x) equals f(B x) and its residual is B^T f'(B x): by the principle
     of symmetric criticality a critical point of F is a critical point of
@@ -332,22 +332,21 @@ def _cell_maps(g: SymmetryGroup) -> np.ndarray:
     """(generators, cells) image of every cell under each generator.
 
     A node map sends the cell whose average row is a_c to the cell whose
-    row is a_c with column j moved to perm[j]; applied to node values z
-    that row gives a_c @ extend(z[perm]), which reads the center of the
-    moved values, so a map that does not fix the center matches no cell.
+    row is a_c with column j moved to perm[j]; that row, applied to node
+    values z, is a_c applied to z[perm] and reads the center of the moved
+    values, so a map that does not fix the center matches no cell.
     Two seeded random value columns key the cells, and each image key is
     matched to the nearest cell key.  A product of generators maps cells
     onto cells of equal weight and |Du| when each generator does.
     """
     dom = g.domain
     cs = dom.cells
-    avg = cs.op[:cs.count]
     n_gens = g.gens.shape[0]
     z = np.random.default_rng(0).uniform(1.0, 2.0, size=(dom.n_nodes, 2))
-    keys = avg @ cs.extend(z.T).T
+    keys = cs.apply(z.T)[:, 0].T
     moved = z[g.gens.T].reshape(dom.n_nodes, -1).T
-    images = (avg @ cs.extend(moved).T).reshape(
-        cs.count, n_gens, 2).transpose(1, 0, 2)
+    images = cs.apply(moved)[:, 0].reshape(n_gens, 2, cs.count).transpose(
+        0, 2, 1)
     order = np.argsort(keys[:, 0])
     sorted_keys = keys[order, 0]
     pos = np.clip(np.searchsorted(sorted_keys, images[..., 0]), 1,
@@ -395,16 +394,7 @@ def _build_quotient(g: SymmetryGroup) -> Domain:
     dom, fb = g.domain, fix_basis(g)
     cs = dom.cells
     cell_reps, cell_sizes = _cell_orbits(g)
-    blocks = cs.op.shape[0] // cs.count
-    rows = (np.arange(blocks)[:, None] * cs.count + cell_reps).ravel()
-    k, n = fb.reps.shape[0], dom.n_nodes
-    # orbit sums on the node columns; the center column stays as it is
-    picked = cs.op[rows]
-    op = sparse.hstack([picked[:, :n] @ fb.sums.T, picked[:, n:]],
-                       format="csr")
-    op.eliminate_zeros()
-    op.sort_indices()
-    core = None if cs.core is None else (cs.core @ fb.sums.T).tocsr()
+    k = fb.reps.shape[0]
     # grid edges between two distinct orbits
     ends = np.sort(fb.orbit[dom.edges], axis=1)
     edge_keys = np.unique(ends[:, 0] * k + ends[:, 1])
@@ -418,8 +408,8 @@ def _build_quotient(g: SymmetryGroup) -> Domain:
         radius2=dom.radius2[fb.reps],
         weights=dom.weights[fb.reps] * fb.sizes,
         boundary=dom.boundary[fb.reps],
-        cells=CellSet(op=op, weights=cs.weights[cell_reps] * cell_sizes,
-                      core=core),
+        cells=cs.quotient(cell_reps, fb.orbit,
+                          cs.weights[cell_reps] * cell_sizes),
         edges=np.column_stack([edge_keys // k, edge_keys % k]),
         volume=dom.volume,
     )

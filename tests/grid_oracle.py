@@ -2,9 +2,11 @@
 hat norms assembled the plain way, through scipy's COO format and
 ``np.unique``, and polar node coordinates filled ring by ring.
 ``symcrit.grid`` builds the same arrays in whole-array passes; the tests
-hold the two to bitwise equality.  ``folded`` gives the cell map over the
-node columns alone, the disk's center folded into every row that reads
-it, as a reference for the code that carries the center as a column.
+hold the two to bitwise equality.  ``as_csr`` reads a cell set's corner
+table as a CSR matrix with the center's column, and ``folded`` gives the
+map over the node columns alone, the disk's center folded into every row
+that reads it, as a reference for the code that carries the center as a
+column.
 """
 
 import numpy as np
@@ -36,12 +38,40 @@ def cell_operator(nodes, tables, n_columns):
     return op
 
 
-def folded(cells):
-    """The cell map over the node columns: op[:, :n] + op[:, n:] @ core."""
-    if cells.core is None:
-        return cells.op
-    n = cells.core.shape[1]
-    return (cells.op[:, :n] + cells.op[:, n:] @ cells.core).tocsr()
+def as_csr(cells):
+    """The corner table as a CSR matrix with one row per cell and block
+    and one column per node and center; scipy sums the zero coefficients
+    of a repeated column into its entry and drops what is zero."""
+    blocks, width, count = cells.table.shape
+    rows = np.arange(blocks)[:, None, None] * count + np.arange(count)
+    op = sparse.csr_matrix(
+        (cells.table.reshape(-1),
+         (np.broadcast_to(rows, cells.table.shape).reshape(-1),
+          np.broadcast_to(cells.cols, cells.table.shape).reshape(-1))),
+        shape=(blocks * count, cells.n_columns))
+    op.eliminate_zeros()
+    op.sort_indices()
+    return op
+
+
+def center_row(cells):
+    """The center's (1, n_nodes) row of node coefficients, or None."""
+    if cells.center_nodes is None:
+        return None
+    return sparse.csr_matrix(
+        (cells.center_coefs, cells.center_nodes,
+         [0, cells.center_nodes.shape[0]]), shape=(1, cells.n_nodes))
+
+
+def folded(cells, op=None):
+    """The cell map over the node columns: op[:, :n] + op[:, n:] @ core,
+    with op the cell set's own map unless one is given."""
+    op = as_csr(cells) if op is None else op
+    core = center_row(cells)
+    if core is None:
+        return op
+    n = cells.n_nodes
+    return (op[:, :n] + op[:, n:] @ core).tocsr()
 
 
 def hat_w1p_norms(domain, p):

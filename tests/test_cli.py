@@ -141,6 +141,52 @@ def test_verify_point_keeps_sparse_linalg_unloaded(solved, tmp_path):
     assert out == ["0", "False"]
 
 
+def test_only_a_factorization_loads_scipy(tmp_path):
+    # importing scipy.sparse alone costs about 22 MB of resident memory
+    # and 0.3 s: importing symcrit, verify-point on a square, a disk and a
+    # ball point and check-integrand factor nothing and load no scipy
+    # module, while a solve's first factorization loads the sparse LU
+    disk = SMALL_SOLVE.replace(
+        "domain.kind = square\ndomain.side = 6.0\ndomain.resolution = 9\n",
+        "domain.kind = disk-polar\ndomain.radius = 6.0\n"
+        "domain.resolution = 4\ndomain.angular_resolution = 16\n").replace(
+        "dihedral_4", "rotations_8")
+    argvs = []
+    for name, text in (("square", SMALL_SOLVE), ("disk", disk),
+                       ("ball", TOY_BALL)):
+        cfg = write_cfg(tmp_path, text, f"{name}.cfg")
+        model = cli.build_model(config.read_config(cfg))
+        point = str(tmp_path / f"{name}.csv")
+        grid.write_gridfunction(symcrit.solver.default_psi(model.domain),
+                                point)
+        argvs.append(["verify-point", "--config", cfg, point, "--quiet",
+                      "--out", str(tmp_path / name)])
+    argvs.append(["check-integrand", "--config", write_cfg(
+        tmp_path, "integrand.name = plaplace\nintegrand.p = 1.8\n"
+        "model.q = 3.0\n", "integrand.cfg")])
+    code = (
+        "import contextlib, io, sys; import symcrit\n"
+        "def loaded():\n"
+        "    return any(m == 'scipy' or m.startswith('scipy.') "
+        "for m in sys.modules)\n"
+        "print('import', loaded())\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        rc = symcrit.cli.main(argv)\n"
+        "    print(argv[0], rc, loaded())\n"
+        f"rc = symcrit.cli.main(['solve', '--config', {argvs[0][2]!r}, "
+        f"'--out', {str(tmp_path / 'solve')!r}, '--quiet'])\n"
+        "print('solve', rc, 'scipy.sparse.linalg' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    # the bumps are not critical points, so each check exits 3
+    assert out == ["import False", "verify-point 3 False",
+                   "verify-point 3 False", "verify-point 3 False",
+                   "check-integrand 0 False", "solve 0 True"]
+
+
 def test_import_and_disk_verify_keep_scipy_extras_unloaded(tmp_path):
     # scipy.sparse.linalg and scipy.optimize cost about 8 MB and 17 MB of
     # resident memory: importing symcrit loads neither, and verify-point

@@ -115,9 +115,11 @@ ORACLE_DOMAINS = [
 ]
 
 
-def assert_same_csr(a, b):
+def assert_same_csr(cells, want):
+    got = grid_oracle.as_csr(cells)
+    assert got.shape == want.shape
     for part in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(a, part), getattr(b, part)), part
+        assert np.array_equal(getattr(got, part), getattr(want, part)), part
 
 
 @pytest.mark.parametrize(
@@ -138,19 +140,19 @@ def test_builders_match_the_coo_oracle_bitwise(monkeypatch, kind, extents):
     spy("_cell_operator")
     spy("_quad_edges")
     dom = grid.build_domain(kind, **extents)
-    assert_same_csr(dom.cells.op,
-                    grid_oracle.cell_operator(*seen["_cell_operator"]))
+    assert_same_csr(dom.cells, grid_oracle.cell_operator(
+        *seen["_cell_operator"], dom.cells.n_columns))
     # the folded map has one column per node; the center, where there is
     # one, is the mean of the first ring
     assert grid_oracle.folded(dom.cells).shape[1] == dom.n_nodes
     if kind == "disk-polar":
         n_theta = dom.meta["n_theta"]
         assert np.array_equal(
-            dom.cells.core.toarray()[0],
+            grid_oracle.center_row(dom.cells).toarray()[0],
             np.repeat([1.0 / n_theta, 0.0],
                       [n_theta, dom.n_nodes - n_theta]))
     else:
-        assert dom.cells.core is None
+        assert dom.cells.center_nodes is None
     # the ball's chain edges are its cells and need no deduplication
     if kind != "radial-ball-1d":
         assert np.array_equal(dom.edges,
@@ -164,7 +166,7 @@ def test_builders_match_the_coo_oracle_bitwise(monkeypatch, kind, extents):
         norms = grid.hat_w1p_norms(dom, p)
         want = grid_oracle.hat_w1p_norms(dom, p)
         # the disk prices its center cells apart from the folded rows
-        if dom.cells.core is None:
+        if dom.cells.center_nodes is None:
             assert np.array_equal(norms, want)
         else:
             assert np.max(np.abs(norms - want) / want) <= 1e-13
@@ -179,8 +181,9 @@ def test_repeated_corners_merge_like_the_coo_oracle(rng):
     tables = (0.25, rng.standard_normal(nodes.shape),
               rng.standard_normal(nodes.shape))
     tables[2][2, 1] = -tables[2][2, 0]
-    assert_same_csr(grid._cell_operator(nodes, tables, 7),
-                    grid_oracle.cell_operator(nodes, tables, 7))
+    cells = grid.CellSet(*grid._cell_operator(nodes, tables),
+                         weights=np.ones(nodes.shape[0]), n_nodes=7)
+    assert_same_csr(cells, grid_oracle.cell_operator(nodes, tables, 7))
 
 
 # ---------------------------------------------------------------------------
@@ -240,14 +243,14 @@ def test_cell_rows_lie_on_their_average_row(kind, extents, label):
     if label is not None:
         dom = group.quotient(group.build_group(dom, label))
     cs = dom.cells
-    for op in (cs.op, grid_oracle.folded(cs)):
+    for op in (grid_oracle.as_csr(cs), grid_oracle.folded(cs)):
         avg = op[:cs.count]
         assert np.all(avg.data > 0)
         for start in range(cs.count, op.shape[0], cs.count):
             rows = op[start:start + cs.count]
             assert rows.multiply(avg).count_nonzero() == rows.count_nonzero()
     # at most four corners per cell on the map the code reads
-    assert np.diff(cs.op.indptr[:cs.count + 1]).max() <= 4
+    assert np.diff(grid_oracle.as_csr(cs).indptr[:cs.count + 1]).max() <= 4
 
 
 @pytest.mark.parametrize("rings, angles", [(64, 256), (32, 512), (16, 1024),
@@ -257,7 +260,7 @@ def test_disk_cell_map_is_linear_in_the_grid_size(rings, angles):
     # map held 20 to 466 entries per node, growing with the angles
     dom = grid.build_domain("disk-polar", radius=6.0, resolution=rings,
                             angular_resolution=angles)
-    assert dom.cells.op.nnz <= 13 * dom.n_nodes
+    assert grid_oracle.as_csr(dom.cells).nnz <= 13 * dom.n_nodes
 
 
 CENTER_CASES = [
@@ -291,7 +294,7 @@ def test_center_column_matches_the_folded_map(extents, label, rng):
         close(grads, want[..., 1:, :])
         close(t, np.sqrt((want[..., 1:, :] ** 2).sum(axis=-2)))
     coef = rng.standard_normal(op.shape[0])
-    close(cs.fold(cs.op_t @ coef), op.T @ coef)
+    close(cs.apply_t(coef.reshape(-1, cs.count)), op.T @ coef)
 
     model = functional.EnergyModel(
         domain=dom, integrand=integrand.builtin("modulated", p=1.8), q=3.0)

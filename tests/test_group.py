@@ -1,6 +1,9 @@
 from dataclasses import replace
 import gc
 import itertools
+import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -118,6 +121,26 @@ def test_group_closure_exhaustive():
                 _check_one(dom, perm, f"element {e} of {label!r}")
             for pa, pb in itertools.product(g.perms, repeat=2):
                 assert pb[pa].tobytes() in keys
+
+
+def test_group_closure_keeps_one_copy_of_the_group():
+    # 256 node maps of the 64 x 256 disk take 32.5 MB; the closure keeps
+    # them once, and stacks them into a second copy at the end
+    code = (
+        "import resource; from symcrit import grid, group; "
+        "dom = grid.build_domain('disk-polar', radius=6.0, resolution=64, "
+        "angular_resolution=256); "
+        "group.build_group(dom, 'rotations_2'); "
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
+        "g = group.build_group(dom, 'rotations_256'); "
+        "rise = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before; "
+        "print(g.order, 1024 * rise / g.perms.nbytes)")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(group.__file__)))
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src), check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out[0] == "256"
+    assert float(out[1]) <= 2.2
 
 
 @pytest.mark.parametrize("kind, dom_kw, label, broken, node", [
@@ -460,13 +483,14 @@ def reference_cell_orbits(g):
     image of every cell; a cell is known by the set of its corners, the
     columns of its average row, and an element moves the node columns."""
     cs, n = g.domain.cells, g.domain.n_nodes
-    avg = cs.op[:cs.count]
+    op = grid_oracle.as_csr(cs)
+    avg = op[:cs.count]
     corners = [avg.indices[avg.indptr[c]:avg.indptr[c + 1]]
                for c in range(cs.count)]
     cell_of = {frozenset(c.tolist()): i for i, c in enumerate(corners)}
     images = np.empty((g.order, cs.count), dtype=np.int64)
     for e, perm in enumerate(g.perms):
-        moved = np.concatenate([perm, np.arange(n, cs.op.shape[1])])
+        moved = np.concatenate([perm, np.arange(n, op.shape[1])])
         images[e] = [cell_of[frozenset(moved[c].tolist())] for c in corners]
     return np.unique(images.min(axis=0), return_counts=True)
 
@@ -479,6 +503,69 @@ def test_cell_orbits_from_generators_match_every_element(kind, dom_kw,
     want_reps, want_sizes = reference_cell_orbits(g)
     assert np.array_equal(reps, want_reps)
     assert np.array_equal(sizes, want_sizes)
+
+
+BUILDER_CASES = [
+    ("square", dict(side=6.0, resolution=9), "trivial"),
+    ("disk-polar", dict(radius=6.0, resolution=10, angular_resolution=16),
+     "trivial"),
+    ("disk-polar", dict(radius=6.0, resolution=64, angular_resolution=256),
+     "trivial"),
+    ("annulus-polar", dict(inner_radius=1.0, outer_radius=3.0, resolution=4,
+                           angular_resolution=8), "trivial"),
+    ("radial-ball-1d", dict(dimension=3, radius=12.0, resolution=30),
+     "trivial"),
+]
+
+
+@pytest.mark.parametrize("kind, dom_kw, label",
+                         BUILDER_CASES + QUOTIENT_CASES)
+def test_corner_table_matches_the_coo_oracle(monkeypatch, kind, dom_kw,
+                                             label, rng):
+    # the oracle sums the builder's corners through scipy's COO format; on
+    # a quotient the representative cells' corners move to their orbits
+    seen = []
+    real = grid._cell_operator
+
+    def recorded(*args):
+        seen.append(args)
+        return real(*args)
+    monkeypatch.setattr(grid, "_cell_operator", recorded)
+    full = grid.build_domain(kind, **dom_kw)
+    g = group.build_group(full, label)
+    dom = group.quotient(g)
+    cs = dom.cells
+    nodes, tables = seen[0]
+    if dom is not full:
+        fb = group.fix_basis(g)
+        reps = group._cell_orbits(g)[0]
+        tables = [np.broadcast_to(t, nodes.shape)[reps] for t in tables]
+        nodes = np.append(fb.orbit, fb.reps.shape[0])[nodes[reps]]
+    op = grid_oracle.cell_operator(nodes, tables, cs.n_columns)
+    blocks = cs.table.shape[0]
+    assert cs.cols.shape[0] <= 4
+
+    # forward: bitwise, a zero's sign aside (== does not see it)
+    stack = rng.standard_normal((3, dom.n_nodes))
+    for values in (stack, stack[0]):
+        want = (op @ cs.extend(values).T).T.reshape(
+            *values.shape[:-1], blocks, cs.count)
+        assert np.array_equal(cs.apply(values), want)
+    # transposed: within roundoff of the sum of absolute terms
+    coefs = rng.standard_normal((blocks, cs.count))
+    op = grid_oracle.folded(cs, op)
+    want = op.T @ coefs.reshape(-1)
+    bound = abs(op).T @ np.abs(coefs).reshape(-1)
+    assert np.all(np.abs(cs.apply_t(coefs) - want) <= 1e-14 * bound)
+    # each row of a stack gets bitwise what it gets on its own
+    parts = grid.cell_values(dom, stack)
+    full_stack = rng.standard_normal((3, full.n_nodes))
+    means = group.average_values(g, full_stack)
+    for i in range(3):
+        for part, alone in zip(parts, grid.cell_values(dom, stack[i])):
+            assert np.array_equal(part[i], alone)
+        assert np.array_equal(means[i],
+                              group.average_values(g, full_stack[i]))
 
 
 @pytest.mark.parametrize("kind, dom_kw, label", QUOTIENT_CASES)
