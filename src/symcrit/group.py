@@ -3,12 +3,12 @@
 Construction is exact: each label names its generators, node maps that
 turn or mirror the grid, and a generator, or a mirror from ``mirrors``,
 is admitted only when it permutes nodes of equal quadrature weight,
-preserves the boundary and maps grid edges to grid edges.  The elements
-are the products of the checked generators: a product of node maps that
-keep the weights, the boundary and the grid edges keeps them too, so the
-closure is a group of admitted elements by construction.  When the
-requested action cannot be realized this way the constructor raises a
-SymmetryCompatibilityError instead of returning an approximation.
+preserves the boundary and maps grid edges to grid edges; their products
+then do too.  When the requested action cannot be realized this way the
+constructor raises a SymmetryCompatibilityError instead of returning an
+approximation.  A group is its generators and its orbit map, with no
+element list: every consumer reads Fix(G) alone, and the node and cell
+orbits come from the generators by one propagation (``_smallest_members``).
 
 The action on functions follows (g u)(x) = u(g^{-1} x): if ``perm`` sends
 node i to node perm[i] geometrically, then ``(g u)[perm] = u``.
@@ -53,19 +53,14 @@ _ALIASES = {
 
 @dataclass
 class SymmetryGroup:
-    """Explicit finite group of node permutations."""
+    """A finite group of node permutations, held as its generators and,
+    once ``fix_basis`` has built it, its orbit map; no element list."""
 
     domain: Domain
     label: str
-    perms: np.ndarray       # (order, n_nodes) int, geometric node maps,
-                            # the identity first
-    gens: np.ndarray        # (k, n_nodes) int, generators of the perms
+    gens: np.ndarray        # (k, n_nodes) int, geometric node maps
     # the orbit map, built on first use by ``fix_basis``
     _basis: FixBasis | None = field(default=None, init=False, repr=False)
-
-    @property
-    def order(self) -> int:
-        return self.perms.shape[0]
 
 
 @dataclass(frozen=True)
@@ -178,9 +173,9 @@ def _polar_generators(domain, label):
 def build_group(domain: Domain, label: str) -> SymmetryGroup:
     """Realize a built-in group label on a domain, or fail exactly.
 
-    Only the label's generators pass through ``_check_elements``; the
-    elements are their products, which keep the weights, the boundary
-    and the grid edges as the generators do.
+    The group is the label's generators, each checked by
+    ``_check_elements``; every product of them keeps the weights, the
+    boundary and the grid edges as they do, and none is formed.
     """
     if domain.kind == "square":
         gens = _square_generators(domain, _ALIASES["square"].get(label, label))
@@ -196,26 +191,8 @@ def build_group(domain: Domain, label: str) -> SymmetryGroup:
         raise SymmetryCompatibilityError(f"unsupported domain kind {domain.kind!r}")
     _check_elements(domain, gens, lambda e: f"generator {e} of {label!r}")
     return SymmetryGroup(domain=domain, label=label,
-                         perms=_closure(domain.n_nodes, gens),
                          gens=np.array(gens, dtype=np.int64).reshape(
                              -1, domain.n_nodes))
-
-
-def _closure(n_nodes, gens):
-    """Every product of the generators, breadth first from the identity.
-    Elements are looked up by the hash of their node maps, confirmed by
-    comparing the maps, so the maps are kept once until the final stack."""
-    elements = [np.arange(n_nodes, dtype=np.int64)]
-    seen = {hash(elements[0].tobytes()): [0]}
-    # the loop also visits the elements appended while it runs
-    for x in elements:
-        for t in gens:
-            product = x[t]
-            known = seen.setdefault(hash(product.tobytes()), [])
-            if not any(np.array_equal(product, elements[i]) for i in known):
-                known.append(len(elements))
-                elements.append(product)
-    return np.stack(elements)
 
 
 def mirrors(domain: Domain) -> list:
@@ -226,25 +203,25 @@ def mirrors(domain: Domain) -> list:
     same checks as a group's generators.
     """
     if domain.kind == "square":
-        maps = _square_index_maps(domain)
-        perms = [maps[name] for name in ("refl_x", "refl_y", "refl_d",
-                                         "refl_a")]
+        index = _square_index_maps(domain)
+        maps = [index[name] for name in ("refl_x", "refl_y", "refl_d",
+                                          "refl_a")]
     elif domain.kind in _POLAR_KINDS:
-        perms = [_polar_perm(domain, -np.arange(domain.meta["n_theta"]))]
+        maps = [_polar_perm(domain, -np.arange(domain.meta["n_theta"]))]
     elif domain.kind == "radial-ball-1d":
-        perms = []
+        maps = []
     else:
         raise SymmetryCompatibilityError(f"unsupported domain kind {domain.kind!r}")
-    _check_elements(domain, perms, lambda e: "mirror")
-    return perms
+    _check_elements(domain, maps, lambda e: "mirror")
+    return maps
 
 
-def _check_elements(dom: Domain, perms, who):
+def _check_elements(dom: Domain, maps, who):
     """Each node map must permute nodes of equal weight, the boundary
     mask and the grid edges; the first map that fails, named ``who(e)``,
     is reported by its first failed check."""
     nodes = np.arange(dom.n_nodes)
-    for e, perm in enumerate(perms):
+    for e, perm in enumerate(maps):
         if not np.array_equal(np.sort(perm), nodes):
             raise SymmetryCompatibilityError(
                 f"{who(e)} is not a node permutation")
@@ -268,15 +245,6 @@ def _check_elements(dom: Domain, perms, who):
                 f"({int(ia)}, {int(ib)}), which is not a grid edge")
 
 
-def apply(g: SymmetryGroup, element: int, u: GridFunction) -> GridFunction:
-    """The action (g u)(x) = u(g^{-1} x) of one group element."""
-    if u.domain is not g.domain:
-        raise DomainMismatchError("function and group live on different domains")
-    out = np.empty_like(u.values)
-    out[g.perms[element]] = u.values
-    return GridFunction(g.domain, out)
-
-
 def average_values(g: SymmetryGroup, values: np.ndarray) -> np.ndarray:
     """Orbit average of a vector or of each row of a (k, n) stack: the
     projector B (B^T v / sizes) onto Fix(G)."""
@@ -291,16 +259,30 @@ def average(g: SymmetryGroup, u: GridFunction) -> GridFunction:
     return GridFunction(g.domain, average_values(g, u.values))
 
 
-def fix_basis(g: SymmetryGroup) -> FixBasis:
-    """The orbit map of g, built once per group.
+def _smallest_members(maps, count):
+    """Smallest member of the orbit of each of ``count`` items under the
+    (k, count) item maps.
 
-    The orbit of node i is the column ``perms[:, i]``, so its smallest
-    member is the column minimum.
+    Each item's label starts as the item itself and takes the smallest
+    label among its images until no label changes; an orbit is connected
+    through the maps, so every item of it ends with its smallest member.
     """
+    labels = np.arange(count)
+    while True:
+        new = labels
+        for m in maps:
+            new = np.minimum(new, new[m])
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
+
+
+def fix_basis(g: SymmetryGroup) -> FixBasis:
+    """The node orbits of g from its generators, built once per group."""
     if g._basis is None:
-        reps, orbit, sizes = np.unique(g.perms.min(axis=0),
-                                       return_inverse=True,
-                                       return_counts=True)
+        reps, orbit, sizes = np.unique(
+            _smallest_members(g.gens, g.domain.n_nodes),
+            return_inverse=True, return_counts=True)
         g._basis = FixBasis(orbit=orbit, reps=reps, sizes=sizes,
                             interior=~g.domain.boundary[reps])
     return g._basis
@@ -318,13 +300,14 @@ def quotient(g: SymmetryGroup) -> Domain:
     averages and |Du| on every cell of an orbit, so the quotient energy
     F(x) equals f(B x) and its residual is B^T f'(B x): by the principle
     of symmetric criticality a critical point of F is a critical point of
-    f.  The trivial group's quotient is the domain itself.  Raises
-    SymmetryCompatibilityError when a generator does not map cells to
-    cells of equal weight and equal |Du| for invariant functions.
+    f.  A group whose orbits are single nodes is trivial, and its quotient
+    is the domain itself.  Raises SymmetryCompatibilityError when a
+    generator does not map cells to cells of equal weight and equal |Du|
+    for invariant functions.
     """
-    if g.order == 1:
+    if fix_basis(g).reps.shape[0] == g.domain.n_nodes:
         return g.domain
-    return g.domain.cached(("quotient", g.perms.tobytes()),
+    return g.domain.cached(("quotient", g.gens.tobytes()),
                            lambda: _build_quotient(g))
 
 
@@ -372,22 +355,10 @@ def _cell_maps(g: SymmetryGroup) -> np.ndarray:
 
 
 def _cell_orbits(g: SymmetryGroup):
-    """Smallest cell of each cell orbit, ascending, and the orbit sizes.
-
-    Each cell's label starts as the cell itself and takes the smallest
-    label among its generator images until no label changes; the orbit
-    is connected through the generator maps, so every cell of it ends
-    with its smallest member.
-    """
-    maps = _cell_maps(g)
-    labels = np.arange(g.domain.cells.count)
-    while True:
-        new = labels
-        for cmap in maps:
-            new = np.minimum(new, new[cmap])
-        if np.array_equal(new, labels):
-            return np.unique(labels, return_counts=True)
-        labels = new
+    """Smallest cell of each cell orbit, ascending, and the orbit sizes,
+    from the generators' cell maps."""
+    return np.unique(_smallest_members(_cell_maps(g), g.domain.cells.count),
+                     return_counts=True)
 
 
 def _build_quotient(g: SymmetryGroup) -> Domain:

@@ -5,8 +5,8 @@ The ray stage is the local minimax method of Li and Zhou: it descends the
 peak energy max_t f(t v) over directions v on the unit W^{1,p} sphere.
 Every ray crosses the sphere on which ``init_endpoints`` proves f >= sigma0
 > 0, so no iterate can fall to u = 0.  It is the only descent loop: after a
-stall the iterate is averaged over a larger symmetry group and the ray
-stage runs again from there (the "polish" iterations), and in direct
+stall the iterate is averaged over a group with coarser orbits and the
+ray stage runs again from there (the "polish" iterations), and in direct
 mode the cone sweep is the ray stage run from the rearranged converged
 point with every trial projected onto the rearrangement cone.
 
@@ -238,7 +238,7 @@ def _orbit_coordinates(model, symmetry):
     """The model of the invariant functions in orbit coordinates (on
     ``group.quotient``) and the orbit map back to the nodes; the model
     itself and None without a group or with the trivial one."""
-    if symmetry is None or symmetry.order == 1:
+    if symmetry is None or group_mod.quotient(symmetry) is symmetry.domain:
         return model, None
     return (replace(model, domain=group_mod.quotient(symmetry)),
             group_mod.fix_basis(symmetry))
@@ -416,11 +416,12 @@ def _newton_point(model, values, covector):
 
 
 def _snap_groups(domain, symmetry):
-    """Strictly larger symmetry realizations to average a stalled
-    iterate over.
+    """Symmetry realizations with fewer node orbits than the current
+    group (or than the nodes, with none) to average a stalled iterate
+    over.
 
     For p < 2 the integrand kink at flat cells walls off the last digits
-    of an almost-symmetric iterate; averaging over a bigger group jumps
+    of an almost-symmetric iterate; averaging over coarser orbits jumps
     the wall in one move.  A snap is only taken on a strictly smaller
     dual residual, so an unsuitable candidate costs one evaluation.  The
     average is invariant under every group the domain realizes (the
@@ -438,8 +439,9 @@ def _snap_groups(domain, symmetry):
         g = group_mod.build_group(domain, label)
     except SymmetryCompatibilityError:
         return []
-    current = 0 if symmetry is None else symmetry.order
-    return [g] if g.order > current else []
+    current = (domain.n_nodes if symmetry is None
+               else group_mod.fix_basis(symmetry).reps.size)
+    return [g] if group_mod.fix_basis(g).reps.size < current else []
 
 
 class _Solve:

@@ -134,10 +134,12 @@ def palais_check(model, symmetry, u: GridFunction,
 
     The headline verdict is an implication: when the tangential part is
     below tau_tan (the point is critical for the restricted problem), the
-    transverse part must fall below tau_trans = 10 * tau_tan too, because
-    the transverse component carries discretization error the solver's
-    own stopping test never sees.  The slope sweep runs to level
-    ceil(max |u|) + 1, past the level where its maxima saturate.
+    transverse part must fall below tau_trans = 10 * tau_tan too.  On a
+    grid that carries G the discrete energy is invariant under the node
+    maps, so at an invariant point the transverse part holds roundoff
+    and errors of the group code only, not discretization error.  The
+    slope sweep runs to level ceil(max |u|) + 1, past the level where its
+    maxima saturate.
     """
     if tau_tan <= 0:
         raise ParameterError("tangential tolerance must be positive")

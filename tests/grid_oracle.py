@@ -6,7 +6,8 @@ hold the two to bitwise equality.  ``as_csr`` reads a cell set's corner
 table as a CSR matrix with the center's column, and ``folded`` gives the
 map over the node columns alone, the disk's center folded into every row
 that reads it, as a reference for the code that carries the center as a
-column.
+column.  ``elements`` lists a symmetry group's elements, which the
+library never forms, and ``act`` applies one of them to node values.
 """
 
 import numpy as np
@@ -97,3 +98,24 @@ def polar_coords(radii, n_theta, d_theta):
         coords[sl, 1] = r * np.sin(theta)
         radius2[sl] = r * r
     return coords, radius2
+
+
+def elements(g):
+    """Every product of the generators of g, breadth first from the
+    identity, found through a set of the node maps seen; (order, n)."""
+    found = [np.arange(g.domain.n_nodes, dtype=np.int64)]
+    seen = {found[0].tobytes()}
+    # the loop also visits the elements appended while it runs
+    for x in found:
+        for t in g.gens:
+            y = x[t]
+            if y.tobytes() not in seen:
+                seen.add(y.tobytes())
+                found.append(y)
+    return np.stack(found)
+
+
+def act(perm, values):
+    """The action (g u)(x) = u(g^{-1} x) of the node map perm: the result
+    r has r[perm] = values, along the last axis."""
+    return values[..., np.argsort(perm)]

@@ -9,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
-from symcrit import functional, grid, group, integrand
+from symcrit import functional, grid, group, integrand, solver
 from symcrit.errors import SymmetryCompatibilityError
 
 from conftest import random_function
@@ -36,12 +36,12 @@ def disk_rotations():
 def test_trivial_group_everywhere(square_small, disk_small, ball_small):
     for dom in (square_small, disk_small, ball_small):
         g = group.build_group(dom, "trivial")
-        assert g.order == 1
+        assert len(grid_oracle.elements(g)) == 1
 
 
 def test_dihedral4_order(square_dihedral):
     _, g = square_dihedral
-    assert g.order == 8
+    assert len(grid_oracle.elements(g)) == 8
 
 
 # labels that name the group of another label, as group.build_group reads them
@@ -73,15 +73,15 @@ def _node_map(dom, a):
 
 
 def _reference_elements(dom, label):
-    """The element set of a label: the turns by 2*pi*j/k and, for
-    dihedral_k, each turn after the grid's mirror."""
+    """The element set of a label as a (order, n) stack: the turns by
+    2*pi*j/k and, for dihedral_k, each turn after the grid's mirror."""
     aliases = ALIASES["square" if dom.kind == "square" else "polar"]
     label = aliases.get(label, label)
     k = 1 if label == "trivial" else int(label.split("_")[1])
     maps = [_turn(2 * np.pi * j / k) for j in range(k)]
     if label.startswith("dihedral_"):
         maps += [a @ _mirror(dom) for a in maps]
-    return {_node_map(dom, a).tobytes() for a in maps}
+    return np.stack([_node_map(dom, a) for a in maps])
 
 
 def _labels(dom):
@@ -96,51 +96,75 @@ def _labels(dom):
 
 
 def test_group_closure_exhaustive():
-    """Every label builds the identity first, k elements for rotations_k
-    and 2k for dihedral_k, the element set found from the node
-    coordinates (an alias its target's), elements that pass every check
-    one at a time, and a closed composition table."""
+    """Every label's generators close to the identity first, k elements
+    for rotations_k and 2k for dihedral_k, the element set found from the
+    node coordinates (an alias its target's), elements that pass every
+    check one at a time, and a closed composition table; the orbit map
+    built from the generators is that of the coordinate element set."""
     for dom in (grid.build_domain("square", side=2.0, resolution=8),
                 grid.build_domain("square", side=2.0, resolution=9),
                 grid.build_domain("disk-polar", radius=3.0, resolution=4,
-                                  angular_resolution=48)):
+                                  angular_resolution=48),
+                grid.build_domain("annulus-polar", inner_radius=1.0,
+                                  outer_radius=3.0, resolution=4,
+                                  angular_resolution=8)):
         aliases = ALIASES["square" if dom.kind == "square" else "polar"]
         for label in _labels(dom):
             g = group.build_group(dom, label)
-            keys = {p.tobytes() for p in g.perms}
+            elements = grid_oracle.elements(g)
+            keys = {p.tobytes() for p in elements}
             target = aliases.get(label, label)
             k = 1 if target == "trivial" else int(target.split("_")[1])
             order = 2 * k if target.startswith("dihedral_") else k
-            assert g.order == len(keys) == order, label
-            assert np.array_equal(g.perms[0], np.arange(dom.n_nodes))
-            assert keys == _reference_elements(dom, label), label
+            assert len(elements) == len(keys) == order, label
+            assert np.array_equal(elements[0], np.arange(dom.n_nodes))
+            reference = _reference_elements(dom, label)
+            assert keys == {p.tobytes() for p in reference}, label
             if label in aliases:
-                assert keys == {p.tobytes() for p in
-                                group.build_group(dom, target).perms}
-            for e, perm in enumerate(g.perms):
+                assert keys == {p.tobytes() for p in grid_oracle.elements(
+                    group.build_group(dom, target))}
+            for e, perm in enumerate(elements):
                 _check_one(dom, perm, f"element {e} of {label!r}")
-            for pa, pb in itertools.product(g.perms, repeat=2):
+            for pa, pb in itertools.product(elements, repeat=2):
                 assert pb[pa].tobytes() in keys
+            # the orbit of node i is the column reference[:, i]
+            reps, orbit, sizes = np.unique(reference.min(axis=0),
+                                           return_inverse=True,
+                                           return_counts=True)
+            fb = group.fix_basis(g)
+            assert np.array_equal(fb.orbit, orbit), label
+            assert np.array_equal(fb.reps, reps), label
+            assert np.array_equal(fb.sizes, sizes), label
+        if dom.kind != "square":
+            # a generator that is the identity leaves the group trivial
+            g = group.build_group(dom, "rotations_1")
+            assert group.quotient(g) is dom
+            model = functional.EnergyModel(
+                domain=dom, integrand=integrand.builtin("plaplace", p=1.8),
+                q=3.0)
+            solved, basis = solver._orbit_coordinates(model, g)
+            assert solved is model and basis is None
 
 
-def test_group_closure_keeps_one_copy_of_the_group():
-    # 256 node maps of the 64 x 256 disk take 32.5 MB; the closure keeps
-    # them once, and stacks them into a second copy at the end
+def test_group_build_and_orbits_keep_no_element_table():
+    # the 256 node maps of rotations_256 on the 64 x 256 disk would take
+    # 32.5 MB; the generator and the orbit map take a fraction of a
+    # quarter of that
     code = (
         "import resource; from symcrit import grid, group; "
         "dom = grid.build_domain('disk-polar', radius=6.0, resolution=64, "
         "angular_resolution=256); "
-        "group.build_group(dom, 'rotations_2'); "
+        "group.fix_basis(group.build_group(dom, 'rotations_2')); "
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
-        "g = group.build_group(dom, 'rotations_256'); "
+        "fb = group.fix_basis(group.build_group(dom, 'rotations_256')); "
         "rise = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before; "
-        "print(g.order, 1024 * rise / g.perms.nbytes)")
+        "print(dom.n_nodes // fb.reps.shape[0], rise / 1024)")
     src = os.path.dirname(os.path.dirname(os.path.abspath(group.__file__)))
     out = subprocess.run([sys.executable, "-c", code],
                          env=dict(os.environ, PYTHONPATH=src), check=True,
                          capture_output=True, text=True).stdout.split()
     assert out[0] == "256"
-    assert float(out[1]) <= 2.2
+    assert float(out[1]) < 8.0
 
 
 @pytest.mark.parametrize("kind, dom_kw, label, broken, node", [
@@ -222,11 +246,12 @@ def test_stacked_element_checks_report_the_first_offender(disk_rotations,
     outer = int(np.flatnonzero(disk.boundary)[0])
     bad = [dup, swap(0, 16), swap(0, outer), swap(0, 1)]
     uniform = replace(disk, weights=np.ones(disk.n_nodes))
+    elements = grid_oracle.elements(g)
     for dom in (disk, uniform):
         for combo in ([0], [1], [2], [3], [3, 1], [2, 0], [1, 3, 2]):
-            perms = np.concatenate([g.perms[:lead],
+            perms = np.concatenate([elements[:lead],
                                     [bad[k] for k in combo],
-                                    g.perms[lead:]])
+                                    elements[lead:]])
             names = [f"element {e}" for e in range(len(perms))]
             with pytest.raises(SymmetryCompatibilityError) as want:
                 for name, perm in zip(names, perms):
@@ -234,7 +259,7 @@ def test_stacked_element_checks_report_the_first_offender(disk_rotations,
             with pytest.raises(SymmetryCompatibilityError) as got:
                 group._check_elements(dom, perms, names.__getitem__)
             assert str(got.value) == str(want.value)
-    group._check_elements(disk, g.perms, str)
+    group._check_elements(disk, elements, str)
 
 
 def test_incompatible_rotation_rejected():
@@ -264,8 +289,10 @@ def test_unknown_label(square_small):
 def test_alias_labels_build_their_target(square_small, disk_small,
                                          kind, alias, target, order):
     dom = square_small if kind == "square" else disk_small
-    elements = {p.tobytes() for p in group.build_group(dom, alias).perms}
-    expected = {p.tobytes() for p in group.build_group(dom, target).perms}
+    elements = {p.tobytes() for p in
+                grid_oracle.elements(group.build_group(dom, alias))}
+    expected = {p.tobytes() for p in
+                grid_oracle.elements(group.build_group(dom, target))}
     assert elements == expected
     assert len(elements) == order
 
@@ -341,10 +368,11 @@ def test_average_self_adjoint(square_dihedral, rng):
 
 def test_group_action_is_isometry(square_dihedral, disk_rotations, rng):
     for dom, g in (square_dihedral, disk_rotations):
+        elements = grid_oracle.elements(g)
         for _ in range(25):
             u = random_function(dom, rng)
-            for e in range(g.order):
-                gu = group.apply(g, e, u)
+            for perm in elements:
+                gu = grid.GridFunction(dom, grid_oracle.act(perm, u.values))
                 for m in (1.0, 3.0):
                     assert abs(grid.norm_lm(gu, m) - grid.norm_lm(u, m)) \
                         <= 1e-12 * (1 + grid.norm_lm(u, m))
@@ -451,8 +479,9 @@ def test_average_is_the_mean_of_the_group_action(kind, dom_kw, label, rng):
     dom = grid.build_domain(kind, **dom_kw)
     g = group.build_group(dom, label)
     stack = [random_function(dom, rng) for _ in range(4)]
-    want = np.stack([sum(group.apply(g, e, u).values for e in range(g.order))
-                     / g.order for u in stack])
+    elements = grid_oracle.elements(g)
+    want = np.stack([sum(grid_oracle.act(perm, u.values) for perm in elements)
+                     / len(elements) for u in stack])
     got = group.average_values(g, np.stack([u.values for u in stack]))
     scale = np.max(np.abs(want))
     assert np.max(np.abs(got - want)) <= 1e-14 * scale
@@ -488,8 +517,9 @@ def reference_cell_orbits(g):
     corners = [avg.indices[avg.indptr[c]:avg.indptr[c + 1]]
                for c in range(cs.count)]
     cell_of = {frozenset(c.tolist()): i for i, c in enumerate(corners)}
-    images = np.empty((g.order, cs.count), dtype=np.int64)
-    for e, perm in enumerate(g.perms):
+    elements = grid_oracle.elements(g)
+    images = np.empty((len(elements), cs.count), dtype=np.int64)
+    for e, perm in enumerate(elements):
         moved = np.concatenate([perm, np.arange(n, op.shape[1])])
         images[e] = [cell_of[frozenset(moved[c].tolist())] for c in corners]
     return np.unique(images.min(axis=0), return_counts=True)
@@ -578,9 +608,10 @@ def test_quotient_weights_and_norms(kind, dom_kw, label, rng):
     assert np.array_equal(quot.boundary, dom.boundary[basis.reps])
     # the per-node loop the orbit map replaced: node i's orbit is the set
     # of its images
+    elements = grid_oracle.elements(g)
     for i in range(dom.n_nodes):
         members = np.flatnonzero(basis.orbit == basis.orbit[i])
-        assert np.array_equal(members, np.unique(g.perms[:, i]))
+        assert np.array_equal(members, np.unique(elements[:, i]))
     x, u = invariant_pair(quot, basis, rng)
     assert grid.w1p_norms(quot, x, 1.8) == pytest.approx(
         grid.w1p_norms(dom, u, 1.8), rel=1e-13)
@@ -613,7 +644,6 @@ def test_quotient_rejects_element_that_breaks_cells(square_small):
     swap = np.arange(square_small.n_nodes)
     swap[[a, a + 1]] = swap[[a + 1, a]]
     g = group.SymmetryGroup(domain=square_small, label="swap",
-                            perms=np.stack([np.arange(swap.shape[0]), swap]),
                             gens=swap[None])
     with pytest.raises(SymmetryCompatibilityError, match="onto no cell"):
         group.quotient(g)

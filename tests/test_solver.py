@@ -871,8 +871,9 @@ def test_restricted_stages_never_project(monkeypatch):
     assert rep.converged and rep.stage_iterations["polish"] > 0
     assert counts == [1, 1]
     # u is B x for the orbit values x, so it is exactly invariant
-    assert np.array_equal(rep.u.values[sym.perms], np.broadcast_to(
-        rep.u.values, sym.perms.shape))
+    elements = grid_oracle.elements(sym)
+    assert np.array_equal(rep.u.values[elements], np.broadcast_to(
+        rep.u.values, elements.shape))
 
 
 @pytest.mark.parametrize("kind, dom_kw, label", [
@@ -997,6 +998,50 @@ def test_plain_square_stall_is_finished_by_a_snap(square_model, seed):
     assert not cmp.declined
     assert abs(cmp.c_plain - cmp.c_restricted) <= 1e-9
     assert cmp.stage_iterations["plain"]["polish"] < 60
+
+
+@pytest.mark.parametrize("dom_kw", [
+    dict(radius=6.0, resolution=10, angular_resolution=16),
+    dict(radius=6.0, resolution=20, angular_resolution=32),
+])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_restricted_half_dihedral_disk_is_finished_by_the_rotation_snap(
+        dom_kw, seed):
+    # dihedral_{n_theta/2} has two orbits per ring, the full rotation group
+    # one: its snap finishes the stall at the rotations_8 level (the
+    # dihedral group has the rotation group's order, and a snap offered
+    # only for a larger order left these solves unconverged)
+    model = make_model("disk-polar", dom_kw, p=1.8, q=3.0)
+    half = "dihedral_%d" % (dom_kw["angular_resolution"] // 2)
+    levels = []
+    for label in ("rotations_8", half):
+        sym = group.build_group(model.domain, label)
+        rep = run(model, sym, SolveConfig(mode="restricted", seed=seed,
+                                          max_iterations=20000))
+        assert rep.converged, label
+        levels.append(rep.level)
+    assert abs(levels[1] - levels[0]) <= 1e-12 * levels[0]
+
+
+def test_snap_groups_offer_only_coarser_orbits():
+    # the full group is offered when it has fewer node orbits than the
+    # solve's group, or than the nodes with no group
+    disk = grid.build_domain("disk-polar", radius=6.0, resolution=10,
+                             angular_resolution=16)
+    square = grid.build_domain("square", side=6.0, resolution=9)
+    table = [(disk, None, ["rotations_16"]),
+             (disk, "rotations_8", ["rotations_16"]),
+             (disk, "dihedral_8", ["rotations_16"]),
+             (disk, "rotations_16", []),
+             (disk, "dihedral_16", []),
+             (square, None, ["dihedral_4"]),
+             (square, "dihedral_4", []),
+             (square, "rotations_4", ["dihedral_4"]),
+             (square, "dihedral_1", ["dihedral_4"])]
+    for dom, label, want in table:
+        sym = None if label is None else group.build_group(dom, label)
+        got = [g.label for g in solver._snap_groups(dom, sym)]
+        assert got == want, (dom.kind, label)
 
 
 @pytest.mark.parametrize("mode, name, seed, level", [
