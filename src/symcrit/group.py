@@ -292,18 +292,20 @@ def quotient(g: SymmetryGroup) -> Domain:
     """The orbit domain of g: the energy of Fix(G) in orbit coordinates.
 
     Its nodes are the node orbits of ``fix_basis`` and its cells one
-    representative per cell orbit.  With B the orbit-indicator matrix, the
+    representative per cell orbit, the cell orbits propagated through the
+    generators' cell maps, which match cells by exact integer corner keys
+    (``_cell_maps``).  With B the orbit-indicator matrix, the
     cell map is the representative cells of the domain's map times B,
     the disk's center column kept with its coefficients summed per orbit;
     node and cell weights are the representatives' weights times the
-    orbit size.  An invariant u = B x has equal cell
-    averages and |Du| on every cell of an orbit, so the quotient energy
-    F(x) equals f(B x) and its residual is B^T f'(B x): by the principle
-    of symmetric criticality a critical point of F is a critical point of
-    f.  A group whose orbits are single nodes is trivial, and its quotient
-    is the domain itself.  Raises SymmetryCompatibilityError when a
-    generator does not map cells to cells of equal weight and equal |Du|
-    for invariant functions.
+    orbit size.  An invariant u = B x has equal cell averages and |Du| on
+    every cell of an orbit, so the quotient energy F(x) equals f(B x) and
+    its residual is B^T f'(B x): by the principle of symmetric
+    criticality a critical point of F is a critical point of f.  A group
+    whose orbits are single nodes is trivial, and its quotient is the
+    domain itself.  Raises SymmetryCompatibilityError when a generator
+    does not map cells to cells of equal weight and equal |Du| for
+    invariant functions.
     """
     if fix_basis(g).reps.shape[0] == g.domain.n_nodes:
         return g.domain
@@ -314,34 +316,33 @@ def quotient(g: SymmetryGroup) -> Domain:
 def _cell_maps(g: SymmetryGroup) -> np.ndarray:
     """(generators, cells) image of every cell under each generator.
 
-    A node map sends the cell whose average row is a_c to the cell whose
-    row is a_c with column j moved to perm[j]; that row, applied to node
-    values z, is a_c applied to z[perm] and reads the center of the moved
-    values, so a map that does not fix the center matches no cell.
-    Two seeded random value columns key the cells, and each image key is
-    matched to the nearest cell key.  A product of generators maps cells
-    onto cells of equal weight and |Du| when each generator does.
+    Cells are matched by exact integer keys: each column of the cell map
+    gets a seeded random 60-bit label, and a cell's key is the sum of its
+    corner labels, at most four, so it fits in int64.  A node map moves
+    column j to perm[j] and keeps the disk's center column, so the image
+    of a cell is the cell whose key is the sum of its moved labels, found
+    by ``searchsorted`` in the sorted keys.  A map fails when an image
+    matches no key, or lands on a cell of another weight or, for an
+    invariant function, of another |Du|.  A product of generators maps
+    cells onto cells of equal weight and |Du| when each generator does.
     """
     dom = g.domain
     cs = dom.cells
-    n_gens = g.gens.shape[0]
-    z = np.random.default_rng(0).uniform(1.0, 2.0, size=(dom.n_nodes, 2))
-    keys = cs.apply(z.T)[:, 0].T
-    moved = z[g.gens.T].reshape(dom.n_nodes, -1).T
-    images = cs.apply(moved)[:, 0].reshape(n_gens, 2, cs.count).transpose(
-        0, 2, 1)
-    order = np.argsort(keys[:, 0])
-    sorted_keys = keys[order, 0]
-    pos = np.clip(np.searchsorted(sorted_keys, images[..., 0]), 1,
-                  cs.count - 1)
-    left = np.abs(images[..., 0] - sorted_keys[pos - 1]) \
-        < np.abs(images[..., 0] - sorted_keys[pos])
-    cmap = order[pos - left]
-    bad = (np.abs(keys[cmap] - images) > 1e-12 * np.max(keys)).any(axis=-1)
+    rng = np.random.default_rng(0)
+    labels = rng.integers(1 << 60, size=cs.n_columns)
+    keys = labels[cs.cols].sum(axis=0)
+    moved = np.hstack([labels[g.gens],
+                       np.tile(labels[dom.n_nodes:], (g.gens.shape[0], 1))])
+    images = moved[:, cs.cols].sum(axis=1)
+    order = np.argsort(keys)
+    cmap = order[np.minimum(np.searchsorted(keys[order], images),
+                            cs.count - 1)]
+    bad = keys[cmap] != images
     bad |= ~np.isclose(cs.weights[cmap], cs.weights, rtol=1e-12, atol=0.0)
     # an invariant function must have one |Du| on all cells of an orbit
     fb = fix_basis(g)
-    grad = cell_values(dom, z[fb.reps[fb.orbit], 0])[1]
+    grad = cell_values(dom, rng.uniform(1.0, 2.0, dom.n_nodes)[
+        fb.reps[fb.orbit]])[1]
     # |Du| is 0 on a cell whose nodes share one orbit (the disk's core
     # cells under its full rotation group), which reads as roundoff
     bad |= ~np.isclose(grad[cmap], grad, rtol=1e-12,

@@ -120,6 +120,8 @@ class SolveConfig:
             raise ParameterError("iteration budget must be positive")
         if self.grad_tol <= 0:
             raise ParameterError("gradient tolerance must be positive")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 def config_digest(cfg: SolveConfig) -> str:

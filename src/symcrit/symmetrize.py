@@ -3,7 +3,10 @@
 A polarizer swaps values across an involutive node pairing, keeping the
 larger value on the designated positive side.  Running the rounds of a
 sorting network as polarizers realizes the rearrangement u* exactly in
-finitely many steps.
+finitely many steps.  The rearrangement sorts within the classes of
+equal-weight nodes of ``weight_classes``, one index array per domain
+whose rows are ordered by exact integer keys of the grid, with no float
+tolerance.
 """
 
 from dataclasses import asdict, dataclass
@@ -117,93 +120,54 @@ def reflection_polarizers(domain: Domain) -> tuple:
 # rearrangement
 
 
-def _radius_rank(r2: np.ndarray) -> np.ndarray:
-    """Group squared radii that differ only by rounding noise.
+def weight_classes(domain: Domain) -> np.ndarray:
+    """Interior node classes of equal quadrature weight, in target order:
+    one read-only (classes, size) index array, a class per row.
 
-    Mirror partners must land in the same group or the node-index
-    tie-break never applies and the rearranged function stops being
-    fixed under its own mirrors.  Geometrically distinct radii on these
-    grids differ at the node-spacing scale, far above the 1e-9 relative
-    slack used here, so only float noise gets merged.
+    The square's interior is one class, ordered by the exact integer
+    (2 ix - m)^2 + (2 iy - m)^2, its squared radius in units of (h/2)^2
+    with m = axis_nodes - 1, and then by node index, so mirror partners
+    tie and the index breaks the tie.  Each interior ring of a polar grid
+    is a class in node order: the interior rings are contiguous and a
+    ring has one radius.  Each shell of the radial ball is a class of one
+    node, so there the rearrangement takes absolute values.  The
+    rearranged function is non-increasing along every row.  The
+    rearrangement kernels build it once per domain (``_classes``).
     """
-    idx = np.argsort(r2, kind="stable")
-    ranks = np.empty(r2.shape[0], dtype=np.int64)
-    tol = 1e-9 * (1.0 + float(r2[idx[-1]]))
-    rank = 0
-    anchor = float(r2[idx[0]])
-    for i in idx:
-        if float(r2[i]) - anchor > tol:
-            rank += 1
-            anchor = float(r2[i])
-        ranks[i] = rank
-    return ranks
-
-
-def weight_classes(domain: Domain) -> list:
-    """Interior node classes of equal quadrature weight, in target order.
-
-    Each class is sorted by (squared radius, node index); the rearranged
-    function is non-increasing along that order within every class.  The
-    classes are built once per domain and handed out read-only.
-    """
-    return list(domain.cached("weight_classes",
-                              lambda: _weight_classes(domain)))
-
-
-def _weight_classes(domain: Domain) -> tuple:
-    interior = np.nonzero(domain.interior)[0]
+    interior = np.flatnonzero(domain.interior)
     if domain.kind == "square":
-        classes = [interior]
+        na = domain.meta["axis_nodes"]
+        r2 = ((2 * (interior % na) - (na - 1)) ** 2
+              + (2 * (interior // na) - (na - 1)) ** 2)
+        classes = interior[np.argsort(r2, kind="stable")][None]
     elif domain.kind in ("disk-polar", "annulus-polar"):
-        n_theta = domain.meta["n_theta"]
-        rings = domain.meta["rings"]
-        classes = []
-        for i in range(rings):
-            ring = np.arange(i * n_theta, (i + 1) * n_theta)
-            if not domain.boundary[ring[0]]:
-                classes.append(ring)
+        classes = interior.reshape(-1, domain.meta["n_theta"])
     elif domain.kind == "radial-ball-1d":
-        # every shell weight is distinct, so classes are singletons and
-        # the rearrangement reduces to taking absolute values
-        classes = [np.array([i]) for i in interior]
+        classes = interior[:, None]
     else:
         raise UnsupportedDomainError(
-            f"no equal-weight partition for domain kind {domain.kind!r}"
-        )
-    out = []
-    for cls in classes:
-        w = domain.weights[cls]
-        if w.shape[0] > 1 and not np.all(w == w[0]):
-            raise UnsupportedDomainError(
-                "quadrature weights differ within a rearrangement class; "
-                "refusing to approximate the rearrangement"
-            )
-        order = np.lexsort((cls, _radius_rank(domain.radius2[cls])))
-        ordered = cls[order]
-        ordered.flags.writeable = False
-        out.append(ordered)
-    return tuple(out)
+            f"no equal-weight partition for domain kind {domain.kind!r}")
+    w = domain.weights[classes]
+    if not np.all(w == w[:, :1]):
+        raise UnsupportedDomainError(
+            "quadrature weights differ within a rearrangement class; "
+            "refusing to approximate the rearrangement")
+    classes.flags.writeable = False
+    return classes
 
 
-def _class_blocks(domain: Domain) -> tuple:
-    """The weight classes stacked by size: one (classes, size) index
-    array per class size, each row a class in target order."""
-    def build():
-        by_size = {}
-        for cls in weight_classes(domain):
-            by_size.setdefault(cls.shape[0], []).append(cls)
-        return tuple(np.stack(rows) for rows in by_size.values())
-
-    return domain.cached("class_blocks", build)
+def _classes(domain: Domain) -> np.ndarray:
+    """``weight_classes`` of the domain, built on first use and kept."""
+    return domain.cached("weight_classes", lambda: weight_classes(domain))
 
 
 def schwarz_values(domain: Domain, values: np.ndarray) -> np.ndarray:
     """``schwarz`` on raw nodal values, one vector or each row of a (k, n)
-    stack: one sort along the last axis per class size."""
+    stack: one sort along the last axis of the classes' values."""
+    classes = _classes(domain)
     out = np.zeros(values.shape)
-    mag = np.abs(values)
-    for block in _class_blocks(domain):
-        out[..., block] = np.sort(mag[..., block], axis=-1)[..., ::-1]
+    out[..., classes] = np.sort(np.abs(values[..., classes]),
+                                axis=-1)[..., ::-1]
     return out
 
 
@@ -222,20 +186,20 @@ def cone_project(u: GridFunction) -> GridFunction:
     violation instead of reflecting it, so a projected descent step is
     never forced below the scale of the violation.
     """
+    classes = _classes(u.domain)
+    rows = u.values[classes]
+    # only rows out of order are fitted: the fit pools runs of equal
+    # values too, and their recomputed mean may move by an ulp
+    bad = np.flatnonzero(np.any(rows[:, 1:] > rows[:, :-1], axis=1))
+    if bad.size:
+        # imported here: scipy.optimize costs about 16 MB of resident
+        # memory, and one-node classes never get here (classes have equal
+        # quadrature weights, so the fit is unweighted)
+        from scipy.optimize import isotonic_regression
+        for i in bad:
+            rows[i] = isotonic_regression(rows[i], increasing=False).x
     out = np.zeros(u.domain.n_nodes)
-    for block in _class_blocks(u.domain):
-        rows = u.values[block]
-        # only rows out of order are fitted: the fit pools runs of equal
-        # values too, and their recomputed mean may move by an ulp
-        bad = np.flatnonzero(np.any(rows[:, 1:] > rows[:, :-1], axis=1))
-        if bad.size:
-            # imported here: scipy.optimize costs about 16 MB of resident
-            # memory, and one-node classes never get here (classes have
-            # equal quadrature weights, so the fit is unweighted)
-            from scipy.optimize import isotonic_regression
-            for i in bad:
-                rows[i] = isotonic_regression(rows[i], increasing=False).x
-        out[block] = np.maximum(rows, 0.0)
+    out[classes] = np.maximum(rows, 0.0)
     return GridFunction(u.domain, out)
 
 
@@ -279,12 +243,10 @@ def plan(domain: Domain) -> SymmetrizationPlan:
     """Batcher's merge network along each class's target order, round s
     holding round s of every class's network.  A class of 2^k nodes takes
     (k^2 - k + 4) 2^(k-2) - 1 comparators, a class of one node none."""
-    stages = {}
-    for block in _class_blocks(domain):
-        for s, pairs in enumerate(_batcher_rounds(block.shape[1])):
-            stages.setdefault(s, []).append(block[:, pairs].reshape(-1, 2))
+    classes = _classes(domain)
     return SymmetrizationPlan(domain, tuple(
-        Polarizer(domain, np.concatenate(parts)) for parts in stages.values()))
+        Polarizer(domain, classes[:, pairs].reshape(-1, 2))
+        for pairs in _batcher_rounds(classes.shape[1])))
 
 
 def apply_plan(p: SymmetrizationPlan, u: GridFunction,
@@ -381,6 +343,8 @@ def check_axioms(domain: Domain, samples: int = 40,
     """Sample the polarization and rearrangement axioms on one domain."""
     if samples < 1:
         raise ParameterError("axiom check needs at least one sample")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     reflections = reflection_polarizers(domain)
     p = plan(domain)

@@ -8,6 +8,10 @@ map over the node columns alone, the disk's center folded into every row
 that reads it, as a reference for the code that carries the center as a
 column.  ``elements`` lists a symmetry group's elements, which the
 library never forms, and ``act`` applies one of them to node values.
+``square_class`` orders the square's interior by float squared radii
+grouped within a tolerance, and ``cell_images`` matches cells by their
+sorted corner sets: references for the exact integer keys of
+``symmetrize.weight_classes`` and of the group's cell maps.
 """
 
 import numpy as np
@@ -119,3 +123,34 @@ def act(perm, values):
     """The action (g u)(x) = u(g^{-1} x) of the node map perm: the result
     r has r[perm] = values, along the last axis."""
     return values[..., np.argsort(perm)]
+
+
+def square_class(domain):
+    """The square's interior ordered by squared radius, then node index;
+    float radii within 1e-9 relative of the first of a run count as one
+    radius, which merges rounding noise and nothing at the node-spacing
+    scale.  Also returns each node's radius rank."""
+    r2 = domain.radius2
+    rank = np.empty(r2.shape[0], dtype=np.int64)
+    idx = np.argsort(r2, kind="stable")
+    tol = 1e-9 * (1.0 + float(r2[idx[-1]]))
+    current, anchor = 0, float(r2[idx[0]])
+    for i in idx:
+        if float(r2[i]) - anchor > tol:
+            current, anchor = current + 1, float(r2[i])
+        rank[i] = current
+    interior = np.flatnonzero(domain.interior)
+    return interior[np.lexsort((interior, rank[interior]))], rank
+
+
+def cell_images(cells, perms):
+    """(maps, cells) image of every cell under each node map, by a dict
+    from each cell's sorted set of corner columns to the cell; a map moves
+    the node columns and keeps the disk's center column."""
+    corners = [sorted(set(c)) for c in cells.cols.T.tolist()]
+    cell_of = {tuple(c): i for i, c in enumerate(corners)}
+    out = np.empty((len(perms), cells.count), dtype=np.int64)
+    for e, perm in enumerate(perms):
+        moved = np.append(perm, np.arange(cells.n_nodes, cells.n_columns))
+        out[e] = [cell_of[tuple(sorted(moved[c].tolist()))] for c in corners]
+    return out

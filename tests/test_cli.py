@@ -330,6 +330,25 @@ def test_supercritical_exponent_exits_one(tmp_path, capsys):
     assert "p < q < p*" in err["message"]
 
 
+@pytest.mark.parametrize("command", ["solve", "check-axioms"])
+@pytest.mark.parametrize("how", ["config", "flag"])
+def test_negative_seed_exits_one(tmp_path, capsys, command, how):
+    # numpy's generators refuse a negative seed; the command must name
+    # the bad value in one JSON line, not die with a traceback
+    text, argv = SMALL_SOLVE, [command, "--out", str(tmp_path / "o")]
+    if how == "config":
+        text = text.replace("run.seed = 0", "run.seed = -1")
+    else:
+        argv += ["--seed", "-3"]
+    rc = cli.main(argv + ["--config", write_cfg(tmp_path, text)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    err = json.loads(err)
+    assert err["error"] == "ParameterError"
+    assert "seed must be >= 0" in err["message"]
+
+
 # the last four are settings the code fixes: 10x tau_tan, a sweep to
 # ceil(max |u|) + 1, a level slack of 1e-4 and rotation order 8
 @pytest.mark.parametrize("key", ["solver.newton", "solver.armijo",

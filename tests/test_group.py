@@ -509,20 +509,17 @@ def test_domain_is_freed_without_the_cycle_collector(rng):
 
 def reference_cell_orbits(g):
     """Smallest cell and size of each cell orbit from every element's
-    image of every cell; a cell is known by the set of its corners, the
-    columns of its average row, and an element moves the node columns."""
-    cs, n = g.domain.cells, g.domain.n_nodes
-    op = grid_oracle.as_csr(cs)
-    avg = op[:cs.count]
-    corners = [avg.indices[avg.indptr[c]:avg.indptr[c + 1]]
-               for c in range(cs.count)]
-    cell_of = {frozenset(c.tolist()): i for i, c in enumerate(corners)}
-    elements = grid_oracle.elements(g)
-    images = np.empty((len(elements), cs.count), dtype=np.int64)
-    for e, perm in enumerate(elements):
-        moved = np.concatenate([perm, np.arange(n, op.shape[1])])
-        images[e] = [cell_of[frozenset(moved[c].tolist())] for c in corners]
+    image of every cell, cells matched by their corner sets."""
+    images = grid_oracle.cell_images(g.domain.cells, grid_oracle.elements(g))
     return np.unique(images.min(axis=0), return_counts=True)
+
+
+@pytest.mark.parametrize("kind, dom_kw, label", QUOTIENT_CASES)
+def test_cell_maps_match_corner_sets(kind, dom_kw, label):
+    # the integer keys against a dict of sorted corner sets
+    g = group.build_group(grid.build_domain(kind, **dom_kw), label)
+    assert np.array_equal(group._cell_maps(g),
+                          grid_oracle.cell_images(g.domain.cells, g.gens))
 
 
 @pytest.mark.parametrize("kind, dom_kw, label", QUOTIENT_CASES)

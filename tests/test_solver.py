@@ -60,6 +60,7 @@ def square_run(square_model):
     dict(max_iterations=0),
     dict(grad_tol=0.0),
     dict(grad_tol=-1e-8),
+    dict(seed=-1),
 ])
 def test_config_rejects_bad_values(kw):
     with pytest.raises(ParameterError):
@@ -1143,6 +1144,23 @@ def test_plain_disk_stall_is_finished_after_a_rejected_newton_retrial(seed):
     assert rep.converged
     assert rep.iterations <= 20
     assert abs(rep.level - 9.7193017086) <= 1e-9 * rep.level
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_plain_annulus_stall_resumes_the_stage(monkeypatch, seed):
+    # plain annulus (1, 6) 6x16: no snap lowers the residual where the ray
+    # stage stalls, but the stage still lowered the peak, so it reruns from
+    # its last point and converges (354 and 161 iterations)
+    model = make_model("annulus-polar",
+                       dict(inner_radius=1.0, outer_radius=6.0, resolution=6,
+                            angular_resolution=16), p=1.8, q=3.0)
+    cfg = SolveConfig(mode="plain", max_iterations=20000, seed=seed)
+    rep = run(model, None, cfg)
+    assert rep.converged
+    assert abs(rep.level - 12.1778308158) <= 1e-9 * rep.level
+    # without the rerun the solve stops unconverged (at 47 and 59)
+    monkeypatch.setattr(solver, "_RESUME_PROGRESS", math.inf)
+    assert not run(model, None, cfg).converged
 
 
 @pytest.mark.parametrize("retrial", ["rejected", "failed"])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from symcrit import functional, grid, integrand, symmetrize
+from symcrit import functional, grid, group, integrand, symmetrize
 from symcrit.errors import (
     DomainMismatchError,
     ParameterError,
@@ -14,6 +14,7 @@ from symcrit.errors import (
 )
 
 from conftest import random_function
+import grid_oracle
 
 
 @pytest.fixture(scope="module")
@@ -166,13 +167,29 @@ def test_weight_classes_structure(square_dom, disk_dom, ball_dom):
     assert all(c.shape[0] == 1 for c in bl)
 
 
-def test_weight_classes_reject_tampered_weights(square_dom):
-    w = square_dom.weights.copy()
-    interior = np.nonzero(square_dom.interior)[0]
-    w[interior[0]] *= 1.5
-    tampered = dataclasses.replace(square_dom, weights=w)
-    with pytest.raises(UnsupportedDomainError):
-        symmetrize.weight_classes(tampered)
+@pytest.mark.parametrize("res", [8, 9, 45, 127])
+def test_square_class_order_matches_float_radius_grouping(res):
+    # the exact integer radius key against float radii grouped within a
+    # tolerance; mirror partners share a radius, so the node index orders
+    # them and the rearranged function is fixed by its own mirrors
+    dom = grid.build_domain("square", side=6.0, resolution=res)
+    want, rank = grid_oracle.square_class(dom)
+    classes = symmetrize.weight_classes(dom)
+    assert classes.shape == (1, want.shape[0])
+    assert np.array_equal(classes[0], want)
+    for perm in group.mirrors(dom):
+        assert np.array_equal(rank[perm], rank)
+
+
+def test_weight_classes_reject_tampered_weights(square_dom, disk_dom):
+    # one interior node of the square, one node of a polar ring
+    for dom, node in ((square_dom, np.nonzero(square_dom.interior)[0][0]),
+                      (disk_dom, disk_dom.meta["n_theta"] + 3)):
+        w = dom.weights.copy()
+        w[node] *= 1.5
+        tampered = dataclasses.replace(dom, weights=w)
+        with pytest.raises(UnsupportedDomainError):
+            symmetrize.weight_classes(tampered)
 
 
 def test_schwarz_sorts_within_classes(square_dom, disk_dom, rng):
@@ -550,6 +567,9 @@ def test_check_axioms_radial(ball_dom):
 def test_check_axioms_sample_guard(square_dom):
     with pytest.raises(ParameterError):
         symmetrize.check_axioms(square_dom, samples=0)
+    # numpy's generators refuse a negative seed
+    with pytest.raises(ParameterError, match="seed must be >= 0"):
+        symmetrize.check_axioms(square_dom, seed=-1)
 
 
 # ---------------------------------------------------------------------------
