@@ -113,8 +113,10 @@ def residual_of_values(model: EnergyModel, values: np.ndarray) -> np.ndarray:
 
 
 def hessian_of_values(model: EnergyModel, values: np.ndarray):
-    """The Hessian of f at one nodal vector on the interior nodes, a CSC
-    matrix; the density must have its second partials.
+    """The Hessian of f at one nodal vector on the interior nodes, a
+    ``grid.CellForm.matrix``: dense up to ``grid.DENSE_MAX_UNKNOWNS``
+    interior nodes, a CSC matrix above; the density must have its second
+    partials.
 
     It is op^T B op, assembled by ``grid.cell_form``, where B holds one
     (1+d) x (1+d) block per cell in the order (average, gradient

@@ -36,6 +36,16 @@ GRIDFUNCTION_HEADER = "# symcrit-gridfunction v1"
 #: angular resolution must be divisible by it.
 MAX_ROTATION_ORDER = 8
 
+#: Largest number of interior unknowns whose ``CellForm.matrix`` is a dense
+#: ndarray, factored by numpy's LAPACK; larger systems are scipy CSC
+#: matrices for SuperLU.  Fill, factorization and one solve (best of 200,
+#: 2-core x86-64, Python 3.11) cost the same both ways near 220 unknowns on
+#: a plain square and past 190 on a disk, but near 80 on a ball's chain,
+#: where SuperLU is linear (0.21 against 0.11 ms at 128).  At 128 the dense
+#: matrix is 128 KB; the benchmark's desk and refine solves (15-120
+#: unknowns) all fit under it.
+DENSE_MAX_UNKNOWNS = 128
+
 
 @dataclass(frozen=True)
 class CellSet:
@@ -510,7 +520,9 @@ def cell_values(domain: Domain, values: np.ndarray):
 class CellForm:
     """op^T B op + diag(m) on the interior nodes, for one symmetric
     (1 + d) x (1 + d) block of B per cell, filled into a fixed CSC pattern
-    as a finite-element code assembles element matrices.
+    as a finite-element code assembles element matrices.  ``keys`` holds
+    the pattern's entries as col * n + row, ascending, so the filled data
+    scatters into a dense matrix as well (``matrix``).
 
     Cells are assembled over the interior nodes and the center, each over
     its at most four corners.  ``table`` is the cell set's corner table
@@ -564,16 +576,18 @@ class CellForm:
         self.slots[center[:, None] & center[None]] = nnz + s
         self.ring_slots = np.searchsorted(keys, ring_keys)
         self.diag = np.searchsorted(keys, diag_keys)
+        self.keys = keys
         self.indices = (keys % n).astype(np.intc)
         self.indptr = np.searchsorted(keys // n,
                                       np.arange(n + 1)).astype(np.intc)
 
     def matrix(self, blocks, mass):
-        """op^T B op + diag(mass) as a CSC matrix; ``blocks`` is the
-        (1 + d, 1 + d, cells) array of the cell blocks of B.  scipy.sparse
-        is imported on the first call, so commands that never factorize
-        skip it."""
-        import scipy.sparse as sparse
+        """op^T B op + diag(mass); ``blocks`` is the (1 + d, 1 + d, cells)
+        array of the cell blocks of B.  Up to ``DENSE_MAX_UNKNOWNS``
+        interior nodes it is a dense ndarray, the CSC data scattered to
+        its keys, so it equals the CSC matrix's ``toarray()`` bitwise;
+        above, a scipy CSC matrix, and only then is scipy.sparse
+        imported."""
         local = np.einsum("iac,ibc->abc", self.table,
                           np.einsum("ijc,jbc->ibc", blocks, self.table))
         nnz, s = self.indices.shape[0], self.span.shape[0]
@@ -586,6 +600,12 @@ class CellForm:
                                       + np.outer(c, x + a * c)).reshape(-1)
         data[self.diag] += mass
         n = self.indptr.shape[0] - 1
+        if n <= DENSE_MAX_UNKNOWNS:
+            # key col * n + row is the entry's place in column-major order
+            dense = np.zeros(n * n)
+            dense[self.keys] = data
+            return dense.reshape(n, n).T
+        import scipy.sparse as sparse
         return sparse.csc_matrix((data, self.indices, self.indptr),
                                  shape=(n, n))
 

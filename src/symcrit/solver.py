@@ -90,8 +90,9 @@ W1P_CEILING = 1e3
 
 def __getattr__(name):
     # ``solver.sparse_linalg`` stays readable although the module is
-    # imported only when a solve factorizes: perfbench/tracer.py wraps
-    # ``splu`` through this attribute to count factorizations (--trace 1)
+    # imported only when a solve factorizes a sparse system:
+    # perfbench/tracer.py wraps ``splu`` through this attribute to count
+    # SuperLU factorizations (--trace 1)
     if name == "sparse_linalg":
         import scipy.sparse.linalg as sparse_linalg
         return sparse_linalg
@@ -343,9 +344,25 @@ def _dist_to_rearranged(domain, values, p, q):
     return np.maximum(grid.lm_norms(domain, diff, p), dist_w), dist_w
 
 
+class _DenseFactors:
+    """A dense system with the ``solve`` of SuperLU's factors: LAPACK's
+    gesv (``np.linalg.solve``) factors it with partial pivoting at each
+    solve, so a singular matrix raises ``LinAlgError`` there."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+
+    def solve(self, rhs):
+        return np.linalg.solve(self.matrix, rhs)
+
+
 def _factorize(matrix):
-    """LU factors of a sparse CSC matrix.  scipy.sparse.linalg is imported
-    on the first call, so commands that never factorize skip it."""
+    """LU factors of a ``grid.CellForm.matrix``: a dense ndarray (at most
+    ``grid.DENSE_MAX_UNKNOWNS`` unknowns) goes to numpy's LAPACK, a CSC
+    matrix to SuperLU.  scipy.sparse.linalg is imported on the first
+    sparse call, so a solve at desk scale loads no scipy module."""
+    if isinstance(matrix, np.ndarray):
+        return _DenseFactors(matrix)
     import scipy.sparse.linalg as sparse_linalg
     return sparse_linalg.splu(matrix)
 
@@ -467,7 +484,8 @@ class _Solve:
         # dual residual at or below which the ray stage tries its next
         # Newton step; set from the run's first residual
         self.newton_gate = None
-        self.counts = {"peak_searches": 0, "newton_trials": 0}
+        self.counts = {"peak_searches": 0, "newton_trials": 0,
+                       "factorizations": 0}
 
     def full(self, values):
         """Nodal values on the full domain: orbit values expanded."""
@@ -615,7 +633,8 @@ def _ray_stage(st, u0, where="in the ray stage", cone=False):
     "stalled" (no step left, a Newton point's trial rejected, or the
     residual did not halve in ``_RAY_PATIENCE`` iterations) or "budget",
     the last residual and the relative decrease of the peak energy over
-    the stage.  ``st.counts`` tallies its peak searches and Newton trials.
+    the stage.  ``st.counts`` tallies its peak searches, its Newton trials
+    and its factorizations, one per Newton trial and per metric build.
 
     With ``cone`` set this is the direct-mode cone sweep: the start and
     every trial point are projected onto the rearrangement cone
@@ -670,6 +689,7 @@ def _ray_stage(st, u0, where="in the ray stage", cone=False):
             st.newton_gate = _NEWTON_START * grad_norm
         if newton and grad_norm <= st.newton_gate:
             st.counts["newton_trials"] += 1
+            st.counts["factorizations"] += 1
             trial = _newton_point(model, st.u, covector)
             if trial is not None:
                 f_trial = functional.energy_of_values(model, trial)
@@ -685,6 +705,7 @@ def _ray_stage(st, u0, where="in the ray stage", cone=False):
                 return finish("stalled")
         if st.it - metric_it >= _RAY_METRIC_REFRESH:
             metric, metric_it = _polish_metric(model, st.u), st.it
+            st.counts["factorizations"] += 1
         grad = d if metric is None else metric(covector)
         slope = float(np.sum(covector * grad))
         s = s_mem

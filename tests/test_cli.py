@@ -145,7 +145,10 @@ def test_only_a_factorization_loads_scipy(tmp_path):
     # importing scipy.sparse alone costs about 22 MB of resident memory
     # and 0.3 s: importing symcrit, verify-point on a square, a disk and a
     # ball point and check-integrand factor nothing and load no scipy
-    # module, while a solve's first factorization loads the sparse LU
+    # module; a desk solve factors its 15 unknowns densely and loads none
+    # either, while the first factorization of a system above
+    # grid.DENSE_MAX_UNKNOWNS (the trivial quotient of square res 13, 169
+    # unknowns) loads the sparse LU
     disk = SMALL_SOLVE.replace(
         "domain.kind = square\ndomain.side = 6.0\ndomain.resolution = 9\n",
         "domain.kind = disk-polar\ndomain.radius = 6.0\n"
@@ -164,6 +167,9 @@ def test_only_a_factorization_loads_scipy(tmp_path):
     argvs.append(["check-integrand", "--config", write_cfg(
         tmp_path, "integrand.name = plaplace\nintegrand.p = 1.8\n"
         "model.q = 3.0\n", "integrand.cfg")])
+    large = write_cfg(tmp_path, SMALL_SOLVE.replace(
+        "resolution = 9", "resolution = 13").replace("dihedral_4", "trivial"),
+        "large.cfg")
     code = (
         "import contextlib, io, sys; import symcrit\n"
         "def loaded():\n"
@@ -176,6 +182,9 @@ def test_only_a_factorization_loads_scipy(tmp_path):
         "    print(argv[0], rc, loaded())\n"
         f"rc = symcrit.cli.main(['solve', '--config', {argvs[0][2]!r}, "
         f"'--out', {str(tmp_path / 'solve')!r}, '--quiet'])\n"
+        "print('solve', rc, loaded())\n"
+        f"rc = symcrit.cli.main(['solve', '--config', {large!r}, "
+        f"'--out', {str(tmp_path / 'large')!r}, '--quiet'])\n"
         "print('solve', rc, 'scipy.sparse.linalg' in sys.modules)\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
@@ -184,7 +193,8 @@ def test_only_a_factorization_loads_scipy(tmp_path):
     # the bumps are not critical points, so each check exits 3
     assert out == ["import False", "verify-point 3 False",
                    "verify-point 3 False", "verify-point 3 False",
-                   "check-integrand 0 False", "solve 0 True"]
+                   "check-integrand 0 False", "solve 0 False",
+                   "solve 0 True"]
 
 
 def test_import_and_disk_verify_keep_scipy_extras_unloaded(tmp_path):
@@ -230,12 +240,13 @@ def test_manifest_inventories_payloads(solved):
 
 
 def test_manifest_counts_the_solver_work(solved):
-    # the peak searches and Newton trials of the solve go to the manifest,
-    # not to the payloads, whose bytes stay reproducible
+    # the peak searches, Newton trials and factorizations of the solve go
+    # to the manifest, not to the payloads, whose bytes stay reproducible
     _, _, out = solved
     counts = read_json(os.path.join(out, "manifest.json"))["solver_counts"]
-    assert set(counts) == {"peak_searches", "newton_trials"}
+    assert set(counts) == {"peak_searches", "newton_trials", "factorizations"}
     assert counts["peak_searches"] >= 1 and counts["newton_trials"] >= 1
+    assert counts["factorizations"] > counts["newton_trials"]
     for name in PAYLOADS:
         with open(os.path.join(out, name), encoding="utf-8") as fh:
             assert "peak_searches" not in fh.read(), name

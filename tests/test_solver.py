@@ -647,6 +647,14 @@ def test_ray_without_a_peak_returns_none(name):
     assert _ray_peak(model, v) is None
 
 
+def as_array(matrix):
+    """A ``CellForm.matrix`` as an ndarray: it is one up to
+    ``grid.DENSE_MAX_UNKNOWNS`` unknowns and a CSC matrix above."""
+    n = matrix.shape[0]
+    assert isinstance(matrix, np.ndarray) == (n <= grid.DENSE_MAX_UNKNOWNS)
+    return matrix if isinstance(matrix, np.ndarray) else matrix.toarray()
+
+
 @pytest.mark.parametrize("kind, dom_kw, label", [
     ("square", dict(side=6.0, resolution=9), None),
     ("disk-polar", dict(radius=6.0, resolution=10, angular_resolution=16),
@@ -663,6 +671,9 @@ def test_ray_without_a_peak_returns_none(name):
     # one orbit on the first ring: the core cells read one node
     ("disk-polar", dict(radius=6.0, resolution=20, angular_resolution=32),
      "rotations_32"),
+    # the chains at the dense cap and one node above it
+    ("radial-ball-1d", dict(dimension=3, radius=12.0, resolution=128), None),
+    ("radial-ball-1d", dict(dimension=3, radius=12.0, resolution=129), None),
 ])
 def test_cell_form_matches_sparse_congruence(kind, dom_kw, label):
     model = make_model(kind, dom_kw, p=1.8, q=3.0)
@@ -686,7 +697,7 @@ def test_cell_form_matches_sparse_congruence(kind, dom_kw, label):
                           np.broadcast_to(cols, blocks.shape).ravel())),
         shape=(op.shape[0],) * 2)
     want = (op.T @ (b @ op) + sparse.diags(mass)).toarray()
-    got = form.matrix(blocks, mass).toarray()
+    got = as_array(form.matrix(blocks, mass))
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     # the Picard metric G^T diag(c) G + M from its diag(0, c, ..., c)
     # blocks; rounded values leave flat cells, where j_t/t is clamped
@@ -697,9 +708,73 @@ def test_cell_form_matches_sparse_congruence(kind, dom_kw, label):
         blocks = _metric_coefficients(model, values)
         want = (g.T @ sparse.diags(np.tile(blocks[1, 1], k - 1)) @ g
                 + sparse.diags(dom.weights[inner])).toarray()
-        got = form.matrix(blocks, dom.weights[inner]).toarray()
+        got = as_array(form.matrix(blocks, dom.weights[inner]))
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     assert np.any(grid.cell_values(dom, values)[1] == 0.0)
+
+
+@pytest.mark.parametrize("kind, dom_kw, label", [
+    ("radial-ball-1d", dict(dimension=3, radius=12.0, resolution=60), None),
+    ("square", dict(side=6.0, resolution=23), "dihedral_4"),
+    # the center couples the first ring densely
+    ("disk-polar", dict(radius=6.0, resolution=4, angular_resolution=16),
+     None),
+])
+def test_dense_and_sparse_forms_agree(monkeypatch, kind, dom_kw, label):
+    # with the cap moved to force each branch, the dense matrix is the CSC
+    # matrix's toarray() bitwise, and gesv and SuperLU solve the Hessian
+    # and the Picard metric at default_psi alike
+    model = make_model(kind, dom_kw, p=1.8, q=3.0)
+    u = default_psi(model.domain).values
+    if label is not None:
+        sym = group.build_group(model.domain, label)
+        model = replace(model, domain=group.quotient(sym))
+        u = u[group.fix_basis(sym).reps]
+    dom = model.domain
+    inner = dom.interior
+    form = grid.cell_form(dom)
+    assert (form.span.size > 0) == (kind == "disk-polar")
+    n = int(np.count_nonzero(inner))
+    rhs = np.random.default_rng(5).standard_normal(n)
+    metric = _metric_coefficients(model, u)
+    for build in (lambda: functional.hessian_of_values(model, u),
+                  lambda: form.matrix(metric, dom.weights[inner])):
+        monkeypatch.setattr(grid, "DENSE_MAX_UNKNOWNS", n)
+        dense = build()
+        monkeypatch.setattr(grid, "DENSE_MAX_UNKNOWNS", n - 1)
+        csc = build()
+        assert isinstance(dense, np.ndarray)
+        assert not isinstance(csc, np.ndarray)
+        assert np.array_equal(dense, csc.toarray())
+        want = solver._factorize(csc).solve(rhs)
+        got = solver._factorize(dense).solve(rhs)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kind, dom_kw, label, dense", [
+    ("square", dict(side=6.0, resolution=9), "dihedral_4", True),
+    ("disk-polar", dict(radius=6.0, resolution=32, angular_resolution=64),
+     None, False),
+])
+def test_solve_counts_its_factorizations(monkeypatch, kind, dom_kw, label,
+                                         dense):
+    # the desk square's quotient (15 unknowns) is factored densely and
+    # plain disk 32x64 (2,048) by SuperLU; the report counts both alike
+    model = make_model(kind, dom_kw, p=1.8, q=3.0)
+    factorize = solver._factorize
+    kinds = []
+
+    def counted(matrix):
+        kinds.append(isinstance(matrix, np.ndarray))
+        return factorize(matrix)
+
+    monkeypatch.setattr(solver, "_factorize", counted)
+    sym = None if label is None else group.build_group(model.domain, label)
+    rep = run(model, sym, SolveConfig(mode="plain" if sym is None
+                                      else "restricted", seed=0))
+    assert rep.converged
+    assert rep.counts["factorizations"] == len(kinds) > 0
+    assert set(kinds) == {dense}
 
 
 # ---------------------------------------------------------------------------
@@ -1197,7 +1272,8 @@ def test_rejected_newton_retrial_stalls_without_a_peak_search(monkeypatch,
     status, residual, _ = solver._ray_stage(st, start.values)
     assert status == "stalled"
     assert st.it == 2 and len(trials) == 2 and not peaks_after
-    assert st.counts == {"peak_searches": 1, "newton_trials": 2}
+    assert st.counts == {"peak_searches": 1, "newton_trials": 2,
+                         "factorizations": 2}
     assert st.newton_gate == solver._NEWTON_BACKOFF * residual
 
 
