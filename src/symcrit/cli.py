@@ -4,7 +4,10 @@ Exit codes: 0 converged and verified, 1 configuration or module error
 (with a single-line JSON diagnostic on stderr), 2 non-converged solve or
 numerical failure, 3 criticality check failed.  Every output file embeds
 the content hash of the effective config; wall-clock data is quarantined
-to the manifest so payload files are byte-identical across reruns.
+to the manifest so payload files are byte-identical across reruns.  Each
+payload is formatted to text once and written once by ``_write_payload``,
+which keeps the size and sha256 of the bytes it wrote; the manifest lists
+those records and reads no file back.
 """
 
 import os
@@ -68,18 +71,9 @@ _KNOWN_KEYS = (
 
 
 def _json_scalar(value):
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return str(value)
+    # floats in %.17g, which round-trips, and null when not finite
     if isinstance(value, float):
-        if not math.isfinite(value):
-            return "null"
-        return f"{value:.17g}"
+        return f"{value:.17g}" if math.isfinite(value) else "null"
     return json.dumps(value, ensure_ascii=False)
 
 
@@ -100,9 +94,16 @@ def dump_json(obj, indent=0) -> str:
     return _json_scalar(obj)
 
 
-def _write_json(payload: dict, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dump_json(payload) + "\n")
+def _write_payload(outdir, name, payload, files):
+    """Write ``payload`` (CSV text, or a dict as ``dump_json`` text) as
+    UTF-8 to ``outdir/name`` and keep the size and sha256 of the bytes
+    written as ``files[name]``."""
+    text = payload if isinstance(payload, str) else dump_json(payload) + "\n"
+    data = text.encode("utf-8")
+    with open(os.path.join(outdir, name), "wb") as fh:
+        fh.write(data)
+    files[name] = {"bytes": len(data),
+                   "sha256": hashlib.sha256(data).hexdigest()}
 
 
 # ---------------------------------------------------------------------------
@@ -161,14 +162,6 @@ def _effective_config(args) -> dict:
     return cfg
 
 
-def _sha256_file(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _say(args, text):
     if not args.quiet:
         print(text)
@@ -193,23 +186,23 @@ def cmd_solve(args) -> int:
     started = datetime.datetime.now(datetime.timezone.utc)
     t0 = time.perf_counter()
     stages = {}
+    files = {}
     try:
         rep = solver.run(model, sym, scfg)
     except NumericalFailureError as exc:
         # a named numerical failure is a non-converged solve, not a
         # configuration error: report the stage and iteration it hit
         os.makedirs(outdir, exist_ok=True)
-        _write_json({
+        _write_payload(outdir, "solve_report.json", {
             "config": cfg,
             "config_hash": stamp,
             "requested_mode": scfg.mode,
             "converged": False,
             "failure": {"message": str(exc),
                         "iteration": exc.last_state["iteration"]},
-        }, os.path.join(outdir, "solve_report.json"))
+        }, files)
         stages["solve"] = "numerical-failure"
-        _write_manifest(outdir, ["solve_report.json"], stamp, started, t0,
-                        stages)
+        _write_manifest(outdir, files, stamp, started, t0, stages)
         _say(args, f"solve: {exc}, outputs in {outdir} (exit 2)")
         return 2
     stages["solve"] = "converged" if rep.converged else "not-converged"
@@ -218,39 +211,39 @@ def cmd_solve(args) -> int:
 
     os.makedirs(outdir, exist_ok=True)
     note = f"config_hash {stamp}"
-    grid.write_gridfunction(rep.u, os.path.join(outdir, "u_final.csv"),
-                            extra_comments=(note,))
-    rep.record.write_csv(os.path.join(outdir, "record.csv"),
-                         extra_comments=(note,))
-    written = ["u_final.csv", "record.csv"]
+    _write_payload(outdir, "u_final.csv",
+                   grid.format_gridfunction(rep.u, (note,)), files)
+    rec = rep.record
+    _write_payload(outdir, "record.csv", grid.format_table(
+        [solver.PS_CSV_HEADER, f"# {note}"], rec.iteration,
+        [rec.f, rec.grad_norm, rec.w1p_norm, rec.dist_vstar_V,
+         rec.dist_vstar_W]), files)
 
-    crit_path = os.path.join(outdir, "criticality.json")
     principle_holds = False
     try:
         crit = verify.palais_check(model, sym, rep.u, tau_tan=tau_tan)
         principle_holds = crit.principle_holds
         stages["verify"] = "holds" if principle_holds else "violated"
-        _write_json({"config_hash": stamp, **crit.to_dict()}, crit_path)
-        verify.write_sweep_csv(crit.sweep, os.path.join(outdir, "sweep.csv"),
-                               extra_comments=(note,))
-        written.append("sweep.csv")
+        crit_payload = {"config_hash": stamp, **crit.to_dict()}
+        js, tops = zip(*crit.sweep)
+        _write_payload(outdir, "sweep.csv", grid.format_table(
+            [verify.SWEEP_CSV_HEADER, f"# {note}"], js, [tops]), files)
     except HypothesisViolationError as exc:
         stages["verify"] = "hypothesis-violated"
-        _write_json({"config_hash": stamp, "error": str(exc)}, crit_path)
-    written.append("criticality.json")
+        crit_payload = {"config_hash": stamp, "error": str(exc)}
+    _write_payload(outdir, "criticality.json", crit_payload, files)
 
     if len(rep.record) >= 2:
         diag = solver.ps_diagnostics(rep.record, model,
                                      sweep_start=rep.sweep_start)
         stages["diagnostics"] = ("passed" if diag.passed else
                                  f"{len(diag.violations)} violations")
-        _write_json({"config_hash": stamp, **diag.to_dict()},
-                    os.path.join(outdir, "diagnostics.json"))
-        written.append("diagnostics.json")
+        _write_payload(outdir, "diagnostics.json",
+                       {"config_hash": stamp, **diag.to_dict()}, files)
     else:
         stages["diagnostics"] = "skipped (record too short)"
 
-    _write_json({
+    _write_payload(outdir, "solve_report.json", {
         "config": cfg,
         "config_hash": stamp,
         "mode": rep.mode,
@@ -265,9 +258,8 @@ def cmd_solve(args) -> int:
         "record_length": len(rep.record),
         "solver_config_hash": rep.config_hash,
         "endpoints": rep.endpoints.to_dict(),
-    }, os.path.join(outdir, "solve_report.json"))
-    written.append("solve_report.json")
-    _write_manifest(outdir, written, stamp, started, t0, stages, rep.counts)
+    }, files)
+    _write_manifest(outdir, files, stamp, started, t0, stages, rep.counts)
 
     if not rep.converged:
         code = 2
@@ -280,11 +272,13 @@ def cmd_solve(args) -> int:
     return code
 
 
-def _write_manifest(outdir, names, stamp, started, t0, stages,
+def _write_manifest(outdir, files, stamp, started, t0, stages,
                     counts=None):
-    """sha256 inventory of the payload files this run wrote (``names``;
-    files an earlier run left in ``outdir`` are not listed) plus the
-    wall-clock data and the solver's work ``counts`` (``SolveReport``)."""
+    """Inventory of the payload files this run wrote: ``files`` holds the
+    size and sha256 of the bytes ``_write_payload`` wrote, so no file is
+    read back (files an earlier run left in ``outdir`` are not listed).
+    Adds the wall-clock data and the solver's work ``counts``
+    (``SolveReport``)."""
     finished = datetime.datetime.now(datetime.timezone.utc)
     manifest = {
         "artifact_version": ARTIFACT_VERSION,
@@ -297,28 +291,20 @@ def _write_manifest(outdir, names, stamp, started, t0, stages,
         },
         "stages": stages,
         "solver_counts": counts,
-        "files": {
-            name: {
-                "bytes": os.path.getsize(os.path.join(outdir, name)),
-                "sha256": _sha256_file(os.path.join(outdir, name)),
-            } for name in sorted(names)
-        },
+        "files": files,
     }
-    manifest_path = os.path.join(outdir, "manifest.json")
-    _write_json(manifest, manifest_path + ".tmp")
-    os.replace(manifest_path + ".tmp", manifest_path)
+    _write_payload(outdir, "manifest.json.tmp", manifest, {})
+    os.replace(os.path.join(outdir, "manifest.json.tmp"),
+               os.path.join(outdir, "manifest.json"))
 
 
 def _report_out(args, payload: dict, filename: str):
-    text = dump_json(payload)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, filename)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
-        _say(args, f"report written to {path}")
+        _write_payload(args.out, filename, payload, {})
+        _say(args, f"report written to {os.path.join(args.out, filename)}")
     else:
-        print(text)
+        print(dump_json(payload))
 
 
 def cmd_check_integrand(args) -> int:

@@ -207,6 +207,16 @@ def _edge_keys(pairs, n: int) -> np.ndarray:
     return np.minimum(a, b) * n + np.maximum(a, b)
 
 
+def distinct(keys) -> np.ndarray:
+    """The distinct entries of an integer array, ascending: ``np.unique``
+    by sort and mask, which does not import ``numpy.ma`` as a bare
+    ``np.unique`` does."""
+    keys = np.sort(keys, axis=None)
+    keep = np.ones(keys.shape[0], dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    return keys[keep]
+
+
 def _quad_edges(nodes, n: int) -> np.ndarray:
     """Distinct sides of quadrilateral cells as sorted (a, b) node rows.
 
@@ -215,8 +225,7 @@ def _quad_edges(nodes, n: int) -> np.ndarray:
     """
     sides = np.vstack([nodes[:, :2], nodes[:, 2:], nodes[:, ::2],
                        nodes[:, 1::2]])
-    keys = np.sort(_edge_keys(sides, n))
-    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    keys = distinct(_edge_keys(sides, n))
     return np.column_stack([keys // n, keys % n])
 
 
@@ -558,15 +567,14 @@ class CellForm:
         if cs.center_nodes is not None:
             at = relabel[cs.center_nodes]
             core[at[at >= 0]] = cs.center_coefs[at >= 0]
-        self.span = np.union1d(np.flatnonzero(core),
-                               ends[node & np.any(center, axis=0)])
+        self.span = distinct(np.concatenate(
+            [np.flatnonzero(core), ends[node & np.any(center, axis=0)]]))
         self.center = core[self.span]
         ring_keys = (self.span[None, :] * n + self.span[:, None]).reshape(-1)
         diag_keys = np.arange(n) * (n + 1)
         # CSC order: column-major keys col * n + row, each once
-        keys = np.sort(np.concatenate([pair_keys[kept], ring_keys,
-                                       diag_keys]))
-        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        keys = distinct(np.concatenate([pair_keys[kept], ring_keys,
+                                        diag_keys]))
         nnz, s = keys.shape[0], self.span.shape[0]
         self.slots = np.full(pair_keys.shape, nnz + s + 1)
         self.slots[kept] = np.searchsorted(keys, pair_keys[kept])
@@ -706,20 +714,30 @@ def is_edge(domain: Domain, pairs: np.ndarray) -> np.ndarray:
 # serialization
 
 
-def write_gridfunction(u: GridFunction, path, extra_comments=()):
-    """Write the fixed CSV format: header, comments, index/coords/value rows."""
+def format_table(lines, index, columns) -> str:
+    """Text of a CSV payload: the leading ``lines``, then one row per entry
+    of the integer column ``index`` followed by the float ``columns`` (1-d
+    columns or 2-d blocks) in %.17g, which round-trips."""
+    table = np.column_stack([index, *columns])
+    row = "%d" + ",%.17g" * (table.shape[1] - 1) + "\n"
+    return ("".join(f"{line}\n" for line in lines)
+            + (row * table.shape[0]) % tuple(table.reshape(-1).tolist()))
+
+
+def format_gridfunction(u: GridFunction, extra_comments=()) -> str:
+    """The fixed CSV format: header, comments, index/coords/value rows."""
     dom = u.domain
+    cols = ",".join(f"x{i}" for i in range(dom.coords.shape[1]))
+    return format_table(
+        [GRIDFUNCTION_HEADER, *(f"# {line}" for line in extra_comments),
+         f"index,{cols},value"],
+        np.arange(dom.n_nodes), [dom.coords, u.values])
+
+
+def write_gridfunction(u: GridFunction, path, extra_comments=()):
+    """Write ``format_gridfunction(u, extra_comments)`` to ``path``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(GRIDFUNCTION_HEADER + "\n")
-        for line in extra_comments:
-            fh.write(f"# {line}\n")
-        ncoord = dom.coords.shape[1]
-        cols = ",".join(f"x{i}" for i in range(ncoord))
-        fh.write(f"index,{cols},value\n")
-        row = "%d" + ",%.17g" * (ncoord + 1) + "\n"
-        table = np.column_stack([np.arange(dom.n_nodes), dom.coords,
-                                 u.values])
-        fh.write((row * dom.n_nodes) % tuple(table.reshape(-1).tolist()))
+        fh.write(format_gridfunction(u, extra_comments))
 
 
 def read_gridfunction(domain: Domain, path) -> GridFunction:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainMismatchError, SymmetryCompatibilityError
-from .grid import Domain, GridFunction, cell_values, is_edge
+from .grid import Domain, GridFunction, cell_values, distinct, is_edge
 
 # generators of each square label, by their names in _square_index_maps
 _SQUARE_GENERATORS = {
@@ -369,7 +369,7 @@ def _build_quotient(g: SymmetryGroup) -> Domain:
     k = fb.reps.shape[0]
     # grid edges between two distinct orbits
     ends = np.sort(fb.orbit[dom.edges], axis=1)
-    edge_keys = np.unique(ends[:, 0] * k + ends[:, 1])
+    edge_keys = distinct(ends[:, 0] * k + ends[:, 1])
     edge_keys = edge_keys[edge_keys // k != edge_keys % k]
     return Domain(
         kind=f"{dom.kind}/{g.label}",

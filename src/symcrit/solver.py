@@ -161,18 +161,6 @@ class PSRecord:
     def tail_values(self) -> list:
         return list(self._tail)
 
-    def write_csv(self, path, extra_comments=()):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(PS_CSV_HEADER + "\n")
-            for line in extra_comments:
-                fh.write(f"# {line}\n")
-            for k in range(len(self)):
-                fh.write(
-                    f"{self.iteration[k]},{self.f[k]:.17g},"
-                    f"{self.grad_norm[k]:.17g},{self.w1p_norm[k]:.17g},"
-                    f"{self.dist_vstar_V[k]:.17g},"
-                    f"{self.dist_vstar_W[k]:.17g}\n")
-
 
 @dataclass
 class EndpointData:
@@ -384,7 +372,11 @@ def _metric_coefficients(model, values):
     t_eff = np.maximum(t, t_floor)
     a = model.integrand.j_t(avg, t_eff) / t_eff
     positive = a[a > 0]
-    med = float(np.median(positive)) if positive.size else 1.0
+    # np.median's value without its numpy.ma import: the mean of the two
+    # middle values, which are one value when the count is odd
+    mid = [(positive.size - 1) // 2, positive.size // 2]
+    med = (float(np.partition(positive, mid)[mid].sum() / 2)
+           if positive.size else 1.0)
     coef = model.domain.cells.weights * np.clip(a, 1e-6 * med, 1e6 * med)
     return np.diag([0.0] + [1.0] * grads.shape[0])[:, :, None] * coef
 
@@ -964,7 +956,7 @@ def ps_diagnostics(record: PSRecord, model,
     # bound the pairwise sweep to 120 points; an even stride (all of them
     # when there are fewer) keeps first and last iterates
     idx = np.linspace(0, len(pts) - 1, min(len(pts), 120)).astype(int)
-    pts = np.array([pts[i] for i in np.unique(idx)])
+    pts = np.array([pts[i] for i in grid.distinct(idx)])
     # one row reduction per anchor against every later iterate
     cauchy = 0.0
     for a in range(len(pts) - 1):

@@ -53,7 +53,7 @@ class Polarizer:
         if pairs.min() < 0 or pairs.max() >= n:
             raise ParameterError("polarizer pair index out of range")
         flat = pairs.reshape(-1)
-        if np.unique(flat).shape[0] != flat.shape[0]:
+        if grid.distinct(flat).shape[0] != flat.shape[0]:
             raise ParameterError("polarizer pairs must not share nodes")
         w = self.domain.weights
         wa, wb = w[pairs[:, 0]], w[pairs[:, 1]]

@@ -97,15 +97,6 @@ def dense_test_sweep(model, u: GridFunction, j_max: int, *,
     return rows
 
 
-def write_sweep_csv(rows, path, extra_comments=()):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(SWEEP_CSV_HEADER + "\n")
-        for line in extra_comments:
-            fh.write(f"# {line}\n")
-        for j, top in rows:
-            fh.write(f"{j},{top:.17g}\n")
-
-
 # ---------------------------------------------------------------------------
 # symmetric criticality
 

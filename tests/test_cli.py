@@ -1,3 +1,5 @@
+import ast
+import hashlib
 import json
 import os
 import pathlib
@@ -197,6 +199,40 @@ def test_only_a_factorization_loads_scipy(tmp_path):
                    "solve 0 True"]
 
 
+def test_solves_and_checks_keep_numpy_ma_unloaded(tmp_path):
+    # numpy.ma takes 11-17 ms and about a megabyte to import, and a bare
+    # np.unique, np.union1d or np.median loads it: the desk square and
+    # disk solves, compare-levels and verify-point load it nowhere
+    disk = write_cfg(tmp_path, SMALL_SOLVE.replace(
+        "domain.kind = square\ndomain.side = 6.0\ndomain.resolution = 9\n",
+        "domain.kind = disk-polar\ndomain.radius = 6.0\n"
+        "domain.resolution = 10\ndomain.angular_resolution = 16\n").replace(
+        "dihedral_4", "rotations_8"), "disk.cfg")
+    square = write_cfg(tmp_path, SMALL_SOLVE, "square.cfg")
+    dom = cli.build_model(config.read_config(square)).domain
+    point = str(tmp_path / "u.csv")
+    grid.write_gridfunction(symcrit.solver.default_psi(dom), point)
+    argvs = [["solve", "--config", square],
+             ["solve", "--config", disk],
+             ["compare-levels", "--config", square],
+             ["verify-point", "--config", square, point]]
+    argvs = [argv + ["--quiet", "--out", str(tmp_path / str(k))]
+             for k, argv in enumerate(argvs)]
+    code = (
+        "import contextlib, io, sys; import symcrit\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        rc = symcrit.cli.main(argv)\n"
+        "    print(argv[0], rc, 'numpy.ma' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    # the bump is not a critical point, so verify-point exits 3
+    assert out == ["solve 0 False", "solve 0 False",
+                   "compare-levels 0 False", "verify-point 3 False"]
+
+
 def test_import_and_disk_verify_keep_scipy_extras_unloaded(tmp_path):
     # scipy.sparse.linalg and scipy.optimize cost about 8 MB and 17 MB of
     # resident memory: importing symcrit loads neither, and verify-point
@@ -231,12 +267,52 @@ def test_manifest_inventories_payloads(solved):
     assert sorted(man["files"]) == sorted(PAYLOADS)
     for name, entry in man["files"].items():
         path = os.path.join(out, name)
-        assert entry["bytes"] == os.path.getsize(path)
-        assert entry["sha256"] == cli._sha256_file(path)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        assert entry["bytes"] == os.path.getsize(path) == len(data)
+        assert entry["sha256"] == hashlib.sha256(data).hexdigest()
     assert man["stages"]["solve"] == "converged"
     assert man["stages"]["verify"] == "holds"
     assert man["stages"]["diagnostics"] == "passed"
     assert man["timestamps"]["wall_seconds"] > 0.0
+
+
+def test_dump_json_golden():
+    # floats in %.17g and null when not finite; everything else as
+    # json.dumps writes it, non-ASCII text kept as is
+    payload = {"none": None, "flags": (True, False),
+               "ints": [0, -7, 2 ** 70],
+               "name": "\u03a9-disk \u00ab\u00fc\u00bb",
+               "zero": -0.0, "tiny": 5e-324, "big": 1e300,
+               "nan": float("nan"), "inf": [float("inf"), -float("inf")],
+               "third": 1 / 3, "empty": {}, "nothing": [],
+               "nested": {"b": {}, "a": ()}}
+    assert cli.dump_json(payload) == (
+        '{\n  "big": 1.0000000000000001e+300,\n  "empty": {},\n'
+        '  "flags": [\n    true,\n    false\n  ],\n'
+        '  "inf": [\n    null,\n    null\n  ],\n'
+        '  "ints": [\n    0,\n    -7,\n    1180591620717411303424\n  ],\n'
+        '  "name": "\u03a9-disk \u00ab\u00fc\u00bb",\n  "nan": null,\n'
+        '  "nested": {\n    "a": [],\n    "b": {}\n  },\n'
+        '  "none": null,\n  "nothing": [],\n'
+        '  "third": 0.33333333333333331,\n'
+        '  "tiny": 4.9406564584124654e-324,\n  "zero": -0\n}')
+
+
+def test_only_cli_config_and_grid_open_files():
+    # the numerical layers read and write no file: every payload goes
+    # through cli, configs through config and grid functions through grid
+    src = pathlib.Path(cli.__file__).parent
+    opened = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem in ("cli", "config", "grid"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and (
+                    getattr(node.func, "id", None) == "open"
+                    or getattr(node.func, "attr", None) == "open"):
+                opened.append(f"{path.name}:{node.lineno}")
+    assert opened == []
 
 
 def test_manifest_counts_the_solver_work(solved):

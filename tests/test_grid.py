@@ -190,6 +190,16 @@ def test_repeated_corners_merge_like_the_coo_oracle(rng):
 # gradients
 
 
+def test_distinct_is_numpy_unique(rng):
+    # np.unique by sort and mask, without its numpy.ma import
+    for keys in (np.zeros(0, dtype=np.int64), np.array([5]),
+                 rng.integers(0, 20, size=50),
+                 rng.integers(-3, 3, size=(4, 6))):
+        want = np.unique(keys)
+        got = grid.distinct(keys)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_zero_field_gradient(square_small, disk_small, ball_small):
     for dom in (square_small, disk_small, ball_small):
         u = grid.zeros(dom)

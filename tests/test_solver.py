@@ -166,16 +166,22 @@ def test_record_rejects_nonfinite():
         rec.append(0, math.nan, 1.0, 1.0, 0.0, 0.0, np.zeros(3))
 
 
-def test_record_csv_roundtrip(tmp_path):
+def test_record_csv_roundtrip():
     rec = PSRecord()
     rec.append(0, 1.5, 2.5, 3.5, 0.25, 0.125, np.zeros(3))
     rec.append(1, 1.25, 2.0, 3.25, 0.2, 0.1, np.ones(3))
-    out = tmp_path / "record.csv"
-    rec.write_csv(out)
-    lines = out.read_text().splitlines()
+    text = grid.format_table(
+        [PS_CSV_HEADER], rec.iteration,
+        [rec.f, rec.grad_norm, rec.w1p_norm, rec.dist_vstar_V,
+         rec.dist_vstar_W])
+    lines = text.splitlines()
     assert lines[0] == PS_CSV_HEADER
     assert len(lines) == 3
     assert lines[1].split(",")[1] == "1.5"
+    assert lines[1] == "0,1.5,2.5,3.5,0.25,0.125"
+    assert lines[2] == ("1,1.25,2,3.25,0.20000000000000001,"
+                        "0.10000000000000001")
+    assert text.endswith("\n")
 
 
 def test_record_tail_is_bounded():
@@ -711,6 +717,23 @@ def test_cell_form_matches_sparse_congruence(kind, dom_kw, label):
         got = as_array(form.matrix(blocks, dom.weights[inner]))
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     assert np.any(grid.cell_values(dom, values)[1] == 0.0)
+
+
+@pytest.mark.parametrize("resolution", [8, 9])
+def test_metric_clamp_median_is_numpys(resolution):
+    # the metric's clamp takes the median without np.median (which imports
+    # numpy.ma); it equals np.median bitwise at an odd (81) and an even
+    # (100) cell count
+    model = make_model("square", dict(side=6.0, resolution=resolution),
+                       p=1.8, q=3.0)
+    dom = model.domain
+    values = np.random.default_rng(3).standard_normal(dom.n_nodes)
+    avg, t, _ = grid.cell_values(dom, values)
+    t_eff = np.maximum(t, 1e-8 * (1.0 + t.max()))
+    a = model.integrand.j_t(avg, t_eff) / t_eff
+    med = np.median(a[a > 0])
+    want = dom.cells.weights * np.clip(a, 1e-6 * med, 1e6 * med)
+    assert np.array_equal(_metric_coefficients(model, values)[1, 1], want)
 
 
 @pytest.mark.parametrize("kind, dom_kw, label", [

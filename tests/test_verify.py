@@ -160,15 +160,18 @@ def test_sweep_agrees_with_directional_derivative(square_setup, rng):
     assert abs(dd) == pytest.approx(abs(r[i]) / norms[i], rel=1e-10)
 
 
-def test_sweep_csv_format(square_setup, tmp_path, rng):
+def test_sweep_csv_format(square_setup, rng):
     dom, model, _ = square_setup
     rows = verify.dense_test_sweep(model, random_function(dom, rng), 3)
-    out = tmp_path / "sweep.csv"
-    verify.write_sweep_csv(rows, out)
-    lines = out.read_text().splitlines()
+    js, tops = zip(*rows)
+    lines = grid.format_table([verify.SWEEP_CSV_HEADER], js,
+                              [tops]).splitlines()
     assert lines[0] == verify.SWEEP_CSV_HEADER
     assert len(lines) == 4
     assert lines[1].startswith("1,")
+    assert grid.format_table([verify.SWEEP_CSV_HEADER, "# note"], [1, 2],
+                             [[0.1, 0.0]]) == (
+        f"{verify.SWEEP_CSV_HEADER}\n# note\n1,0.10000000000000001\n2,0\n")
 
 
 # ---------------------------------------------------------------------------
