@@ -46,6 +46,10 @@ MAX_ROTATION_ORDER = 8
 #: unknowns) all fit under it.
 DENSE_MAX_UNKNOWNS = 128
 
+#: Rows of a payload table formatted by one ``%`` operation, so the
+#: per-value Python floats that formatting needs stay few at any grid size
+_FORMAT_BLOCK_ROWS = 1 << 9
+
 
 @dataclass(frozen=True)
 class CellSet:
@@ -121,8 +125,7 @@ class CellSet:
         center_nodes = center_coefs = None
         if self.center_nodes is not None:
             orbit = np.append(orbit, k)
-            center_nodes, at = np.unique(orbit[self.center_nodes],
-                                         return_inverse=True)
+            center_nodes, at = numbering(orbit[self.center_nodes])
             center_coefs = np.bincount(at, self.center_coefs)
         cols, table = _cell_operator(orbit[self.cols[:, cells]].T,
                                      np.moveaxis(self.table[:, :, cells], 1, 2))
@@ -207,26 +210,49 @@ def _edge_keys(pairs, n: int) -> np.ndarray:
     return np.minimum(a, b) * n + np.maximum(a, b)
 
 
+def _drop_repeats(keys) -> np.ndarray:
+    """The entries of a sorted 1-d array that differ from the one before."""
+    keep = np.empty(keys.shape[0], dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
 def distinct(keys) -> np.ndarray:
     """The distinct entries of an integer array, ascending: ``np.unique``
     by sort and mask, which does not import ``numpy.ma`` as a bare
     ``np.unique`` does."""
-    keys = np.sort(keys, axis=None)
-    keep = np.ones(keys.shape[0], dtype=bool)
-    keep[1:] = keys[1:] != keys[:-1]
-    return keys[keep]
+    return _drop_repeats(np.sort(keys, axis=None))
+
+
+def numbering(labels):
+    """The distinct labels of a 1-d integer array, ascending, and each
+    item's index into them: ``np.unique(labels, return_inverse=True)`` by
+    sort and search, with no argsort of the items.  Counts, where wanted,
+    are ``np.bincount`` of the index."""
+    keys = distinct(labels)
+    return keys, np.searchsorted(keys, labels)
 
 
 def _quad_edges(nodes, n: int) -> np.ndarray:
     """Distinct sides of quadrilateral cells as sorted (a, b) node rows.
 
     Corners are ordered like (SW, SE, NW, NE); rows come out in
-    lexicographic order.
+    lexicographic order.  The order-free keys of the four sides fill one
+    array, which is sorted in place.
     """
-    sides = np.vstack([nodes[:, :2], nodes[:, 2:], nodes[:, ::2],
-                       nodes[:, 1::2]])
-    keys = distinct(_edge_keys(sides, n))
-    return np.column_stack([keys // n, keys % n])
+    count = nodes.shape[0]
+    keys = np.empty((4, count), dtype=np.int64)
+    for out, (a, b) in zip(keys, ((0, 1), (2, 3), (0, 2), (1, 3))):
+        np.minimum(nodes[:, a], nodes[:, b], out=out)
+        out *= n
+        out += np.maximum(nodes[:, a], nodes[:, b])
+    keys = keys.reshape(-1)
+    keys.sort()
+    keys = _drop_repeats(keys)
+    edges = np.empty((keys.shape[0], 2), dtype=np.int64)
+    np.divmod(keys, n, out=(edges[:, 0], edges[:, 1]))
+    return edges
 
 
 def _cell_operator(nodes, tables):
@@ -237,22 +263,28 @@ def _cell_operator(nodes, tables):
     broadcastable to ``nodes.shape``.  Each cell's corners are put in
     column order, and a corner that a cell lists twice (the disk's center,
     or two nodes of one orbit in a quotient) keeps the sum of its
-    coefficients in its first slot and zeros in the repeat.
+    coefficients in its first slot and zeros in the repeat.  Both arrays
+    are filled in the (corner, cell) layout ``CellSet`` keeps, with no
+    cell-major copy.
     """
-    cols = np.array(nodes, dtype=np.intp)
-    vals = np.stack([np.broadcast_to(t, nodes.shape) for t in tables])
+    count, width = nodes.shape
+    cols = np.empty((width, count), dtype=np.intp)
+    cols[...] = nodes.T
+    table = np.empty((len(tables), width, count))
+    for block, t in zip(table, tables):
+        block[...] = np.broadcast_to(t, nodes.shape).T
     # on the grids, only cells that close a polar ring or repeat a corner
     # list their corners out of order
-    wrap = np.flatnonzero(np.any(nodes[:, 1:] <= nodes[:, :-1], axis=1))
-    order = np.argsort(nodes[wrap], axis=1, kind="stable")
-    cols[wrap] = np.take_along_axis(cols[wrap], order, axis=1)
-    vals[:, wrap] = np.take_along_axis(vals[:, wrap], order[None], axis=2)
-    for k in range(cols.shape[1] - 1, 0, -1):
-        rep = np.flatnonzero(cols[:, k] == cols[:, k - 1])
-        vals[:, rep, k - 1] += vals[:, rep, k]
-        vals[:, rep, k] = 0.0
-    return (np.ascontiguousarray(cols.T),
-            np.ascontiguousarray(vals.transpose(0, 2, 1)))
+    wrap = np.flatnonzero(np.any(cols[1:] <= cols[:-1], axis=0))
+    order = np.argsort(cols[:, wrap], axis=0, kind="stable")
+    cols[:, wrap] = np.take_along_axis(cols[:, wrap], order, axis=0)
+    table[:, :, wrap] = np.take_along_axis(table[:, :, wrap], order[None],
+                                           axis=1)
+    for k in range(width - 1, 0, -1):
+        rep = np.flatnonzero(cols[k] == cols[k - 1])
+        table[:, k - 1, rep] += table[:, k, rep]
+        table[:, k, rep] = 0.0
+    return cols, table
 
 
 def _build_square(side: float, resolution: int) -> Domain:
@@ -672,6 +704,9 @@ def hat_w1p_norms(domain: Domain, p: float) -> np.ndarray:
     not one of its corners sees c_i times the center's gradient alone.
     Those last terms are priced once for all nodes and taken off again at
     each cell's corners, so the center's dense rows are never formed.
+    Every slot is priced first as the plain corner it is on most cells;
+    the center terms are then computed on the core cells alone, the
+    cells that read the center.
     """
     if p <= 1:
         raise ParameterError(f"Sobolev exponent must satisfy p > 1, got {p}")
@@ -679,20 +714,31 @@ def hat_w1p_norms(domain: Domain, p: float) -> np.ndarray:
     def build():
         cs = domain.cells
         n, grads = cs.n_nodes, cs.table[1:]
+        # slots in cell-major memory, the order the nodes sum them in
+        cell_major = np.empty(cs.cols.shape[::-1])
+        slots = cell_major.T
+        np.square(grads[0], out=slots)
+        for g in grads[1:]:
+            slots += g ** 2
+        slots **= 0.5 * p
+        slots *= cs.weights
+        price = np.zeros(cs.count)
         core = np.zeros(cs.n_columns)
         if cs.center_nodes is not None:
             core[cs.center_nodes] = cs.center_coefs
-        # each cell's center gradient, 0 where a cell does not read it
-        center = np.where(cs.cols == n, grads, 0.0).sum(axis=1)
-        price = cs.weights * np.sum(center ** 2, axis=0) ** (0.5 * p)
-        # a node's share of the center, counted once per cell
-        share = core[cs.cols]
-        share[1:][cs.cols[1:] == cs.cols[:-1]] = 0.0
-        comb = grads + center[:, None] * share
-        slots = (cs.weights * np.sum(comb ** 2, axis=0) ** (0.5 * p)
-                 - np.abs(share) ** p * price)
+            at = np.flatnonzero(np.any(cs.cols == n, axis=0))
+            cols, grads, w = cs.cols[:, at], grads[:, :, at], cs.weights[at]
+            # each core cell's center gradient
+            center = np.where(cols == n, grads, 0.0).sum(axis=1)
+            price[at] = w * np.sum(center ** 2, axis=0) ** (0.5 * p)
+            # a node's share of the center, counted once per cell
+            share = core[cols]
+            share[1:][cols[1:] == cols[:-1]] = 0.0
+            comb = grads + center[:, None] * share
+            slots[:, at] = (w * np.sum(comb ** 2, axis=0) ** (0.5 * p)
+                            - np.abs(share) ** p * price[at])
         # each node sums its corners cell by cell, in cell order
-        dup = np.bincount(cs.cols.T.reshape(-1), slots.T.reshape(-1),
+        dup = np.bincount(cs.cols.T.reshape(-1), cell_major.reshape(-1),
                           minlength=cs.n_columns)[:n]
         dup += np.abs(core[:n]) ** p * price.sum()
         return (domain.weights + dup) ** (1.0 / p)
@@ -717,11 +763,19 @@ def is_edge(domain: Domain, pairs: np.ndarray) -> np.ndarray:
 def format_table(lines, index, columns) -> str:
     """Text of a CSV payload: the leading ``lines``, then one row per entry
     of the integer column ``index`` followed by the float ``columns`` (1-d
-    columns or 2-d blocks) in %.17g, which round-trips."""
-    table = np.column_stack([index, *columns])
-    row = "%d" + ",%.17g" * (table.shape[1] - 1) + "\n"
-    return ("".join(f"{line}\n" for line in lines)
-            + (row * table.shape[0]) % tuple(table.reshape(-1).tolist()))
+    columns or 2-d blocks) in %.17g, which round-trips.  Rows are
+    formatted ``_FORMAT_BLOCK_ROWS`` at a time, one ``%`` operation per
+    block, and the text is joined once."""
+    index = np.asarray(index)
+    columns = [np.asarray(c) for c in columns]
+    parts = [f"{line}\n" for line in lines]
+    for start in range(0, index.shape[0], _FORMAT_BLOCK_ROWS):
+        rows = slice(start, start + _FORMAT_BLOCK_ROWS)
+        block = np.column_stack([index[rows], *(c[rows] for c in columns)])
+        row = "%d" + ",%.17g" * (block.shape[1] - 1) + "\n"
+        parts.append((row * block.shape[0])
+                     % tuple(block.reshape(-1).tolist()))
+    return "".join(parts)
 
 
 def format_gridfunction(u: GridFunction, extra_comments=()) -> str:

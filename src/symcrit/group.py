@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainMismatchError, SymmetryCompatibilityError
-from .grid import Domain, GridFunction, cell_values, distinct, is_edge
+from .grid import (Domain, GridFunction, cell_values, distinct, is_edge,
+                   numbering)
 
 # generators of each square label, by their names in _square_index_maps
 _SQUARE_GENERATORS = {
@@ -278,12 +279,14 @@ def _smallest_members(maps, count):
 
 
 def fix_basis(g: SymmetryGroup) -> FixBasis:
-    """The node orbits of g from its generators, built once per group."""
+    """The node orbits of g from its generators, built once per group.
+
+    Each node's smallest orbit member is its orbit's label; the distinct
+    labels are the representatives, ``numbering`` gives each node its
+    orbit's number and ``np.bincount`` the sizes."""
     if g._basis is None:
-        reps, orbit, sizes = np.unique(
-            _smallest_members(g.gens, g.domain.n_nodes),
-            return_inverse=True, return_counts=True)
-        g._basis = FixBasis(orbit=orbit, reps=reps, sizes=sizes,
+        reps, orbit = numbering(_smallest_members(g.gens, g.domain.n_nodes))
+        g._basis = FixBasis(orbit=orbit, reps=reps, sizes=np.bincount(orbit),
                             interior=~g.domain.boundary[reps])
     return g._basis
 
@@ -358,8 +361,9 @@ def _cell_maps(g: SymmetryGroup) -> np.ndarray:
 def _cell_orbits(g: SymmetryGroup):
     """Smallest cell of each cell orbit, ascending, and the orbit sizes,
     from the generators' cell maps."""
-    return np.unique(_smallest_members(_cell_maps(g), g.domain.cells.count),
-                     return_counts=True)
+    reps, at = numbering(_smallest_members(_cell_maps(g),
+                                           g.domain.cells.count))
+    return reps, np.bincount(at)
 
 
 def _build_quotient(g: SymmetryGroup) -> Domain:

@@ -315,6 +315,20 @@ def test_only_cli_config_and_grid_open_files():
     assert opened == []
 
 
+def test_no_module_calls_np_unique():
+    # np.unique argsorts and builds its outputs in full-size temporaries,
+    # and a bare call imports numpy.ma: labels are numbered by sort and
+    # search instead (grid.distinct and grid.numbering)
+    src = pathlib.Path(cli.__file__).parent
+    calls = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", None) == "unique"):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []
+
+
 def test_manifest_counts_the_solver_work(solved):
     # the peak searches, Newton trials and factorizations of the solve go
     # to the manifest, not to the payloads, whose bytes stay reproducible

@@ -198,6 +198,11 @@ def test_distinct_is_numpy_unique(rng):
         want = np.unique(keys)
         got = grid.distinct(keys)
         assert got.dtype == want.dtype and np.array_equal(got, want)
+        # and the numbering of the items, np.unique's inverse
+        got, at = grid.numbering(keys.ravel())
+        want, inverse = np.unique(keys.ravel(), return_inverse=True)
+        assert np.array_equal(got, want) and np.array_equal(at, inverse)
+        assert at.dtype == inverse.dtype
 
 
 def test_zero_field_gradient(square_small, disk_small, ball_small):
