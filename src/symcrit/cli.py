@@ -225,9 +225,6 @@ def cmd_solve(args) -> int:
         principle_holds = crit.principle_holds
         stages["verify"] = "holds" if principle_holds else "violated"
         crit_payload = {"config_hash": stamp, **crit.to_dict()}
-        js, tops = zip(*crit.sweep)
-        _write_payload(outdir, "sweep.csv", grid.format_table(
-            [verify.SWEEP_CSV_HEADER, f"# {note}"], js, [tops]), files)
     except HypothesisViolationError as exc:
         stages["verify"] = "hypothesis-violated"
         crit_payload = {"config_hash": stamp, "error": str(exc)}

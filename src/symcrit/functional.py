@@ -89,12 +89,6 @@ def energy_of_values(model: EnergyModel, values: np.ndarray):
     return f if f.ndim else float(f)
 
 
-def energy(model: EnergyModel, u: GridFunction) -> float:
-    """Evaluate f(u).  Finite for finite input by construction."""
-    _check_domain(model, u)
-    return energy_of_values(model, u.values)
-
-
 def residual_of_values(model: EnergyModel, values: np.ndarray) -> np.ndarray:
     """All partial derivatives f'(u) e_i in one sweep, zero on the boundary."""
     dom, J = model.domain, model.integrand

@@ -32,8 +32,9 @@ from .errors import (
 
 GRIDFUNCTION_HEADER = "# symcrit-gridfunction v1"
 
-#: Largest rotation order the polar builders promise to support; the
-#: angular resolution must be divisible by it.
+#: The angular resolution of a polar grid must be a multiple of this, so
+#: that every rotation order up to it can be realized; any other divisor
+#: of the angular resolution is a rotation order too.
 MAX_ROTATION_ORDER = 8
 
 #: Largest number of interior unknowns whose ``CellForm.matrix`` is a dense
@@ -339,8 +340,9 @@ def _build_polar(kind: str, resolution: int, angular_resolution: int,
                  r_inner: float, r_outer: float) -> Domain:
     if angular_resolution % MAX_ROTATION_ORDER != 0:
         raise ConfigurationError(
-            f"angular resolution {angular_resolution} must be divisible by the "
-            f"largest supported rotation order {MAX_ROTATION_ORDER}"
+            f"angular resolution {angular_resolution} must be a multiple of "
+            f"{MAX_ROTATION_ORDER}, so that every rotation order up to "
+            f"{MAX_ROTATION_ORDER} can be realized"
         )
     n_theta = angular_resolution
     d_theta = 2 * math.pi / n_theta

@@ -29,9 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainMismatchError, SymmetryCompatibilityError
-from .grid import (Domain, GridFunction, cell_values, distinct, is_edge,
-                   numbering)
+from .errors import SymmetryCompatibilityError
+from .grid import Domain, cell_values, distinct, is_edge, numbering
 
 # generators of each square label, by their names in _square_index_maps
 _SQUARE_GENERATORS = {
@@ -251,13 +250,6 @@ def average_values(g: SymmetryGroup, values: np.ndarray) -> np.ndarray:
     projector B (B^T v / sizes) onto Fix(G)."""
     basis = fix_basis(g)
     return np.take(basis.means(values), basis.orbit, axis=-1)
-
-
-def average(g: SymmetryGroup, u: GridFunction) -> GridFunction:
-    """Center of gravity of the orbit of u: A u = (1/|G|) sum_g g u."""
-    if u.domain is not g.domain:
-        raise DomainMismatchError("function and group live on different domains")
-    return GridFunction(g.domain, average_values(g, u.values))
 
 
 def _smallest_members(maps, count):

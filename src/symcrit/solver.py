@@ -257,7 +257,7 @@ def init_endpoints(model, symmetry=None,
         raise ParameterError("psi lives on a different domain")
     if symmetry is not None:
         drift = float(np.max(np.abs(
-            group_mod.average(symmetry, psi).values - psi.values)))
+            group_mod.average_values(symmetry, psi.values) - psi.values)))
         if drift > 1e-10 * (1.0 + float(np.max(np.abs(psi.values)))):
             raise SymmetryCompatibilityError(
                 "endpoint bump is not invariant under the given group")
@@ -308,8 +308,8 @@ def init_endpoints(model, symmetry=None,
     tau = 2.0 * hi
 
     e = GridFunction(domain, tau * psi.values)
-    f_zero = functional.energy(model, grid.zeros(domain))
-    f_e = functional.energy(model, e)
+    f_zero = functional.energy_of_values(model, np.zeros(domain.n_nodes))
+    f_e = functional.energy_of_values(model, e.values)
     if not f_e < 0.0:
         raise GeometryError(
             f"endpoint energy f(e) = {f_e:.6e} is not negative at "
@@ -822,7 +822,7 @@ def run(model, symmetry, cfg: SolveConfig) -> SolveReport:
         requested_mode=cfg.mode,
         converged=converged,
         u=u_final,
-        level=functional.energy(model, u_final),
+        level=functional.energy_of_values(model, u_final.values),
         record=st.record,
         endpoints=endpoints,
         iterations=st.it,

@@ -19,8 +19,6 @@ from . import grid
 from .grid import GridFunction
 from . import group as group_mod
 
-SWEEP_CSV_HEADER = "j,max_directional_derivative"
-
 # admissible distance from Fix(G); points farther away are rejected, not
 # projected, because a silent projection would hide solver defects
 INVARIANCE_TOL = 1e-10

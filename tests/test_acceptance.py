@@ -371,7 +371,7 @@ def test_11_reproducibility(tmp_path):
                   encoding="utf-8") as fh:
             manifests.append(json.load(fh))
     base = manifests[0]["files"]
-    assert len(base) == 6
+    assert len(base) == 5
     for other in manifests[1:]:
         assert other["files"] == base
     _finish("11", "byte-identical artifacts across runs and thread caps",

@@ -36,7 +36,7 @@ output.dir = run
 """
 
 PAYLOADS = ("criticality.json", "diagnostics.json", "record.csv",
-            "solve_report.json", "sweep.csv", "u_final.csv")
+            "solve_report.json", "u_final.csv")
 
 
 def write_cfg(tmp_path, text, name="case.cfg"):

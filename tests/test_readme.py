@@ -1,6 +1,9 @@
+import inspect
+import json
 import pathlib
 import re
 
+import symcrit
 from symcrit import cli
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -26,3 +29,41 @@ def test_readme_names_only_known_config_keys():
     assert keys <= cli._KNOWN_KEYS, sorted(keys - cli._KNOWN_KEYS)
     # and the converse: every accepted key is documented
     assert cli._KNOWN_KEYS <= keys, sorted(cli._KNOWN_KEYS - keys)
+
+
+def _section(title):
+    text = README.read_text(encoding="utf-8")
+    return text.split(f"\n## {title}\n")[1].split("\n## ")[0]
+
+
+def _first_list(text):
+    """The items of the first bulleted list in text, each on one line."""
+    items = []
+    for line in text.splitlines():
+        if line.startswith("- "):
+            items.append(line[2:])
+        elif items and line.startswith("  "):
+            items[-1] += " " + line.strip()
+        elif items:
+            break
+    return items
+
+
+def test_readme_lists_the_top_level_api():
+    listed = set(re.findall(r"`(\w+)`",
+                            " ".join(_first_list(_section("Library use")))))
+    public = {name for name in symcrit.__all__
+              if not inspect.ismodule(getattr(symcrit, name))
+              and not (inspect.isclass(getattr(symcrit, name))
+                       and issubclass(getattr(symcrit, name), Exception))}
+    assert listed == public
+
+
+def test_readme_lists_the_payloads_a_solve_writes(tmp_path):
+    cfg = README.parent / "examples" / "radial_strauss.cfg"
+    assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path),
+                     "--quiet"]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    listed = {re.match(r"`([^`]+)`", item).group(1)
+              for item in _first_list(_section("Outputs"))}
+    assert listed == set(manifest["files"]) | {"manifest.json"}

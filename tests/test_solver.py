@@ -1457,3 +1457,39 @@ def test_sparse_linalg_resolves_before_any_solve():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout.split()
     assert out == ["True"]
+
+
+# ---------------------------------------------------------------------------
+# subgroup ladder on a wide annulus
+
+
+def test_annulus_subgroup_ladder():
+    # examples/annulus_breaking.cfg: for H in K, Fix(K) lies in Fix(H), so
+    # the restricted levels climb the ladder.  rotations_8 and rotations_4
+    # find the same radial point; the plain ground state is far from
+    # invariant, so the restricted points are critical points above it
+    model = make_model("annulus-polar",
+                       dict(inner_radius=1.0, outer_radius=6.0, resolution=10,
+                            angular_resolution=32), p=1.8, q=3.0)
+    dom = model.domain
+    expected = {"rotations_8": 34.112133855327286,
+                "rotations_4": 34.112133855327286,
+                "rotations_2": 21.589304512425862,
+                "plain": 10.800498689120062}
+    levels, points = {}, {}
+    for label in expected:
+        mode = "plain" if label == "plain" else "restricted"
+        sym = group.build_group(dom, "trivial" if mode == "plain" else label)
+        rep = run(model, sym, SolveConfig(mode=mode, max_iterations=20000,
+                                          seed=0))
+        assert rep.converged, label
+        levels[label], points[label] = rep.level, rep.u
+        assert rep.level == pytest.approx(expected[label], rel=1e-9), label
+        if mode == "restricted":
+            assert verify.palais_check(model, sym, rep.u).principle_holds, \
+                label
+    assert levels["plain"] <= levels["rotations_2"] <= levels["rotations_4"] \
+        <= levels["rotations_8"]
+    u = points["plain"].values
+    avg = group.average_values(group.build_group(dom, "rotations_8"), u)
+    assert np.max(np.abs(u - avg)) > 0.8 * np.max(np.abs(u))

@@ -164,14 +164,14 @@ def test_sweep_csv_format(square_setup, rng):
     dom, model, _ = square_setup
     rows = verify.dense_test_sweep(model, random_function(dom, rng), 3)
     js, tops = zip(*rows)
-    lines = grid.format_table([verify.SWEEP_CSV_HEADER], js,
-                              [tops]).splitlines()
-    assert lines[0] == verify.SWEEP_CSV_HEADER
+    header = "j,max_directional_derivative"
+    lines = grid.format_table([header], js, [tops]).splitlines()
+    assert lines[0] == header
     assert len(lines) == 4
     assert lines[1].startswith("1,")
-    assert grid.format_table([verify.SWEEP_CSV_HEADER, "# note"], [1, 2],
+    assert grid.format_table([header, "# note"], [1, 2],
                              [[0.1, 0.0]]) == (
-        f"{verify.SWEEP_CSV_HEADER}\n# note\n1,0.10000000000000001\n2,0\n")
+        f"{header}\n# note\n1,0.10000000000000001\n2,0\n")
 
 
 # ---------------------------------------------------------------------------
