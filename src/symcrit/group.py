@@ -24,7 +24,6 @@ the quotient and need no projection.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,22 +31,12 @@ import numpy as np
 from .errors import SymmetryCompatibilityError
 from .grid import Domain, cell_values, distinct, is_edge, numbering
 
-# generators of each square label, by their names in _square_index_maps
-_SQUARE_GENERATORS = {
-    "trivial": (),
-    "rotations_2": ("rot180",),
-    "rotations_4": ("rot90",),
-    "dihedral_1": ("refl_x",),
-    "dihedral_2": ("rot180", "refl_x"),
-    "dihedral_4": ("rot90", "refl_x"),
-}
-
-_POLAR_KINDS = ("disk-polar", "annulus-polar")
-
-# labels that name the group of another label
+# labels that name the group of another label, per domain kind
+_POLAR_ALIASES = {"reflections": "dihedral_1", "block_product": "dihedral_2"}
 _ALIASES = {
     "square": {"reflections": "dihedral_2", "block_product": "dihedral_2"},
-    "polar": {"reflections": "dihedral_1", "block_product": "dihedral_2"},
+    "disk-polar": _POLAR_ALIASES,
+    "annulus-polar": _POLAR_ALIASES,
 }
 
 
@@ -102,116 +91,95 @@ class FixBasis:
         return np.bincount(self.orbit, values) / self.sizes
 
 
-def _square_index_maps(domain):
-    na = domain.meta["axis_nodes"]
-    m = na - 1
-    ix = np.tile(np.arange(na), na)
-    iy = np.repeat(np.arange(na), na)
+def _symmetries(domain):
+    """The grid's turns and mirrors: the turn by j of its smallest steps,
+    the number N of those steps in a full turn, and its mirrors, the one
+    of the dihedral labels first.
 
-    def to_perm(fx, fy):
-        return (fy * na + fx).astype(np.int64)
+    The square turns by quarter turns (N = 4) and has four mirrors
+    (x -> -x, y -> -y, the diagonal and the antidiagonal); a polar grid
+    turns by its angular step (N = n_theta) and has the theta -> -theta
+    mirror; the radial ball has no turn (None) and no mirror.
+    """
+    if domain.kind == "square":
+        na = domain.meta["axis_nodes"]
+        m = na - 1
+        ix = np.tile(np.arange(na), na)
+        iy = np.repeat(np.arange(na), na)
 
-    return {
-        "rot90": to_perm(m - iy, ix),
-        "rot180": to_perm(m - ix, m - iy),
-        "refl_x": to_perm(m - ix, iy),
-        "refl_y": to_perm(ix, m - iy),
-        "refl_d": to_perm(iy, ix),
-        "refl_a": to_perm(m - iy, m - ix),
-    }
+        def at(fx, fy):
+            return (fy * na + fx).astype(np.int64)
 
+        turns = [at(ix, iy), at(m - iy, ix), at(m - ix, m - iy),
+                 at(iy, m - ix)]
+        return lambda j: turns[j % 4], 4, [at(m - ix, iy), at(ix, m - iy),
+                                           at(iy, ix), at(m - iy, m - ix)]
+    if domain.kind in ("disk-polar", "annulus-polar"):
+        n_theta = domain.meta["n_theta"]
+        k = np.arange(n_theta)
+        base = (np.arange(domain.meta["rings"]) * n_theta)[:, None]
 
-def _square_generators(domain, label):
-    if label not in _SQUARE_GENERATORS:
-        raise SymmetryCompatibilityError(
-            f"label {label!r} is not realizable on a square grid; "
-            f"supported: {sorted([*_SQUARE_GENERATORS, *_ALIASES['square']])}")
-    maps = _square_index_maps(domain)
-    return [maps[name] for name in _SQUARE_GENERATORS[label]]
+        def at(new_k):
+            # angular index k goes to new_k[k] on every ring
+            return (base + new_k % n_theta).reshape(-1).astype(np.int64)
 
-
-def _polar_perm(domain, new_k):
-    """Node map sending angular index k to new_k[k] on every ring."""
-    n_theta = domain.meta["n_theta"]
-    base = (np.arange(domain.meta["rings"]) * n_theta)[:, None]
-    return (base + (new_k % n_theta)[None, :]).reshape(-1).astype(np.int64)
-
-
-def _polar_generators(domain, label):
-    """The 2*pi/k turn, and for dihedral_k the theta = 0 mirror."""
-    n_theta = domain.meta["n_theta"]
-    k_nodes = np.arange(n_theta)
-
-    def order_from(prefix):
-        try:
-            k = int(label[len(prefix):])
-        except ValueError:
-            raise SymmetryCompatibilityError(f"malformed label {label!r}")
-        if k < 1:
-            raise SymmetryCompatibilityError(f"group order in {label!r} must be >= 1")
-        if n_theta % k != 0:
-            r = domain.meta["radii"][0]
-            raise SymmetryCompatibilityError(
-                f"rotation by 2*pi/{k} maps node 0 at (r={r:.6g}, theta=0) to "
-                f"angle {2 * math.pi / k:.6g}, which is not a grid angle: "
-                f"{k} does not divide the angular resolution {n_theta}")
-        return k
-
-    if label == "trivial":
-        return []
-    if label.startswith("rotations_"):
-        k = order_from("rotations_")
-        return [_polar_perm(domain, k_nodes + n_theta // k)]
-    if label.startswith("dihedral_"):
-        k = order_from("dihedral_")
-        return [_polar_perm(domain, k_nodes + n_theta // k),
-                _polar_perm(domain, -k_nodes)]
-    raise SymmetryCompatibilityError(
-        f"label {label!r} is not realizable on a polar grid")
+        return lambda j: at(k + j), n_theta, [at(-k)]
+    if domain.kind == "radial-ball-1d":
+        return None, 1, []
+    raise SymmetryCompatibilityError(f"unsupported domain kind {domain.kind!r}")
 
 
 def build_group(domain: Domain, label: str) -> SymmetryGroup:
     """Realize a built-in group label on a domain, or fail exactly.
 
-    The group is the label's generators, each checked by
-    ``_check_elements``; every product of them keeps the weights, the
-    boundary and the grid edges as they do, and none is formed.
+    One grammar reads the grid's turns and mirrors (``_symmetries``):
+    ``trivial`` has no generators; ``rotations_k`` and ``dihedral_k``,
+    for k dividing the N steps of a full turn, have the turn by N/k steps
+    (left out when k = 1), and ``dihedral_k`` the first mirror after it.
+    Each generator is checked by ``_check_elements``; every product of
+    them keeps the weights, the boundary and the grid edges as they do,
+    and none is formed.
     """
-    if domain.kind == "square":
-        gens = _square_generators(domain, _ALIASES["square"].get(label, label))
-    elif domain.kind in _POLAR_KINDS:
-        gens = _polar_generators(domain, _ALIASES["polar"].get(label, label))
-    elif domain.kind == "radial-ball-1d":
-        if label != "trivial":
+    turn, n_turns, maps = _symmetries(domain)
+    target = _ALIASES.get(domain.kind, {}).get(label, label)
+    gens = []
+    if target != "trivial":
+        if turn is None:
             raise SymmetryCompatibilityError(
                 "the radial profile already quotients out O(N); only the "
                 "trivial group acts on radial-ball-1d")
-        gens = []
-    else:
-        raise SymmetryCompatibilityError(f"unsupported domain kind {domain.kind!r}")
+        name, _, order = target.partition("_")
+        if name not in ("rotations", "dihedral"):
+            raise SymmetryCompatibilityError(
+                f"label {label!r} is not realizable on a {domain.kind} grid")
+        if not order.isdecimal():
+            raise SymmetryCompatibilityError(f"malformed label {label!r}")
+        k = int(order)
+        if k < 1 or n_turns % k:
+            raise SymmetryCompatibilityError(
+                f"the order {k} of {label!r} does not divide the grid's "
+                f"{n_turns} turns")
+        gens = [turn(n_turns // k)] if k > 1 else []
+        if name == "dihedral":
+            gens.append(maps[0])
     _check_elements(domain, gens, lambda e: f"generator {e} of {label!r}")
     return SymmetryGroup(domain=domain, label=label,
                          gens=np.array(gens, dtype=np.int64).reshape(
                              -1, domain.n_nodes))
 
 
-def mirrors(domain: Domain) -> list:
-    """The domain's exact mirror symmetries as node permutations.
+def full_group(domain: Domain) -> SymmetryGroup | None:
+    """The grid's full dihedral group ``dihedral_N``, or None on the
+    radial ball, which has no turn."""
+    turn, n_turns, _ = _symmetries(domain)
+    return None if turn is None else build_group(domain, f"dihedral_{n_turns}")
 
-    The square's four mirrors (x, y, diagonal, antidiagonal), the polar
-    grid's theta = 0 mirror, none on the radial ball.  Each one passes the
-    same checks as a group's generators.
-    """
-    if domain.kind == "square":
-        index = _square_index_maps(domain)
-        maps = [index[name] for name in ("refl_x", "refl_y", "refl_d",
-                                          "refl_a")]
-    elif domain.kind in _POLAR_KINDS:
-        maps = [_polar_perm(domain, -np.arange(domain.meta["n_theta"]))]
-    elif domain.kind == "radial-ball-1d":
-        maps = []
-    else:
-        raise SymmetryCompatibilityError(f"unsupported domain kind {domain.kind!r}")
+
+def mirrors(domain: Domain) -> list:
+    """The domain's exact mirror symmetries as node permutations, those
+    of ``_symmetries``.  Each one passes the same checks as a group's
+    generators."""
+    maps = _symmetries(domain)[2]
     _check_elements(domain, maps, lambda e: "mirror")
     return maps
 

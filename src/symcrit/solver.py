@@ -427,28 +427,20 @@ def _newton_point(model, values, covector):
 
 
 def _snap_groups(domain, symmetry):
-    """Symmetry realizations with fewer node orbits than the current
-    group (or than the nodes, with none) to average a stalled iterate
-    over.
+    """The grid's full dihedral group, offered to average a stalled
+    iterate over when it has fewer node orbits than the current group (or
+    than the nodes, with none); nothing on the radial ball.
 
     For p < 2 the integrand kink at flat cells walls off the last digits
     of an almost-symmetric iterate; averaging over coarser orbits jumps
     the wall in one move.  A snap is only taken on a strictly smaller
     dual residual, so an unsuitable candidate costs one evaluation.  The
-    average is invariant under every group the domain realizes (the
-    square's full dihedral group contains them all; the polar grid's full
-    rotation group leaves ring-constant values, which every polar element
-    fixes), so in restricted mode its orbit values are exact.
+    full group contains every group the domain realizes (on a polar grid
+    its orbits are the rings), so the average is invariant under each of
+    them and in restricted mode its orbit values are exact.
     """
-    if domain.kind in ("disk-polar", "annulus-polar"):
-        label = "rotations_%d" % domain.meta["n_theta"]
-    elif domain.kind == "square":
-        label = "dihedral_4"
-    else:
-        return []
-    try:
-        g = group_mod.build_group(domain, label)
-    except SymmetryCompatibilityError:
+    g = group_mod.full_group(domain)
+    if g is None:
         return []
     current = (domain.n_nodes if symmetry is None
                else group_mod.fix_basis(symmetry).reps.size)

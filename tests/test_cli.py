@@ -481,6 +481,27 @@ def test_example_config_builds(path):
     cli.build_solve_config(cfg, config.take(cfg, "run.seed", "int"))
 
 
+def test_plain_annulus_solve_exits_three_on_a_noninvariant_point(tmp_path):
+    # the plain solve of the annulus example reaches the ground state,
+    # which is not rotations_8-invariant: the criticality check refuses
+    # it, and criticality.json names the fixed subspace instead
+    path = pathlib.Path(__file__).resolve().parents[1] / "examples" \
+        / "annulus_breaking.cfg"
+    text = path.read_text()
+    assert "solver.mode = restricted\n" in text
+    cfg = write_cfg(tmp_path, text.replace("solver.mode = restricted\n",
+                                           "solver.mode = plain\n"))
+    out = str(tmp_path / "o")
+    rc = cli.main(["solve", "--config", cfg, "--out", out, "--quiet"])
+    assert rc == 3
+    man = read_json(os.path.join(out, "manifest.json"))
+    assert man["stages"]["verify"] == "hypothesis-violated"
+    crit = read_json(os.path.join(out, "criticality.json"))
+    assert set(crit) == {"config_hash", "error"}
+    assert crit["config_hash"] == man["config_hash"]
+    assert "fixed subspace" in crit["error"]
+
+
 def test_unknown_integrand_key_exits_one(tmp_path, capsys):
     cfg = write_cfg(tmp_path, ("integrand.name = plaplace\n"
                                "integrand.p = 1.8\nmodel.q = 3.0\n"

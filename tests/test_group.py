@@ -85,12 +85,10 @@ def _reference_elements(dom, label):
 
 
 def _labels(dom):
-    if dom.kind == "square":
-        return ["trivial", "rotations_2", "rotations_4", "dihedral_1",
-                "dihedral_2", "dihedral_4", *ALIASES["square"]]
-    n_theta = dom.meta["n_theta"]
-    divisors = [k for k in range(1, n_theta + 1) if n_theta % k == 0]
-    return ["trivial", *ALIASES["polar"],
+    kind = "square" if dom.kind == "square" else "polar"
+    turns = 4 if kind == "square" else dom.meta["n_theta"]
+    divisors = [k for k in range(1, turns + 1) if turns % k == 0]
+    return ["trivial", *ALIASES[kind],
             *(f"{name}_{k}" for name in ("rotations", "dihedral")
               for k in divisors)]
 
@@ -135,15 +133,15 @@ def test_group_closure_exhaustive():
             assert np.array_equal(fb.orbit, orbit), label
             assert np.array_equal(fb.reps, reps), label
             assert np.array_equal(fb.sizes, sizes), label
-        if dom.kind != "square":
-            # a generator that is the identity leaves the group trivial
-            g = group.build_group(dom, "rotations_1")
-            assert group.quotient(g) is dom
-            model = functional.EnergyModel(
-                domain=dom, integrand=integrand.builtin("plaplace", p=1.8),
-                q=3.0)
-            solved, basis = solver._orbit_coordinates(model, g)
-            assert solved is model and basis is None
+        # rotations_1 names the trivial group, whose quotient is the domain
+        g = group.build_group(dom, "rotations_1")
+        assert g.gens.shape == (0, dom.n_nodes)
+        assert group.quotient(g) is dom
+        model = functional.EnergyModel(
+            domain=dom, integrand=integrand.builtin("plaplace", p=1.8),
+            q=3.0)
+        solved, basis = solver._orbit_coordinates(model, g)
+        assert solved is model and basis is None
 
 
 def test_group_build_and_orbits_keep_no_element_table():
@@ -278,6 +276,37 @@ def test_radial_only_trivial(ball_small):
 def test_unknown_label(square_small):
     with pytest.raises(SymmetryCompatibilityError):
         group.build_group(square_small, "icosahedral")
+
+
+@pytest.mark.parametrize("kind, label", [
+    ("square", "rotations_3"), ("square", "dihedral_8"),
+    ("square", "rotations_0"), ("square", "dihedral_x"),
+    ("square", "rotations_0_4"), ("square", "dihedral_+4"),
+    ("disk", "dihedral_3"), ("disk", "rotations_16"), ("disk", "rotations_"),
+    ("disk", "dihedral_two"), ("disk", "rotations_-4"),
+])
+def test_orders_that_do_not_divide_the_turns_are_refused(
+        square_small, disk_small, kind, label):
+    # k must divide the grid's number of turns: 4 on the square, the
+    # angular resolution (8 on disk_small) on a polar grid
+    dom = square_small if kind == "square" else disk_small
+    with pytest.raises(SymmetryCompatibilityError):
+        group.build_group(dom, label)
+
+
+def test_quotient_domain_refuses_every_label(square_small, disk_small):
+    # a quotient's kind has no turns or mirrors, so no label, not even
+    # trivial, is realized on it
+    for dom, label in ((square_small, "dihedral_4"),
+                       (disk_small, "rotations_4")):
+        quot = group.quotient(group.build_group(dom, label))
+        assert quot.kind == f"{dom.kind}/{label}"
+        for name in ("trivial", "rotations_1", "rotations_2", "dihedral_1",
+                     label, "reflections", "block_product", "icosahedral"):
+            with pytest.raises(SymmetryCompatibilityError):
+                group.build_group(quot, name)
+        with pytest.raises(SymmetryCompatibilityError):
+            group.mirrors(quot)
 
 
 @pytest.mark.parametrize("kind, alias, target, order", [

@@ -1128,9 +1128,9 @@ def test_snap_groups_offer_only_coarser_orbits():
     disk = grid.build_domain("disk-polar", radius=6.0, resolution=10,
                              angular_resolution=16)
     square = grid.build_domain("square", side=6.0, resolution=9)
-    table = [(disk, None, ["rotations_16"]),
-             (disk, "rotations_8", ["rotations_16"]),
-             (disk, "dihedral_8", ["rotations_16"]),
+    table = [(disk, None, ["dihedral_16"]),
+             (disk, "rotations_8", ["dihedral_16"]),
+             (disk, "dihedral_8", ["dihedral_16"]),
              (disk, "rotations_16", []),
              (disk, "dihedral_16", []),
              (square, None, ["dihedral_4"]),
@@ -1141,6 +1141,12 @@ def test_snap_groups_offer_only_coarser_orbits():
         sym = None if label is None else group.build_group(dom, label)
         got = [g.label for g in solver._snap_groups(dom, sym)]
         assert got == want, (dom.kind, label)
+    # on the polar grid the full dihedral group's orbits are the rings,
+    # those of the full rotation group, so its average is theirs
+    offered = group.fix_basis(solver._snap_groups(disk, None)[0])
+    rings = group.fix_basis(group.build_group(disk, "rotations_16"))
+    for name in ("orbit", "reps", "sizes"):
+        assert np.array_equal(getattr(offered, name), getattr(rings, name))
 
 
 @pytest.mark.parametrize("mode, name, seed, level", [

@@ -66,21 +66,32 @@ def test_polarizer_rejects_malformed_pairs(square_dom):
         symmetrize.Polarizer(square_dom, np.array([[6, 7], [6, 8]]))
 
 
+def _lower_halves(perm):
+    """The pairs (i, perm[i]) of a node map with i < perm[i]."""
+    lower = np.flatnonzero(np.arange(perm.shape[0]) < perm)
+    return np.column_stack([lower, perm[lower]])
+
+
 def test_square_reflections(square_dom):
     mirrors = symmetrize.reflection_polarizers(square_dom)
-    assert len(mirrors) == 4
-    for h in mirrors:
-        perm = h.permutation
+    perms = group.mirrors(square_dom)
+    assert len(mirrors) == len(perms) == 4
+    for h, perm in zip(mirrors, perms):
         assert grid.is_edge(square_dom, perm[square_dom.edges]).all()
         assert np.array_equal(perm[perm], np.arange(square_dom.n_nodes))
         assert np.all(h.pairs[:, 0] < h.pairs[:, 1])
+        assert np.array_equal(h.pairs, _lower_halves(perm))
 
 
 def test_disk_and_radial_reflections(disk_dom, ball_dom):
     mirrors = symmetrize.reflection_polarizers(disk_dom)
-    assert len(mirrors) == 1
-    assert grid.is_edge(disk_dom, mirrors[0].permutation[disk_dom.edges]).all()
+    perms = group.mirrors(disk_dom)
+    assert len(mirrors) == len(perms) == 1
+    assert grid.is_edge(disk_dom, perms[0][disk_dom.edges]).all()
+    assert np.array_equal(perms[0][perms[0]], np.arange(disk_dom.n_nodes))
+    assert np.array_equal(mirrors[0].pairs, _lower_halves(perms[0]))
     assert symmetrize.reflection_polarizers(ball_dom) == ()
+    assert group.mirrors(ball_dom) == []
 
 
 def test_reflections_reject_asymmetric_weights(square_dom):
