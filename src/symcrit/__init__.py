@@ -16,8 +16,7 @@ every other function is reached at its module path.
 from . import (cli, config, functional, grid, group, integrand, solver,
                symmetrize, verify)
 from .errors import (ConfigurationError, DomainMismatchError, GeometryError,
-                     HypothesisViolationError, NumericalFailureError,
-                     ParameterError, SymcritError,
+                     NumericalFailureError, ParameterError, SymcritError,
                      SymmetryCompatibilityError, UnsupportedDomainError)
 from .functional import EnergyModel
 from .grid import Domain, GridFunction, build_domain
@@ -35,8 +34,8 @@ __all__ = [
     "symmetrize", "verify",
     # errors
     "ConfigurationError", "DomainMismatchError", "GeometryError",
-    "HypothesisViolationError", "NumericalFailureError", "ParameterError",
-    "SymcritError", "SymmetryCompatibilityError", "UnsupportedDomainError",
+    "NumericalFailureError", "ParameterError", "SymcritError",
+    "SymmetryCompatibilityError", "UnsupportedDomainError",
     # types
     "Domain", "GridFunction", "SymmetryGroup", "EnergyModel", "Integrand",
     "SolveConfig", "SolveReport",

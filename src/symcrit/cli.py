@@ -2,12 +2,13 @@
 
 Exit codes: 0 converged and verified, 1 configuration or module error
 (with a single-line JSON diagnostic on stderr), 2 non-converged solve or
-numerical failure, 3 criticality check failed.  Every output file embeds
-the content hash of the effective config; wall-clock data is quarantined
-to the manifest so payload files are byte-identical across reruns.  Each
-payload is formatted to text once and written once by ``_write_payload``,
-which keeps the size and sha256 of the bytes it wrote; the manifest lists
-those records and reads no file back.
+numerical failure, 3 converged but not verified (the criticality check
+failed, or the point lies off Fix(G) and gets no verdict).  Every output
+file embeds the content hash of the effective config; wall-clock data is
+quarantined to the manifest so payload files are byte-identical across
+reruns.  Each payload is formatted to text once and written once by
+``_write_payload``, which keeps the size and sha256 of the bytes it
+wrote; the manifest lists those records and reads no file back.
 """
 
 import os
@@ -37,8 +38,7 @@ from . import integrand as integrand_mod
 from . import solver
 from . import symmetrize
 from . import verify
-from .errors import (ConfigurationError, HypothesisViolationError,
-                     NumericalFailureError, SymcritError)
+from .errors import ConfigurationError, NumericalFailureError, SymcritError
 
 ARTIFACT_VERSION = "0.1.0"
 
@@ -152,6 +152,13 @@ def build_solve_config(cfg: dict, seed: int):
         for f in _SOLVER_FIELDS})
 
 
+def _take_tau_tan(cfg: dict) -> float:
+    tau_tan = config_mod.take(cfg, "verify.tau_tan", "float", default=1e-8)
+    if tau_tan <= 0:
+        raise ConfigurationError(f"verify.tau_tan must be > 0, got {tau_tan}")
+    return tau_tan
+
+
 def _effective_config(args) -> dict:
     cfg = config_mod.read_config(args.config)
     _reject_unknown_keys(cfg)
@@ -176,7 +183,7 @@ def cmd_solve(args) -> int:
     stamp = config_mod.config_hash(cfg)
     seed = config_mod.take(cfg, "run.seed", "int", default=0)
     outdir = config_mod.take(cfg, "output.dir", "str", default="runs")
-    tau_tan = config_mod.take(cfg, "verify.tau_tan", "float", default=1e-8)
+    tau_tan = _take_tau_tan(cfg)
 
     model = build_model(cfg)
     sym = group_mod.build_group(model.domain,
@@ -219,16 +226,11 @@ def cmd_solve(args) -> int:
         [rec.f, rec.grad_norm, rec.w1p_norm, rec.dist_vstar_V,
          rec.dist_vstar_W]), files)
 
-    principle_holds = False
-    try:
-        crit = verify.palais_check(model, sym, rep.u, tau_tan=tau_tan)
-        principle_holds = crit.principle_holds
-        stages["verify"] = "holds" if principle_holds else "violated"
-        crit_payload = {"config_hash": stamp, **crit.to_dict()}
-    except HypothesisViolationError as exc:
-        stages["verify"] = "hypothesis-violated"
-        crit_payload = {"config_hash": stamp, "error": str(exc)}
-    _write_payload(outdir, "criticality.json", crit_payload, files)
+    crit = verify.palais_check(model, sym, rep.u, tau_tan=tau_tan)
+    stages["verify"] = {True: "holds", False: "violated",
+                        None: "not-invariant"}[crit.principle_holds]
+    _write_payload(outdir, "criticality.json",
+                   {"config_hash": stamp, **crit.to_dict()}, files)
 
     if len(rep.record) >= 2:
         diag = solver.ps_diagnostics(rep.record, model,
@@ -258,12 +260,9 @@ def cmd_solve(args) -> int:
     }, files)
     _write_manifest(outdir, files, stamp, started, t0, stages, rep.counts)
 
+    code = 0 if crit.principle_holds else 3
     if not rep.converged:
         code = 2
-    elif not principle_holds:
-        code = 3
-    else:
-        code = 0
     _say(args, f"solve: {stages['solve']}, verify: {stages['verify']}, "
                f"level {rep.level:.9f}, outputs in {outdir} (exit {code})")
     return code
@@ -345,7 +344,7 @@ def cmd_compare_levels(args) -> int:
 def cmd_verify_point(args) -> int:
     cfg = _effective_config(args)
     stamp = config_mod.config_hash(cfg)
-    tau_tan = config_mod.take(cfg, "verify.tau_tan", "float", default=1e-8)
+    tau_tan = _take_tau_tan(cfg)
     model = build_model(cfg)
     sym = group_mod.build_group(model.domain,
                                 config_mod.take(cfg, "group.label", "str"))

@@ -33,10 +33,6 @@ class GeometryError(SymcritError, RuntimeError):
     """Mountain-pass geometry could not be certified (no valid endpoints)."""
 
 
-class HypothesisViolationError(SymcritError, ValueError):
-    """An operation was invoked on data that violates its hypotheses."""
-
-
 class NumericalFailureError(SymcritError, RuntimeError):
     """A computation produced NaN/Inf; carries the last good state when known."""
 

@@ -192,10 +192,6 @@ class GridFunction:
         self.values = v
 
 
-def zeros(domain: Domain) -> GridFunction:
-    return GridFunction(domain, np.zeros(domain.n_nodes))
-
-
 # ---------------------------------------------------------------------------
 # domain builders
 

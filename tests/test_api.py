@@ -1,9 +1,12 @@
 """Each kernel has one public entry: a module that defines ``X_values`` or
 ``X_of_values`` defines no public ``X`` beside it (a ``GridFunction`` twin
-is one more name to test, trace and document)."""
+is one more name to test, trace and document).  Each error class is
+raised somewhere and exported, so a dead one shows up at once."""
 
 import ast
 import pathlib
+
+import symcrit
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "symcrit"
 
@@ -26,3 +29,25 @@ def test_one_public_entry_per_kernel():
     assert set(twins) - ALLOWED == set(), twins
     # the allowance names a twin that still exists
     assert set(twins) == ALLOWED
+
+
+def _raised_name(node):
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    if isinstance(exc, ast.Name):
+        return exc.id
+    return exc.attr if isinstance(exc, ast.Attribute) else None
+
+
+def test_every_error_class_is_raised():
+    errors = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    classes = {node.name for node in errors.body
+               if isinstance(node, ast.ClassDef)} - {"SymcritError"}
+    raised = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        raised |= {_raised_name(node) for node in ast.walk(tree)
+                   if isinstance(node, ast.Raise) and node.exc is not None}
+    assert classes - raised == set(), "never raised"
+    assert classes - set(symcrit.__all__) == set(), "missing from __all__"

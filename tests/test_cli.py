@@ -381,9 +381,10 @@ def test_verify_point_rejects_scaled_point(solved, tmp_path):
     assert report["tangential"] > report["tau_tan"]
 
 
-def test_verify_point_rejects_noninvariant_point(solved, tmp_path, capsys):
+def test_verify_point_gives_no_verdict_off_fix_g(solved, tmp_path, capsys):
     # symmetric criticality is only defined at invariant points, so a
-    # point off the fixed subspace is a usage error, not a verdict
+    # point off the fixed subspace is measured but gets no verdict: exit
+    # 3, as for a failed check, with the full report
     _, cfg, out = solved
     dom = grid.build_domain("square", side=6.0, resolution=9)
     u = grid.read_gridfunction(dom, os.path.join(out, "u_final.csv"))
@@ -392,11 +393,14 @@ def test_verify_point_rejects_noninvariant_point(solved, tmp_path, capsys):
     vals[interior[0]] += 1.0
     path = tmp_path / "tilted.csv"
     grid.write_gridfunction(grid.GridFunction(dom, vals), path)
-    rc = cli.main(["verify-point", "--config", cfg, str(path)])
-    assert rc == 1
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "HypothesisViolationError"
-    assert "fixed subspace" in err["message"]
+    rc = cli.main(["verify-point", "--config", cfg, str(path), "--quiet",
+                   "--out", str(tmp_path)])
+    assert rc == 3
+    assert capsys.readouterr().err == ""
+    report = read_json(tmp_path / "criticality.json")
+    assert report["principle_holds"] is None
+    # a +1 tilt at one node of a 4-node orbit moves it 3/4 off the average
+    assert report["invariance_error"] == pytest.approx(0.75, abs=1e-12)
 
 
 def test_verify_point_rejects_malformed_row(solved, tmp_path, capsys):
@@ -483,8 +487,8 @@ def test_example_config_builds(path):
 
 def test_plain_annulus_solve_exits_three_on_a_noninvariant_point(tmp_path):
     # the plain solve of the annulus example reaches the ground state,
-    # which is not rotations_8-invariant: the criticality check refuses
-    # it, and criticality.json names the fixed subspace instead
+    # which is critical for f but not rotations_8-invariant: the report
+    # is complete and gives no verdict
     path = pathlib.Path(__file__).resolve().parents[1] / "examples" \
         / "annulus_breaking.cfg"
     text = path.read_text()
@@ -495,11 +499,13 @@ def test_plain_annulus_solve_exits_three_on_a_noninvariant_point(tmp_path):
     rc = cli.main(["solve", "--config", cfg, "--out", out, "--quiet"])
     assert rc == 3
     man = read_json(os.path.join(out, "manifest.json"))
-    assert man["stages"]["verify"] == "hypothesis-violated"
+    assert man["stages"]["verify"] == "not-invariant"
     crit = read_json(os.path.join(out, "criticality.json"))
-    assert set(crit) == {"config_hash", "error"}
     assert crit["config_hash"] == man["config_hash"]
-    assert "fixed subspace" in crit["error"]
+    assert crit["principle_holds"] is None
+    assert crit["invariance_error"] > 2.0
+    assert crit["weak_slope"]["value"] <= 1e-8
+    assert crit["tangential_ok"] is True and crit["transverse_ok"] is True
 
 
 def test_unknown_integrand_key_exits_one(tmp_path, capsys):
@@ -520,6 +526,60 @@ def test_missing_required_key_exits_one(tmp_path, capsys):
     assert rc == 1
     err = json.loads(capsys.readouterr().err)
     assert "group.label" in err["message"]
+
+
+@pytest.mark.parametrize("command", ["solve", "verify-point"])
+@pytest.mark.parametrize("tau", ["0.0", "-1e-8"])
+def test_nonpositive_tau_tan_exits_one_before_any_output(solved, tmp_path,
+                                                         capsys, command,
+                                                         tau):
+    # refused when the config is read, not after a whole solve
+    _, _, solved_out = solved
+    cfg = write_cfg(tmp_path, SMALL_SOLVE + f"verify.tau_tan = {tau}\n")
+    out = tmp_path / "o"
+    point = ([os.path.join(solved_out, "u_final.csv")]
+             if command == "verify-point" else [])
+    rc = cli.main([command, "--config", cfg, "--out", str(out)] + point)
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigurationError"
+    assert "verify.tau_tan" in err["message"]
+    assert not out.exists()
+
+
+DOWNGRADED_SOLVE = """\
+domain.kind = radial-ball-1d
+domain.dimension = 3
+domain.radius = 12.0
+domain.resolution = 2
+
+group.label = trivial
+
+integrand.name = plaplace
+integrand.p = 2.0
+
+model.q = 4.0
+model.positivity = true
+
+solver.mode = direct
+solver.path_points = 24
+"""
+
+
+def test_solve_names_a_downgrade_to_plain(tmp_path):
+    # two huge cells fail the energy-decrease gate, so direct mode runs
+    # as plain and the manifest and report say so
+    cfg = write_cfg(tmp_path, DOWNGRADED_SOLVE)
+    out = str(tmp_path / "o")
+    with pytest.warns(UserWarning, match="energy-decrease check failed"):
+        rc = cli.main(["solve", "--config", cfg, "--out", out, "--quiet"])
+    assert rc == 0
+    man = read_json(os.path.join(out, "manifest.json"))
+    assert man["stages"]["solve"] == "converged (downgraded to plain)"
+    rep = read_json(os.path.join(out, "solve_report.json"))
+    assert rep["mode"] == "plain"
+    assert rep["requested_mode"] == "direct"
+    assert "energy-decrease check failed" in rep["downgrade_reason"]
 
 
 def test_missing_config_file_exits_one(tmp_path, capsys):

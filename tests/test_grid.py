@@ -207,7 +207,7 @@ def test_distinct_is_numpy_unique(rng):
 
 def test_zero_field_gradient(square_small, disk_small, ball_small):
     for dom in (square_small, disk_small, ball_small):
-        u = grid.zeros(dom)
+        u = grid.GridFunction(dom, np.zeros(dom.n_nodes))
         assert np.all(grid.cell_values(dom, u.values)[1] == 0.0)
 
 
@@ -334,7 +334,7 @@ def test_center_column_matches_the_folded_map(extents, label, rng):
 
 
 def test_norm_rejects_bad_exponents(ball_small):
-    u = grid.zeros(ball_small)
+    u = grid.GridFunction(ball_small, np.zeros(ball_small.n_nodes))
     with pytest.raises(ParameterError):
         grid.norm_lm(u, 0.5)
     with pytest.raises(ParameterError):
@@ -378,7 +378,7 @@ def test_stacked_norms_are_rowwise_bitwise(square_small, disk_small,
 
 
 def test_zero_norms(square_small):
-    u = grid.zeros(square_small)
+    u = grid.GridFunction(square_small, np.zeros(square_small.n_nodes))
     assert grid.norm_lm(u, 2) == 0.0
     assert grid.norm_w1p(u, 2) == 0.0
 
