@@ -42,23 +42,16 @@ from .errors import ConfigurationError, NumericalFailureError, SymcritError
 
 ARTIFACT_VERSION = "0.1.0"
 
-_DOMAIN_KEYS = {
-    "kind": "str",
-    "resolution": "int",
-    "dimension": "int",
-    "side": "float",
-    "radius": "float",
-    "inner_radius": "float",
-    "outer_radius": "float",
-    "angular_resolution": "int",
-}
+# the type of every geometry key of grid.GEOMETRY, one per key
+_GEOMETRY_TYPES = {key: key_type for keys in grid.GEOMETRY.values()
+                   for key, key_type in keys.items()}
 
 # every SolveConfig field is a solver.* key, except the seed (run.seed)
 _SOLVER_FIELDS = [f for f in dataclasses.fields(solver.SolveConfig)
                   if f.name != "seed"]
 
 _KNOWN_KEYS = (
-    {f"domain.{k}" for k in _DOMAIN_KEYS}
+    {f"domain.{k}" for k in ("kind", "resolution", *_GEOMETRY_TYPES)}
     | {f"solver.{f.name}" for f in _SOLVER_FIELDS}
     | {"group.label", "integrand.name", "integrand.p",
        "model.q", "model.positivity",
@@ -117,15 +110,13 @@ def _reject_unknown_keys(cfg: dict):
 
 
 def build_domain(cfg: dict):
-    kind = config_mod.take(cfg, "domain.kind", "str")
-    kwargs = {}
-    for name, kind_tag in _DOMAIN_KEYS.items():
-        if name == "kind":
-            continue
-        val = config_mod.take(cfg, f"domain.{name}", kind_tag, default=None)
-        if val is not None:
-            kwargs[name] = val
-    return grid.build_domain(kind, **kwargs)
+    geometry = {key: config_mod.take(cfg, f"domain.{key}", key_type.__name__)
+                for key, key_type in _GEOMETRY_TYPES.items()
+                if f"domain.{key}" in cfg}
+    return grid.build_domain(
+        config_mod.take(cfg, "domain.kind", "str"),
+        resolution=config_mod.take(cfg, "domain.resolution", "int"),
+        **geometry)
 
 
 def build_integrand(cfg: dict):

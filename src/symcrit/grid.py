@@ -32,10 +32,16 @@ from .errors import (
 
 GRIDFUNCTION_HEADER = "# symcrit-gridfunction v1"
 
-#: The angular resolution of a polar grid must be a multiple of this, so
-#: that every rotation order up to it can be realized; any other divisor
-#: of the angular resolution is a rotation order too.
-MAX_ROTATION_ORDER = 8
+#: The geometry keys of each domain kind and the type of each value: the
+#: one list of them.  ``build_domain`` takes exactly its kind's keys, and
+#: the command line reads each ``domain.*`` key's type from here.
+GEOMETRY = {
+    "square": {"side": float},
+    "disk-polar": {"radius": float, "angular_resolution": int},
+    "annulus-polar": {"inner_radius": float, "outer_radius": float,
+                      "angular_resolution": int},
+    "radial-ball-1d": {"dimension": int, "radius": float},
+}
 
 #: Largest number of interior unknowns whose ``CellForm.matrix`` is a dense
 #: ndarray, factored by numpy's LAPACK; larger systems are scipy CSC
@@ -147,7 +153,6 @@ class Domain:
     kind: str
     dim: int
     extents: dict
-    resolution: int
     coords: np.ndarray          # (n_nodes, n_coord) Cartesian embedding
     radius2: np.ndarray         # squared distance to the symmetry center
     weights: np.ndarray         # (n_nodes,) positive, sums to the volume
@@ -320,7 +325,6 @@ def _build_square(side: float, resolution: int) -> Domain:
         kind="square",
         dim=2,
         extents={"side": float(side)},
-        resolution=n,
         coords=coords,
         radius2=coords[:, 0] * coords[:, 0] + coords[:, 1] * coords[:, 1],
         weights=weights,
@@ -334,12 +338,6 @@ def _build_square(side: float, resolution: int) -> Domain:
 
 def _build_polar(kind: str, resolution: int, angular_resolution: int,
                  r_inner: float, r_outer: float) -> Domain:
-    if angular_resolution % MAX_ROTATION_ORDER != 0:
-        raise ConfigurationError(
-            f"angular resolution {angular_resolution} must be a multiple of "
-            f"{MAX_ROTATION_ORDER}, so that every rotation order up to "
-            f"{MAX_ROTATION_ORDER} can be realized"
-        )
     n_theta = angular_resolution
     d_theta = 2 * math.pi / n_theta
 
@@ -421,7 +419,6 @@ def _build_polar(kind: str, resolution: int, angular_resolution: int,
         kind=kind,
         dim=2,
         extents=extents,
-        resolution=resolution,
         coords=coords,
         radius2=radius2,
         weights=weights,
@@ -458,7 +455,6 @@ def _build_radial_ball(dimension: int, radius: float, resolution: int) -> Domain
         kind="radial-ball-1d",
         dim=dimension,
         extents={"radius": float(radius)},
-        resolution=n,
         coords=r[:, None].copy(),
         radius2=r * r,
         weights=weights,
@@ -470,17 +466,20 @@ def _build_radial_ball(dimension: int, radius: float, resolution: int) -> Domain
     )
 
 
-def build_domain(kind: str, *, resolution: int, dimension: int | None = None,
-                 side: float | None = None, radius: float | None = None,
-                 inner_radius: float | None = None,
-                 outer_radius: float | None = None,
-                 angular_resolution: int | None = None) -> Domain:
-    """Construct a supported domain.
-
-    kind is one of ``square``, ``disk-polar``, ``annulus-polar``,
-    ``radial-ball-1d``.  ``resolution`` counts interior nodes per axis
-    (interior rings for polar kinds, interior radial nodes for the ball).
+def build_domain(kind: str, *, resolution: int, **geometry) -> Domain:
+    """Construct a supported domain from exactly the geometry keys of
+    ``kind`` in ``GEOMETRY``; a missing key or a key of another kind is
+    refused.  ``resolution`` counts interior nodes per axis (interior
+    rings for polar kinds, interior radial nodes for the ball), and a
+    polar grid takes any angular resolution from 3 up.
     """
+    keys = GEOMETRY.get(kind)
+    if keys is None:
+        raise ConfigurationError(f"unknown domain kind {kind!r}")
+    if geometry.keys() != keys.keys():
+        raise ConfigurationError(
+            f"a {kind} domain takes the geometry keys {sorted(keys)}, "
+            f"got {sorted(geometry)}")
     # the 1-d radial chain is meaningful from two interior nodes up
     floor = 2 if kind == "radial-ball-1d" else 3
     if resolution < floor:
@@ -488,33 +487,30 @@ def build_domain(kind: str, *, resolution: int, dimension: int | None = None,
             f"resolution must be at least {floor} for kind {kind!r}")
 
     if kind == "square":
-        if side is None or side <= 0:
+        if geometry["side"] <= 0:
             raise ConfigurationError("square domain needs a positive side")
-        dom = _build_square(side, resolution)
-    elif kind in ("disk-polar", "annulus-polar"):
-        if angular_resolution is None or angular_resolution < 3:
-            raise ConfigurationError("polar domains need angular_resolution >= 3")
-        if kind == "disk-polar":
-            if radius is None or radius <= 0:
-                raise ConfigurationError("disk domain needs a positive radius")
-            dom = _build_polar(kind, resolution, angular_resolution,
-                               0.0, radius)
-        else:
-            if (inner_radius is None or outer_radius is None
-                    or not 0 < inner_radius < outer_radius):
-                raise ConfigurationError(
-                    "annulus domain needs 0 < inner_radius < outer_radius")
-            dom = _build_polar(kind, resolution, angular_resolution,
-                               inner_radius, outer_radius)
+        dom = _build_square(resolution=resolution, **geometry)
     elif kind == "radial-ball-1d":
-        if dimension is None or dimension < 2:
+        if geometry["dimension"] < 2:
             raise ConfigurationError(
                 "radial-ball-1d needs the ambient dimension N >= 2")
-        if radius is None or radius <= 0:
+        if geometry["radius"] <= 0:
             raise ConfigurationError("ball domain needs a positive radius")
-        dom = _build_radial_ball(dimension, radius, resolution)
+        dom = _build_radial_ball(resolution=resolution, **geometry)
     else:
-        raise ConfigurationError(f"unknown domain kind {kind!r}")
+        if geometry["angular_resolution"] < 3:
+            raise ConfigurationError("polar domains need angular_resolution >= 3")
+        if kind == "disk-polar":
+            r_inner, r_outer = 0.0, geometry["radius"]
+            if r_outer <= 0:
+                raise ConfigurationError("disk domain needs a positive radius")
+        else:
+            r_inner, r_outer = geometry["inner_radius"], geometry["outer_radius"]
+            if not 0 < r_inner < r_outer:
+                raise ConfigurationError(
+                    "annulus domain needs 0 < inner_radius < outer_radius")
+        dom = _build_polar(kind, resolution, geometry["angular_resolution"],
+                           r_inner, r_outer)
 
     _validate_domain(dom)
     return dom

@@ -339,7 +339,6 @@ def _build_quotient(g: SymmetryGroup) -> Domain:
         kind=f"{dom.kind}/{g.label}",
         dim=dom.dim,
         extents=dom.extents,
-        resolution=dom.resolution,
         coords=dom.coords[fb.reps],
         radius2=dom.radius2[fb.reps],
         weights=dom.weights[fb.reps] * fb.sizes,

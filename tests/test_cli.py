@@ -547,6 +547,47 @@ def test_nonpositive_tau_tan_exits_one_before_any_output(solved, tmp_path,
     assert not out.exists()
 
 
+DISK_SOLVE = SMALL_SOLVE.replace(
+    "domain.kind = square\ndomain.side = 6.0\n",
+    "domain.kind = disk-polar\ndomain.radius = 6.0\n"
+    "domain.angular_resolution = 16\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    (SMALL_SOLVE + "domain.angular_resolution = 16\n",
+     "a square domain takes the geometry keys ['side'], "
+     "got ['angular_resolution', 'side']"),
+    (DISK_SOLVE + "domain.side = 99.0\ndomain.dimension = 7\n"
+     "domain.inner_radius = 3.0\n",
+     "a disk-polar domain takes the geometry keys ['angular_resolution', "
+     "'radius'], got ['angular_resolution', 'dimension', 'inner_radius', "
+     "'radius', 'side']"),
+])
+def test_geometry_key_of_another_kind_exits_one(tmp_path, capsys, text,
+                                                message):
+    # a key the kind does not read is refused by name before any output,
+    # where it was once ignored (and still changed the config hash)
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "o"
+    rc = cli.main(["solve", "--config", cfg, "--out", str(out)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigurationError"
+    assert err["message"] == message
+    assert not out.exists()
+
+
+def test_missing_resolution_exits_one_by_name(tmp_path, capsys):
+    # every kind needs domain.resolution; without it the command exits 1
+    # with a named ConfigurationError, not a TypeError from the library
+    cfg = write_cfg(tmp_path, SMALL_SOLVE.replace("domain.resolution = 9\n",
+                                                  ""))
+    assert cli.main(["check-axioms", "--config", cfg]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ConfigurationError",
+        "message": "missing required config key 'domain.resolution'"}
+
+
 DOWNGRADED_SOLVE = """\
 domain.kind = radial-ball-1d
 domain.dimension = 3

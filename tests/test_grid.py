@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from symcrit import functional, grid, group, integrand
-from symcrit.errors import ConfigurationError, ParameterError
+from symcrit.errors import (ConfigurationError, ParameterError,
+                            SymmetryCompatibilityError)
 
 from conftest import random_function
 import grid_oracle
@@ -58,9 +59,40 @@ def test_radial_ball_weight_profile():
 
 
 def test_angular_resolution_divisibility():
-    with pytest.raises(ConfigurationError):
-        grid.build_domain("disk-polar", radius=1.0, resolution=4,
-                          angular_resolution=12)
+    # any angular resolution from 3 up builds; the rotation orders the
+    # grid realizes are the divisors of it
+    dom = grid.build_domain("disk-polar", radius=1.0, resolution=4,
+                            angular_resolution=12)
+    assert dom.meta["n_theta"] == 12
+    for label in ("rotations_4", "dihedral_12"):
+        assert group.build_group(dom, label).label == label
+    with pytest.raises(SymmetryCompatibilityError,
+                       match="does not divide the grid's 12 turns"):
+        group.build_group(dom, "rotations_8")
+
+
+@pytest.mark.parametrize("kind, geometry, foreign", [
+    ("square", dict(side=6.0), "angular_resolution"),
+    ("disk-polar", dict(radius=6.0, angular_resolution=16), "side"),
+    ("annulus-polar", dict(inner_radius=1.0, outer_radius=6.0,
+                           angular_resolution=16), "dimension"),
+    ("radial-ball-1d", dict(dimension=3, radius=12.0), "inner_radius"),
+])
+def test_build_domain_takes_exactly_its_kinds_keys(kind, geometry, foreign):
+    # a key of another kind and a missing key are refused by name, where
+    # the first was once ignored
+    assert geometry.keys() == grid.GEOMETRY[kind].keys()
+    assert grid.build_domain(kind, resolution=4, **geometry).kind == kind
+    expected = f"a {kind} domain takes the geometry keys {sorted(geometry)}"
+    with pytest.raises(ConfigurationError) as err:
+        grid.build_domain(kind, resolution=4, **geometry, **{foreign: 1})
+    assert str(err.value) == \
+        f"{expected}, got {sorted([*geometry, foreign])}"
+    for key in geometry:
+        fewer = {k: v for k, v in geometry.items() if k != key}
+        with pytest.raises(ConfigurationError) as err:
+            grid.build_domain(kind, resolution=4, **fewer)
+        assert str(err.value) == f"{expected}, got {sorted(fewer)}"
 
 
 def test_resolution_floor():

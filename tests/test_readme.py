@@ -4,7 +4,7 @@ import pathlib
 import re
 
 import symcrit
-from symcrit import cli
+from symcrit import cli, grid
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -34,6 +34,27 @@ def test_readme_names_only_known_config_keys():
 def _section(title):
     text = README.read_text(encoding="utf-8")
     return text.split(f"\n## {title}\n")[1].split("\n## ")[0]
+
+
+# the word for each domain kind in the Configuration block's comments
+README_KINDS = {"square": "square", "disk": "disk-polar",
+                "annulus": "annulus-polar", "ball": "radial-ball-1d"}
+
+
+def test_readme_names_the_kinds_of_each_geometry_key():
+    # each geometry key's comment opens with the kinds that take it
+    block = re.search(r"```\n(.*?)```", _section("Configuration"),
+                      re.S).group(1)
+    named = {}
+    for key, comment in re.findall(r"^domain\.(\w+) = .*?# (.*)$", block,
+                                   re.M):
+        words = set(re.findall(r"\w+", comment.split(":")[0]))
+        named[key] = {README_KINDS[w] for w in words & README_KINDS.keys()}
+    table = {}
+    for kind, keys in grid.GEOMETRY.items():
+        for key in keys:
+            table.setdefault(key, set()).add(kind)
+    assert {key: named[key] for key in table} == table
 
 
 def _first_list(text):

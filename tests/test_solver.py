@@ -874,6 +874,19 @@ def test_full_rotation_group_of_the_disk_reaches_the_rotations_8_level():
         <= 1e-12 * levels["rotations_8"]
 
 
+def test_disk_of_twelve_turns_reaches_the_desk_disk_level():
+    # 12 nodes per ring is no multiple of 8, yet rotations_4 divides it;
+    # the restricted point is constant on every ring, so its level is the
+    # desk disk 10x16's
+    model = make_model("disk-polar", dict(radius=6.0, resolution=10,
+                                          angular_resolution=12),
+                       p=1.8, q=3.0)
+    rep = run(model, group.build_group(model.domain, "rotations_4"),
+              SolveConfig(mode="restricted", seed=0))
+    assert rep.converged
+    assert abs(rep.level - 10.154723725994499) <= 1e-12 * rep.level
+
+
 def test_direct_modulated_disk_finishes_in_newton_steps():
     # the direct solve of the modulated disk 32x64: once a rejected Newton
     # trial backs off only by half, Newton finishes the ray stage before
@@ -1205,6 +1218,81 @@ def test_newton_finishes_the_ray_stage(square_model, monkeypatch):
     assert rep.converged and calls
     assert rep.iterations < 48
     assert abs(rep.level - 10.75203566060433) <= 1e-9
+
+
+def test_restricted_square_converges_when_no_system_can_be_factored(
+        square_model, monkeypatch):
+    # every metric build and Newton trial fails, so the ray stage steps
+    # along the weight-preconditioned gradient alone: 120 iterations in
+    # place of 18, and the failed attempts are still counted
+    attempts = []
+
+    def singular(matrix):
+        attempts.append(1)
+        raise RuntimeError("singular factor")
+
+    monkeypatch.setattr(solver, "_factorize", singular)
+    sym = group.build_group(square_model.domain, "dihedral_4")
+    rep = run(square_model, sym, SolveConfig(mode="restricted",
+                                             max_iterations=20000))
+    assert rep.converged and rep.iterations == 120
+    assert abs(rep.level - 10.75203566060433) <= 1e-12 * rep.level
+    assert rep.counts["factorizations"] == len(attempts) == 39
+
+
+class _NanFactors:
+    def solve(self, rhs):
+        return np.full_like(rhs, np.nan)
+
+
+@pytest.mark.parametrize("failure", ["raises", "nan"])
+def test_newton_point_is_none_when_the_hessian_solve_fails(
+        square_model, monkeypatch, failure):
+    def factorize(matrix):
+        if failure == "raises":
+            raise np.linalg.LinAlgError("singular matrix")
+        return _NanFactors()
+
+    monkeypatch.setattr(solver, "_factorize", factorize)
+    values = default_psi(square_model.domain).values
+    covector = functional.residual_of_values(square_model, values)
+    assert solver._newton_point(square_model, values, covector) is None
+
+
+def test_ray_stage_stalls_when_no_step_lowers_the_peak(square_model,
+                                                       monkeypatch):
+    # every trial peak lies above the starting level, so the first
+    # iteration halves its step _MAX_BACKTRACKS times and stalls; the
+    # residual is far above the Newton gate, so no Newton trial is made
+    start = default_psi(square_model.domain).values
+    level = _ray_peak(square_model, start)[1]
+    peaks = []
+
+    def above(model, u):
+        peaks.append(1)
+        w, f = _ray_peak(model, u)
+        return (w, f) if len(peaks) == 1 else (w, level + 1.0)
+
+    monkeypatch.setattr(solver, "_ray_peak", above)
+    st = solver._Solve(square_model, SolveConfig(mode="plain"), None,
+                       square_model.domain, trivial_level=0.0)
+    status, _, progress = solver._ray_stage(st, start)
+    assert status == "stalled" and st.it == 1 and progress == 0.0
+    assert st.counts["peak_searches"] == len(peaks) \
+        == 1 + solver._MAX_BACKTRACKS
+    assert st.counts["newton_trials"] == 0
+
+
+def test_nonpositive_start_has_no_peak_under_positivity(square_model):
+    # with (u+)^q in place of |u|^q the energy grows along the ray of a
+    # nonpositive function, so the stage fails by name before iterating
+    model = replace(square_model, positivity=True)
+    st = solver._Solve(model, SolveConfig(mode="plain"), None,
+                       model.domain, trivial_level=0.0)
+    with pytest.raises(NumericalFailureError) as err:
+        solver._ray_stage(st, -default_psi(model.domain).values)
+    assert str(err.value) == ("no energy peak along the starting ray in "
+                              "the ray stage at iteration 0")
 
 
 def test_newton_point_ends_the_stage_when_its_retrial_is_rejected(
