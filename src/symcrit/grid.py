@@ -794,7 +794,8 @@ def read_gridfunction(domain: Domain, path) -> GridFunction:
     The rows must list nodes 0 .. n-1 once each, in order, at the domain's
     own coordinates (``write_gridfunction`` writes them with %.17g, which
     round-trips), so a file written on another grid of the same size is
-    refused.
+    refused.  Every boundary node must hold 0, the value ``GridFunction``
+    gives it, so that the point read is the point in the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline().rstrip("\n")
@@ -826,4 +827,11 @@ def read_gridfunction(domain: Domain, path) -> GridFunction:
             f"node {i} is at {rows[i, 1:-1].tolist()} in the file but at "
             f"{domain.coords[i].tolist()} on the domain: the file was "
             "written on a different domain")
+    lifted = np.flatnonzero(domain.boundary & (rows[:, -1] != 0.0))
+    if lifted.size:
+        i = int(lifted[0])
+        raise ConfigurationError(
+            f"node {i} is on the Dirichlet boundary but has value "
+            f"{float(rows[i, -1])!r} in the file: a stored point must be "
+            "zero there")
     return GridFunction(domain, rows[:, -1])

@@ -71,18 +71,6 @@ class FixBasis:
     sizes: np.ndarray       # (k,) nodes per orbit
     interior: np.ndarray    # (k,) bool, orbit off the boundary
 
-    @property
-    def dim(self) -> int:
-        """dim Fix(G): the number of interior orbits."""
-        return int(np.count_nonzero(self.interior))
-
-    @property
-    def orbits(self) -> list:
-        """Member nodes of each interior orbit."""
-        members = np.split(np.argsort(self.orbit, kind="stable"),
-                           np.cumsum(self.sizes)[:-1])
-        return [m for m, keep in zip(members, self.interior) if keep]
-
     def means(self, values: np.ndarray) -> np.ndarray:
         """Orbit means B^T v / sizes of a vector or of each stacked row;
         each orbit sum adds its members in node order."""

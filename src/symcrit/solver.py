@@ -25,7 +25,6 @@ from dataclasses import asdict, dataclass, replace
 import hashlib
 import json
 import math
-import time
 import warnings
 
 import numpy as np
@@ -44,9 +43,9 @@ from . import group as group_mod
 MODES = ("plain", "restricted", "direct")
 PS_CSV_HEADER = "iteration,f,grad_norm,w1p_norm,dist_vstar_V,dist_vstar_W"
 
-# iterate tail kept for Cauchy diagnostics; older iterates are summarized
-# by their logged norms only
-TAIL_RETENTION = 600
+# iterates kept for the Cauchy diagnostic, which reads the last ones of
+# its window; older iterates are summarized by their logged norms only
+TAIL_RETENTION = 120
 
 # relative size of the seeded symmetry-breaking perturbation applied to
 # the initial path (averaged away again in restricted mode)
@@ -187,8 +186,6 @@ class SolveReport:
     record: PSRecord
     endpoints: EndpointData
     iterations: int
-    wall_time: float
-    config: SolveConfig
     config_hash: str
     downgrade_reason: str | None = None
     # record row of the first polarization sweep (direct mode only)
@@ -235,8 +232,7 @@ def _orbit_coordinates(model, symmetry):
             group_mod.fix_basis(symmetry))
 
 
-def init_endpoints(model, symmetry=None,
-                   psi: GridFunction | None = None) -> EndpointData:
+def init_endpoints(model, symmetry=None) -> EndpointData:
     """Construct the mountain-pass geometry data for one model.
 
     The sphere is measured in the norm the energy reads, N(v)^p = sum_c
@@ -246,15 +242,13 @@ def init_endpoints(model, symmetry=None,
     m (1 - p/q) rho0^p its value there, a proven lower bound of f on the
     sphere N = rho0.  tau is the smallest scale making the far endpoint
     provably negative-energy and past that sphere, then doubled for
-    margin.
+    margin.  The far end is tau times ``default_psi``, which must be
+    invariant under ``symmetry``.
     """
     domain = model.domain
     j = model.integrand
     p, q = model.p, model.q
-    if psi is None:
-        psi = default_psi(domain)
-    elif psi.domain is not domain:
-        raise ParameterError("psi lives on a different domain")
+    psi = default_psi(domain)
     if symmetry is not None:
         drift = float(np.max(np.abs(
             group_mod.average_values(symmetry, psi.values) - psi.values)))
@@ -263,8 +257,6 @@ def init_endpoints(model, symmetry=None,
                 "endpoint bump is not invariant under the given group")
 
     psi_inf = float(np.max(np.abs(psi.values)))
-    if psi_inf == 0.0:
-        raise ParameterError("endpoint bump must be nonzero")
     psi_p_p = float(np.sum(domain.weights * np.abs(psi.values) ** p))
     psi_q_q = float(np.sum(domain.weights * np.abs(psi.values) ** q))
     avg, dpsi, _ = grid.cell_values(domain, psi.values)
@@ -753,7 +745,6 @@ def run(model, symmetry, cfg: SolveConfig) -> SolveReport:
     converged point: far from the solution a sweep and the descent fight
     each other, near the symmetric limit they cooperate.
     """
-    t_start = time.perf_counter()
     domain = model.domain
     mode = cfg.mode
     downgrade_reason = None
@@ -818,8 +809,6 @@ def run(model, symmetry, cfg: SolveConfig) -> SolveReport:
         record=st.record,
         endpoints=endpoints,
         iterations=st.it,
-        wall_time=time.perf_counter() - t_start,
-        config=cfg,
         config_hash=config_digest(cfg),
         downgrade_reason=downgrade_reason,
         sweep_start=sweep_start,
@@ -927,7 +916,9 @@ def ps_diagnostics(record: PSRecord, model,
     direct solve's ``SolveReport.sweep_start``).  Given, the Cauchy tail
     is the swept segment and the rearrangement distance must not grow
     along it.  Without it the tail is the record's last quartile and no
-    distance trend is checked.
+    distance trend is checked.  The Cauchy tail reads the window's last
+    TAIL_RETENTION iterates, the ones the record keeps;
+    ``cauchy_truncated`` marks a longer window.
     """
     n = len(record)
     if n < 2:
@@ -944,11 +935,7 @@ def ps_diagnostics(record: PSRecord, model,
     window = max(2, -(-n // 4)) if start is None else n - start
     tail = record.tail_values()
     truncated = window > len(tail)
-    pts = tail[-min(window, len(tail)):]
-    # bound the pairwise sweep to 120 points; an even stride (all of them
-    # when there are fewer) keeps first and last iterates
-    idx = np.linspace(0, len(pts) - 1, min(len(pts), 120)).astype(int)
-    pts = np.array([pts[i] for i in grid.distinct(idx)])
+    pts = np.array(tail[-min(window, len(tail)):])
     # one row reduction per anchor against every later iterate
     cauchy = 0.0
     for a in range(len(pts) - 1):

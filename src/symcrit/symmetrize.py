@@ -431,9 +431,6 @@ class HypothesisBReport:
     max_excess: float
     tolerance: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def hypothesis_b_check(model, samples: int = 100,
                        seed: int = 20240817) -> HypothesisBReport:

@@ -47,12 +47,6 @@ class SlopeValue:
     value: float
     formal_only: bool
 
-    def __float__(self):
-        return self.value
-
-    def to_dict(self) -> dict:
-        return {"value": self.value, "formal_only": self.formal_only}
-
 
 def weak_slope(model, u: GridFunction, *, residual=None) -> SlopeValue:
     """Dual-norm gradient magnitude used by the solver's stopping test.

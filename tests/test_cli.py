@@ -416,6 +416,31 @@ def test_verify_point_rejects_malformed_row(solved, tmp_path, capsys):
     assert "malformed" in err["message"]
 
 
+def test_verify_point_refuses_a_lifted_boundary_node(solved, tmp_path,
+                                                     capsys):
+    # GridFunction zeroes the Dirichlet nodes, so a file with a value
+    # there would be verified as another point than the one it holds
+    _, cfg, out = solved
+    dom = grid.build_domain("square", side=6.0, resolution=9)
+    edge = np.flatnonzero(dom.boundary)
+    lines = pathlib.Path(out, "u_final.csv").read_text().split("\n")
+    rows = {line.split(",", 1)[0]: k for k, line in enumerate(lines)}
+    for node in (edge[3], edge[-1]):
+        k = rows[str(node)]
+        lines[k] = lines[k].rsplit(",", 1)[0] + ",1.0"
+    path = tmp_path / "lifted.csv"
+    path.write_text("\n".join(lines))
+    rc = cli.main(["verify-point", "--config", cfg, str(path), "--quiet",
+                   "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ConfigurationError", "message":
+                   f"node {edge[3]} is on the Dirichlet boundary but has "
+                   "value 1.0 in the file: a stored point must be zero "
+                   "there"}
+    assert not os.path.exists(tmp_path / "o")
+
+
 def test_public_names_resolve():
     for name in symcrit.__all__:
         assert hasattr(symcrit, name), name

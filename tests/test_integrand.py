@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,6 +120,94 @@ def test_short_tail_is_inconclusive():
     report = integrand.check_conditions(J, q=4.0, s_max=1.0)
     assert report.checks["j6"].verdict == "inconclusive"
     assert not report.all_passed
+
+
+def test_low_envelope_fails_the_growth_bound():
+    """j = t^2/2 under the envelope alpha = 1/4: j <= alpha t^p fails."""
+    J = dataclasses.replace(integrand.builtin("plaplace", p=2.0),
+                            name="low-envelope",
+                            alpha=lambda s: np.full(np.shape(s), 0.25))
+    check = integrand.check_conditions(J, q=4.0).checks["j2"]
+    assert check.verdict == "fail"
+    assert "growth bound" in check.note
+    s, t = check.witness
+    assert float(J.j(s, t)) > 0.25 * t ** 2
+
+
+@pytest.mark.parametrize("key, part, power", [("j3", "j_s", 2.0),
+                                              ("j3t", "j_t", 1.0)])
+def test_cubic_density_fails_the_partial_growth(key, part, power):
+    """j = (1 + s^2) t^3/3 with p = 2: |j_s|/t^2 and |j_t|/t grow like t."""
+    J = integrand.Integrand(
+        name="cubic", p=2.0,
+        j=lambda s, t: (1.0 + s * s) * t ** 3 / 3.0,
+        j_s=lambda s, t: 2.0 * s * t ** 3 / 3.0,
+        j_t=lambda s, t: (1.0 + s * s) * t ** 2,
+        alpha0=0.5, alpha=lambda s: 1.0 + s * s, alpha_bounded=False)
+    check = integrand.check_conditions(J, q=4.0, t_max=4.0).checks[key]
+    assert check.verdict == "fail"
+    s, t = check.witness
+    # the witness lies at the box edge, and its ratio is still growing
+    assert t >= 0.9 * 4.0
+
+    def ratio(t):
+        return abs(float(getattr(J, part)(s, t))) / t ** power
+    assert ratio(t) > ratio(0.5 * t) > 0.0
+
+
+def test_fading_modulation_fails_the_sign_condition():
+    """a(s) = 2 - s^2/(1+s^2) falls in |s|, so j_s s < 0 off s = 0."""
+    def a(s):
+        return 2.0 - s * s / (1.0 + s * s)
+
+    def a_prime(s):
+        return -2.0 * s / (1.0 + s * s) ** 2
+    J = integrand.Integrand(
+        name="fading", p=2.0,
+        j=lambda s, t: a(s) * t ** 2 / 2.0,
+        j_s=lambda s, t: a_prime(s) * t ** 2 / 2.0,
+        j_t=lambda s, t: a(s) * t,
+        alpha0=0.5, alpha=lambda s: a(s) / 2.0)
+    check = integrand.check_conditions(J, q=4.0).checks["j4"]
+    assert check.verdict == "fail"
+    s, t = check.witness
+    assert abs(s) >= J.sign_radius
+    assert float(J.j_s(s, t)) * s < 0.0
+
+
+def test_slowly_fading_envelope_ratio_is_inconclusive():
+    """With q - p = 0.1, alpha / s^{q-p} falls only by 2^-0.1 over the
+    sampled tail [4, 8]: decreasing, but not clearly vanishing."""
+    J = dataclasses.replace(integrand.builtin("plaplace", p=2.0),
+                            name="near-critical")
+    check = integrand.check_conditions(J, q=2.1, s_max=8.0).checks["j6"]
+    assert check.verdict == "inconclusive"
+    assert check.witness is None
+    assert "not yet clearly vanishing" in check.note
+    assert check.margin == pytest.approx(0.5 / 8.0 ** 0.1, rel=1e-12)
+    assert check.margin > 0.9 * 0.5 / 4.0 ** 0.1
+
+
+def test_growing_envelope_ratio_fails():
+    """alpha = (1 + s^2)/2 with q - p = 1: alpha/s grows along the tail."""
+    J = integrand.Integrand(
+        name="steep", p=2.0,
+        j=lambda s, t: (1.0 + s * s) * t ** 2 / 2.0,
+        j_s=lambda s, t: s * t ** 2,
+        j_t=lambda s, t: (1.0 + s * s) * t,
+        alpha0=0.5, alpha=lambda s: (1.0 + s * s) / 2.0,
+        alpha_bounded=False)
+    check = integrand.check_conditions(J, q=3.0, s_max=8.0,
+                                       density=60).checks["j6"]
+    assert check.verdict == "fail"
+    s, _ = check.witness
+    # the ratio rises into the witness from the sample before it
+    step = 2.0 * 8.0 / (2 * 60)
+
+    def ratio(s):
+        return float(J.alpha(s)) / s ** (3.0 - 2.0)
+    assert s - step >= 4.0
+    assert ratio(s) > ratio(s - step)
 
 
 def test_requires_q_above_p():
